@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument(
         "--algo",
-        choices=["auto", "cl", "one-way", "two-thirds", "complete-split", "fpt-k", "fpt-i", "exact"],
+        choices=[
+            "auto", "cl", "one-way", "two-thirds", "peel", "complete-split", "fpt-k", "fpt-i", "exact",
+        ],
         default="auto",
     )
     solve.add_argument("--k", type=int, default=None)

@@ -5,7 +5,7 @@ surfaces as a VerificationError instead of a silently wrong answer.
 """
 from __future__ import annotations
 
-from .digraph import Digraph, PreconditionError, VerificationError
+from .digraph import Digraph, PreconditionError, VerificationError, lowest, members
 
 
 def quasi_kernel_rooted(d: Digraph, r: int) -> frozenset[int]:
@@ -18,22 +18,23 @@ def quasi_kernel_rooted(d: Digraph, r: int) -> frozenset[int]:
     """
     if not 0 <= r < d.n:
         raise ValueError(f"root {r} out of range for n={d.n}")
+    out, inn = d.out_masks, d.in_masks
     order: list[int] = []
-    remaining = set(range(d.n))
+    remaining = d.full_mask
     root = r
     while remaining:
         order.append(root)
-        remaining -= d.closed_in(root)
+        remaining &= ~(inn[root] | 1 << root)
         if remaining:
-            root = min(remaining)
-    q: set[int] = set()
+            root = lowest(remaining)
+    q = 0
     for v in reversed(order):
-        if not d.out_neighbors(v) & q:
-            q.add(v)
-    result = frozenset(q)
+        if not out[v] & q:
+            q |= 1 << v
+    result = frozenset(members(q))
     if not d.is_quasi_kernel(result):
         raise VerificationError("rooted construction produced a non-quasi-kernel")
-    if r not in result and not d.out_neighbors(r) & result:
+    if not q & (out[r] | 1 << r):
         raise VerificationError("rooted construction lost the root property")
     return result
 
@@ -60,28 +61,38 @@ def two_serf_semicomplete(t: Digraph) -> int:
     _require_semicomplete(t)
     if t.n == 0:
         raise PreconditionError("empty digraph has no 2-serf")
-    best = min(range(t.n), key=lambda v: (-len(t.in_neighbors(v)), v))
+    best = _max_in_degree(t, t.full_mask)
     if not t.is_two_serf(best):
         raise VerificationError(f"max in-degree vertex {best} is not a 2-serf")
     return best
 
 
+def _max_in_degree(t: Digraph, within: int) -> int:
+    """Vertex of mask ``within`` with the most in-neighbors inside it, smallest on ties."""
+    inn = t.in_masks
+    return max(members(within), key=lambda w: (inn[w] & within).bit_count())
+
+
 def dominate_two_serf(t: Digraph, v: int) -> int:
     """For a non-2-serf v of a semicomplete digraph, a 2-serf u with N-[v] <= N-(u).
 
-    u is found as a 2-serf of the subdigraph induced by the vertices that
-    cannot reach v within two arcs; both postconditions are re-verified.
+    u is a 2-serf of the subdigraph induced by the rest, the vertices that
+    cannot reach v within two arcs: its maximum in-degree vertex there,
+    smallest index on ties.  That it is a 2-serf of the rest, and both
+    postconditions, are re-verified.
     """
     _require_semicomplete(t)
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range for n={t.n}")
-    if t.is_two_serf(v):
+    rest = t.full_mask & ~t.reach_in_two(v)
+    if not rest:
         raise PreconditionError(f"vertex {v} is already a 2-serf")
-    rest = frozenset(range(t.n)) - t.closed_in(v) - t.second_in_set((v,))
-    sub, old_of_new, _ = t.induced(rest)
-    u = old_of_new[two_serf_semicomplete(sub)]
+    inn = t.in_masks
+    u = _max_in_degree(t, rest)
+    if t.reach_in_two(u, rest) != rest:
+        raise VerificationError(f"max in-degree vertex {u} is not a 2-serf of the rest")
     if not t.is_two_serf(u):
         raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
-    if not t.closed_in(v) <= t.in_neighbors(u):
+    if (inn[v] | 1 << v) & ~inn[u]:
         raise VerificationError(f"closed in-neighborhood of {v} not dominated by {u}")
     return u

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from collections.abc import Set
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Arc = tuple[int, int]
 
@@ -83,14 +84,20 @@ class QkCertificate:
         return tuple(sorted(self.vertices))
 
     def check(self, d: "Digraph") -> None:
-        """Re-verify against the raw arc set; raise VerificationError on failure."""
+        """Re-verify against the raw adjacency; raise VerificationError on failure."""
+        out = d.out_masks
+        inside = 0
         for v in self.vertices:
             if not 0 <= v < d.n:
                 raise VerificationError(f"certificate vertex {v} out of range")
-            if d.out_neighbors(v) & self.vertices:
+            inside |= 1 << v
+        for v in self.vertices:
+            if out[v] & inside:
                 raise VerificationError(f"certificate set not independent at vertex {v}")
-        outside = set(range(d.n)) - self.vertices
-        if set(self.witnesses) != outside:
+        outside = d.full_mask & ~inside
+        if len(self.witnesses) != outside.bit_count() or not all(
+            0 <= v < d.n and outside >> v & 1 for v in self.witnesses
+        ):
             raise VerificationError("witness table does not cover exactly the outside vertices")
         for v, path in self.witnesses.items():
             if not 2 <= len(path) <= 3:
@@ -98,7 +105,7 @@ class QkCertificate:
             if path[0] != v or path[-1] not in self.vertices:
                 raise VerificationError(f"witness for {v} has wrong endpoints")
             for a, b in zip(path, path[1:]):
-                if (a, b) not in d.arcs:
+                if not (0 <= a < d.n and 0 <= b < d.n and out[a] >> b & 1):
                     raise VerificationError(f"witness arc ({a},{b}) for {v} not in the digraph")
         if self.bound is not None and self.size > self.bound:
             raise VerificationError(f"certificate size {self.size} exceeds its bound {self.bound}")
@@ -111,49 +118,121 @@ class QkCertificate:
         return True
 
 
+def members(mask: int) -> list[int]:
+    """Positions of the set bits of a vertex mask, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def lowest(mask: int) -> int:
+    """Smallest vertex in a nonempty vertex mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+class ArcView(Set):
+    """Read-only set of a digraph's arcs, derived from its out-masks.
+
+    Iteration yields (tail, head) pairs in ascending order; set operators
+    with other sets return frozensets.
+    """
+
+    __slots__ = ("_out",)
+
+    def __init__(self, out: tuple[int, ...]):
+        self._out = out
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Arc]) -> frozenset[Arc]:
+        return frozenset(it)
+
+    def __contains__(self, arc: object) -> bool:
+        if not isinstance(arc, tuple) or len(arc) != 2:
+            return False
+        t, h = arc
+        return (
+            isinstance(t, int) and isinstance(h, int)
+            and 0 <= t < len(self._out) and h >= 0
+            and self._out[t] >> h & 1 == 1
+        )
+
+    def __iter__(self) -> Iterator[Arc]:
+        for t, row in enumerate(self._out):
+            for h in members(row):
+                yield (t, h)
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self._out)
+
+
 class Digraph:
     """A loopless simple digraph on vertices 0..n-1.
 
-    Arcs are ordered pairs (tail, head).  Neighborhood operators follow
-    the quasi-kernel conventions: for a set S, ``in_set`` are the vertices
-    outside S with an out-neighbor in S, ``out_set`` those with an
-    in-neighbor in S, and ``second_in_set`` those reaching S by a path of
-    exactly two arcs.
+    Arcs are ordered pairs (tail, head) of plain ints; repeated arcs
+    collapse, and a loop, an out-of-range endpoint (ValueError) or a
+    non-int or bool endpoint (TypeError) is rejected.  Adjacency is stored
+    only as per-vertex int bitmasks: bit h of ``out_masks[t]`` and bit t
+    of ``in_masks[h]`` are set iff (t, h) is an arc.  ``arcs`` and the
+    neighborhood frozensets are views derived from the masks.
+    Neighborhood operators follow the quasi-kernel conventions: for a set
+    S, ``in_set`` are the vertices outside S with an out-neighbor in S,
+    ``out_set`` those with an in-neighbor in S, and ``second_in_set``
+    those reaching S by a path of exactly two arcs.
     """
 
-    __slots__ = ("n", "arcs", "_out", "_in")
+    __slots__ = ("n", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arcset = frozenset((int(t), int(h)) for t, h in arcs)
-        out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
-        for t, h in arcset:
+        out = [0] * n
+        inn = [0] * n
+        for arc in arcs:
+            t, h = arc
+            if type(t) is not int or type(h) is not int:
+                raise TypeError(f"arc {arc!r}: endpoints must be int (bool is rejected)")
             if t == h:
                 raise ValueError(f"loop arc ({t},{h}) not allowed")
             if not (0 <= t < n and 0 <= h < n):
                 raise ValueError(f"arc ({t},{h}) endpoint out of range for n={n}")
-            out[t].add(h)
-            inn[h].add(t)
+            out[t] |= 1 << h
+            inn[h] |= 1 << t
         self.n = n
-        self.arcs = arcset
-        self._out = tuple(frozenset(s) for s in out)
-        self._in = tuple(frozenset(s) for s in inn)
+        self._out = tuple(out)
+        self._in = tuple(inn)
 
     # -- basic accessors ------------------------------------------------
 
+    @property
+    def out_masks(self) -> tuple[int, ...]:
+        return self._out
+
+    @property
+    def in_masks(self) -> tuple[int, ...]:
+        return self._in
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    @property
+    def arcs(self) -> ArcView:
+        return ArcView(self._out)
+
     def out_neighbors(self, v: int) -> frozenset[int]:
-        return self._out[v]
+        return frozenset(members(self._out[v]))
 
     def in_neighbors(self, v: int) -> frozenset[int]:
-        return self._in[v]
+        return frozenset(members(self._in[v]))
 
     def closed_out(self, v: int) -> frozenset[int]:
-        return self._out[v] | {v}
+        return frozenset(members(self._out[v] | 1 << v))
 
     def closed_in(self, v: int) -> frozenset[int]:
-        return self._in[v] | {v}
+        return frozenset(members(self._in[v] | 1 << v))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -161,86 +240,126 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self._out))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
 
-    def _subset(self, s: Iterable[int]) -> frozenset[int]:
-        fs = frozenset(s)
-        for v in fs:
+    def mask_of(self, s: Iterable[int]) -> int:
+        """Vertex mask of s; raise ValueError on an out-of-range member."""
+        mask = 0
+        for v in s:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return fs
+            mask |= 1 << v
+        return mask
+
+    # -- neighborhood operators on masks --------------------------------
+
+    def in_set_mask(self, s: int) -> int:
+        """Mask of the vertices outside mask s with an out-neighbor in s."""
+        inn = self._in
+        near = 0
+        for v in members(s):
+            near |= inn[v]
+        return near & ~s
+
+    def second_in_set_mask(self, s: int) -> int:
+        """Mask of the vertices reaching mask s by exactly two arcs and not fewer."""
+        first = self.in_set_mask(s)
+        return self.in_set_mask(first) & ~s
+
+    def reach_in_two(self, v: int, within: int | None = None) -> int:
+        """Mask of the vertices that reach v by a path of at most two arcs.
+
+        With a vertex mask ``within`` that contains v, only paths inside it
+        count and only its vertices are reported.
+        """
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        if within is None:
+            within = self.full_mask
+        inn = self._in
+        near = inn[v] & within
+        reach = near | 1 << v
+        # once all of within is in, the remaining in-neighbors add nothing
+        while near and reach != within:
+            low = near & -near
+            reach |= inn[low.bit_length() - 1] & within
+            near ^= low
+        return reach
 
     # -- neighborhood operators -----------------------------------------
 
     def sinks(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if not self._out[v])
+        return frozenset(v for v, row in enumerate(self._out) if not row)
 
     def in_set(self, s: Iterable[int]) -> frozenset[int]:
-        fs = self._subset(s)
-        return frozenset(v for v in range(self.n) if v not in fs and self._out[v] & fs)
+        return frozenset(members(self.in_set_mask(self.mask_of(s))))
 
     def out_set(self, s: Iterable[int]) -> frozenset[int]:
-        fs = self._subset(s)
-        return frozenset(v for v in range(self.n) if v not in fs and self._in[v] & fs)
+        mask = self.mask_of(s)
+        out = self._out
+        near = 0
+        for v in members(mask):
+            near |= out[v]
+        return frozenset(members(near & ~mask))
 
     def second_in_set(self, s: Iterable[int]) -> frozenset[int]:
-        fs = self._subset(s)
-        first = self.in_set(fs)
-        near = fs | first
-        return frozenset(
-            v for v in range(self.n) if v not in near and self._out[v] & first
-        )
+        return frozenset(members(self.second_in_set_mask(self.mask_of(s))))
 
     # -- predicates -------------------------------------------------------
 
+    def _independent_mask(self, s: int) -> bool:
+        out = self._out
+        return not any(out[v] & s for v in members(s))
+
     def is_independent(self, s: Iterable[int]) -> bool:
-        fs = self._subset(s)
-        return all(not (self._out[v] & fs) for v in fs)
+        return self._independent_mask(self.mask_of(s))
 
     def is_quasi_kernel(self, s: Iterable[int]) -> bool:
-        fs = self._subset(s)
-        if not self.is_independent(fs):
+        mask = self.mask_of(s)
+        if not self._independent_mask(mask):
             return False
-        covered = len(fs) + len(self.in_set(fs)) + len(self.second_in_set(fs))
-        return covered == self.n
+        first = self.in_set_mask(mask)
+        return mask | first | self.in_set_mask(first) == self.full_mask
 
     def is_kernel(self, s: Iterable[int]) -> bool:
-        fs = self._subset(s)
-        if not self.is_independent(fs):
+        mask = self.mask_of(s)
+        if not self._independent_mask(mask):
             return False
-        return all(self._out[v] & fs for v in range(self.n) if v not in fs)
+        return mask | self.in_set_mask(mask) == self.full_mask
 
     def is_two_serf(self, v: int) -> bool:
-        return self.is_quasi_kernel((v,))
+        return self.reach_in_two(v) == self.full_mask
 
     def is_semicomplete(self) -> bool:
         return self.semicomplete_violation() is None
 
     def semicomplete_violation(self) -> Arc | None:
         """First pair (u, v), u < v, joined by no arc; None if semicomplete."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if v not in self._out[u] and v not in self._in[u]:
-                    return (u, v)
+        full = self.full_mask
+        for u, (out, inn) in enumerate(zip(self._out, self._in)):
+            # a non-neighbor below u would have been reported at its own turn
+            missing = full & ~(out | inn | 1 << u)
+            if missing:
+                return (u, lowest(missing))
         return None
 
     # -- construction helpers ---------------------------------------------
 
     def induced(self, s: Iterable[int]) -> Induced:
         """Subdigraph on s, with the old<->new index association retained."""
-        old_of_new = tuple(sorted(self._subset(s)))
+        keep = self.mask_of(s)
+        old_of_new = tuple(members(keep))
         new_of_old = {old: new for new, old in enumerate(old_of_new)}
-        keep = set(old_of_new)
         arcs = [
-            (new_of_old[t], new_of_old[h])
-            for (t, h) in self.arcs
-            if t in keep and h in keep
+            (new, new_of_old[h])
+            for new, t in enumerate(old_of_new)
+            for h in members(self._out[t] & keep)
         ]
         return Induced(Digraph(len(old_of_new), arcs), old_of_new, new_of_old)
 
@@ -255,30 +374,29 @@ class Digraph:
         The failure report names the first offending vertex in ascending
         order.  Witness choice is deterministic (smallest usable indices).
         """
-        fs = self._subset(s)
+        fs = frozenset(s)
+        mask = self.mask_of(fs)
+        first = self.in_set_mask(mask)
+        out = self._out
         witnesses: dict[int, tuple[int, ...]] = {}
-        for v in range(self.n):
-            if v in fs:
-                if self._out[v] & fs:
+        for v, row in enumerate(out):
+            if mask >> v & 1:
+                if row & mask:
                     raise NotQuasiKernelError(
                         f"set not independent: vertex {v} has an arc into the set", v
                     )
                 continue
-            direct = self._out[v] & fs
+            direct = row & mask
             if direct:
-                witnesses[v] = (v, min(direct))
+                witnesses[v] = (v, lowest(direct))
                 continue
-            path: tuple[int, ...] | None = None
-            for w in sorted(self._out[v]):
-                hit = self._out[w] & fs
-                if hit:
-                    path = (v, w, min(hit))
-                    break
-            if path is None:
+            mid = row & first
+            if not mid:
                 raise NotQuasiKernelError(
                     f"vertex {v} has no directed path of length <= 2 into the set", v
                 )
-            witnesses[v] = path
+            w = lowest(mid)
+            witnesses[v] = (v, w, lowest(out[w] & mask))
         return QkCertificate(fs, witnesses, algorithm, bound)
 
 
@@ -300,14 +418,15 @@ class SplitDigraph:
                 raise SplitError(f"part member {v} out of range for n={graph.n}")
         if k & i or len(k) + len(i) != graph.n:
             raise SplitError("clique and independent parts do not partition the vertex set")
-        ks = sorted(k)
-        for a_idx, u in enumerate(ks):
-            for v in ks[a_idx + 1 :]:
-                if v not in graph.out_neighbors(u) and v not in graph.in_neighbors(u):
-                    raise SplitError(f"missing clique adjacency ({u},{v})")
-        for t, h in sorted(graph.arcs):
-            if t in i and h in i:
-                raise SplitError(f"arc inside independent part ({t},{h})")
+        out, inn = graph.out_masks, graph.in_masks
+        k_mask, i_mask = graph.mask_of(k), graph.mask_of(i)
+        for u in members(k_mask):
+            missing = k_mask & ~(out[u] | inn[u] | 1 << u)
+            if missing:
+                raise SplitError(f"missing clique adjacency ({u},{lowest(missing)})")
+        for t in members(i_mask):
+            if out[t] & i_mask:
+                raise SplitError(f"arc inside independent part ({t},{lowest(out[t] & i_mask)})")
         self.graph = graph
         self.clique = k
         self.independent = i
@@ -328,17 +447,15 @@ class SplitDigraph:
 
     def classify(self) -> SplitFlags:
         g = self.graph
-        one_way = all(not g.in_neighbors(s) for s in self.independent)
-        complete = all(
-            self.clique <= (g.out_neighbors(s) | g.in_neighbors(s))
-            for s in self.independent
-        )
-        orientation = all((h, t) not in g.arcs for (t, h) in g.arcs)
+        out, inn = g.out_masks, g.in_masks
+        k_mask = g.mask_of(self.clique)
         return SplitFlags(
-            one_way=one_way,
-            complete_split=complete,
-            orientation=orientation,
-            sink_free=not g.sinks(),
+            one_way=not any(inn[s] for s in self.independent),
+            complete_split=all(
+                (out[s] | inn[s]) & k_mask == k_mask for s in self.independent
+            ),
+            orientation=not any(o & i for o, i in zip(out, inn)),
+            sink_free=all(out),
         )
 
     def induced_split(self, s: Iterable[int]) -> InducedSplit:

@@ -38,23 +38,6 @@ class SolveReport:
     algorithm: str
 
 
-def _masks(d: Digraph) -> tuple[list[int], list[int], int]:
-    """Per-vertex (adjacency, reach-within-2) bitmasks and the full mask."""
-    out = [0] * d.n
-    inn = [0] * d.n
-    for t, h in d.arcs:
-        out[t] |= 1 << h
-        inn[h] |= 1 << t
-    adj = [out[v] | inn[v] for v in range(d.n)]
-    reach2 = []
-    for v in range(d.n):
-        m = 1 << v
-        for w in d.in_neighbors(v):
-            m |= (1 << w) | inn[w]
-        reach2.append(m)
-    return adj, reach2, (1 << d.n) - 1
-
-
 def _independent_k_subsets(adj: list[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Independent k-subsets in lexicographic order, pruning on adjacency."""
     chosen: list[int] = []
@@ -93,7 +76,9 @@ def _min_qk_general(d: Digraph, budget: int | None) -> SolveReport:
             f"general search refused for n={d.n} > {GENERAL_VERTEX_CAP};"
             " supply a split partition or a budget-free smaller instance"
         )
-    adj, reach2, full = _masks(d)
+    adj = [o | i for o, i in zip(d.out_masks, d.in_masks)]
+    reach2 = [d.reach_in_two(v) for v in range(d.n)]
+    full = d.full_mask
     explored = 0
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
@@ -115,7 +100,9 @@ def _min_qk_split(sd: SplitDigraph, budget: int | None) -> SolveReport:
         raise CapExceededError(
             f"split-aware search refused for |I|={len(indep)} > {SPLIT_INDEPENDENT_CAP}"
         )
-    adj, reach2, full = _masks(d)
+    adj = [o | i for o, i in zip(d.out_masks, d.in_masks)]
+    reach2 = [d.reach_in_two(v) for v in range(d.n)]
+    full = d.full_mask
     explored = 0
     n = d.n
     max_k = n if budget is None else min(budget, n)
@@ -155,26 +142,22 @@ def has_qk_of_size_at_most(d: Digraph | SplitDigraph, q: int) -> bool:
 
 def is_dominating(d: Digraph, s: Iterable[int]) -> bool:
     """True iff every vertex is in s or has an out-neighbor in s."""
-    fs = frozenset(s)
-    return all(v in fs or d.out_neighbors(v) & fs for v in range(d.n))
+    mask = d.mask_of(s)
+    return mask | d.in_set_mask(mask) == d.full_mask
 
 
 def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] | None:
     """Minimum dominating set by exhaustive cardinality-ascending search."""
     if d.n > GENERAL_VERTEX_CAP:
         raise CapExceededError(f"dominating-set search refused for n={d.n} > {GENERAL_VERTEX_CAP}")
-    closed_out = [0] * d.n
-    for v in range(d.n):
-        closed_out[v] = 1 << v
-        for w in d.out_neighbors(v):
-            closed_out[v] |= 1 << w
+    full = d.full_mask
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
         for cand in combinations(range(d.n), k):
             mask = 0
             for v in cand:
                 mask |= 1 << v
-            if all(closed_out[v] & mask for v in range(d.n)):
+            if mask | d.in_set_mask(mask) == full:
                 return frozenset(cand)
     return None
 
@@ -183,9 +166,9 @@ def _independent_classes(sd: SplitDigraph) -> list[tuple[int, frozenset[int]]]:
     """Equivalence classes of the independent part under equal (N-, N+),
     as (representative, class) pairs ordered by representative."""
     d = sd.graph
-    groups: dict[tuple[frozenset[int], frozenset[int]], set[int]] = {}
+    groups: dict[tuple[int, int], set[int]] = {}
     for s in sorted(sd.independent):
-        groups.setdefault((d.in_neighbors(s), d.out_neighbors(s)), set()).add(s)
+        groups.setdefault((d.in_masks[s], d.out_masks[s]), set()).add(s)
     classes = [(min(members), frozenset(members)) for members in groups.values()]
     classes.sort(key=lambda rc: rc[0])
     return classes
@@ -204,10 +187,11 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
     classes = _independent_classes(sd)
     reps = [rc[0] for rc in classes]
     members = [rc[1] for rc in classes]
+    adj = [d.in_masks[rep] | d.out_masks[rep] for rep in reps]
 
     def options(idx: int, c: int | None) -> list[frozenset[int]]:
         rep, cls = reps[idx], members[idx]
-        if c is not None and (c in d.in_neighbors(rep) or c in d.out_neighbors(rep)):
+        if c is not None and adj[idx] >> c & 1:
             return [frozenset()]
         opts = [frozenset(), cls]
         if len(cls) > 1:

@@ -42,7 +42,7 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     lines.append(f"n {graph.n}")
     if isinstance(obj, SplitDigraph):
         lines.append(("k " + " ".join(str(v) for v in sorted(obj.clique))).rstrip())
-    lines += [f"a {t} {h}" for t, h in sorted(graph.arcs)]
+    lines += [f"a {t} {h}" for t, h in graph.arcs]
     return "\n".join(lines) + "\n"
 
 
@@ -182,6 +182,7 @@ def parse_certificate(text: str) -> CertificateDocument:
     if not lines or lines[0][1] != CERTIFICATE_MAGIC:
         raise CertificateParseError(f"expected header '{CERTIFICATE_MAGIC}'", 1)
     fields: dict[str, str] = {}
+    field_lines: dict[str, int] = {}
     witnesses: dict[int, tuple[int, ...]] = {}
     for no, line in lines[1:]:
         tag, _, rest = line.partition(" ")
@@ -199,17 +200,16 @@ def parse_certificate(text: str) -> CertificateDocument:
             if tag in fields:
                 raise CertificateParseError(f"duplicate {tag} line", no)
             fields[tag] = rest
+            field_lines[tag] = no
         else:
             raise CertificateParseError(f"unknown directive '{tag}'", no)
     for required in ("algorithm", "instance", "bound", "verified"):
         if required not in fields:
             raise CertificateParseError(f"missing {required} line", len(text.splitlines()))
-    if "set" not in fields:
-        fields["set"] = ""
     try:
-        vertices = tuple(int(f) for f in fields["set"].split())
+        vertices = tuple(int(f) for f in fields.get("set", "").split())
     except ValueError:
-        raise CertificateParseError("set entries must be integers", 1) from None
+        raise CertificateParseError("set entries must be integers", field_lines["set"]) from None
     bound_text = fields["bound"]
     if bound_text == "null":
         bound: Fraction | None = None
@@ -218,7 +218,7 @@ def parse_certificate(text: str) -> CertificateDocument:
         try:
             bound = Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
-            raise CertificateParseError("bound must be 'p/q' or 'null'", 1) from None
+            raise CertificateParseError("bound must be 'p/q' or 'null'", field_lines["bound"]) from None
     return CertificateDocument(
         algorithm=fields["algorithm"],
         digest=fields["instance"],
@@ -249,7 +249,7 @@ def to_dot(obj: Digraph | SplitDigraph, name: str = "instance") -> str:
     else:
         for v in range(graph.n):
             lines.append(f"  {v};")
-    for t, h in sorted(graph.arcs):
+    for t, h in graph.arcs:
         lines.append(f"  {t} -> {h};")
     lines.append("}")
     return "\n".join(lines) + "\n"

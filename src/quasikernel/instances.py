@@ -244,7 +244,7 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
         raise ValueError("q must be a positive integer")
     n, m = d.n, len(d.arcs)
     b = 2 * q + 3
-    arc_order = tuple(sorted(d.arcs))
+    arc_order = tuple(d.arcs)
 
     s = 0
     s1 = {v: 1 + v for v in range(n)}

@@ -28,6 +28,8 @@ from .digraph import (
     QkCertificate,
     SplitDigraph,
     VerificationError,
+    lowest,
+    members,
 )
 
 logger = logging.getLogger(__name__)
@@ -65,11 +67,11 @@ def assign_one_way(sd: SplitDigraph) -> OneWayAssignment:
     pos = {k: idx for idx, k in enumerate(order)}
     buckets: list[set[int]] = [set() for _ in order]
     assigned: dict[int, int] = {}
+    out = d.out_masks
     for s in sorted(sd.independent):
-        outs = d.out_neighbors(s)
-        if not outs:
+        if not out[s]:
             raise PreconditionError(f"independent vertex {s} is a sink")
-        y = min(outs)
+        y = lowest(out[s])
         if y not in pos:
             raise PreconditionError(f"independent vertex {s} has an out-arc outside the clique")
         assigned[s] = y
@@ -96,14 +98,13 @@ def _spanning_tournament(d: Digraph, clique: frozenset[int]) -> tuple[Digraph, t
     """Tournament on the clique: each digon keeps only its lower->higher arc."""
     order = tuple(sorted(clique))
     pos = {k: idx for idx, k in enumerate(order)}
-    arcs = []
-    for u in order:
-        for w in d.out_neighbors(u):
-            if w not in pos:
-                continue
-            if (w, u) in d.arcs and u > w:
-                continue
-            arcs.append((pos[u], pos[w]))
+    out, inn = d.out_masks, d.in_masks
+    k_mask = d.mask_of(order)
+    arcs = [
+        (pos[u], pos[w])
+        for u in order
+        for w in members(out[u] & k_mask & ~(inn[u] & ((1 << u) - 1)))
+    ]
     return Digraph(len(order), arcs), order
 
 
@@ -131,24 +132,27 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
         v = order[min(t_sinks)]
         return d.certify((v,), "one-way", bound=Fraction(_one_way_size_cap(n)))
     asg = assign_one_way(sd)
-    classes = asg.classes
+    classes = [d.mask_of(c) for c in asg.classes]
+    t_out = t.out_masks
+    d_in = d.in_masks
     nk = len(order)
-    two_serf = [t.is_two_serf(i) for i in range(nk)]
-    prelim: list[frozenset[int]] = []
+    # reached[i]: the classes of i's tournament out-neighbors, which are disjoint
+    reached = []
     for i in range(nk):
-        pool: set[int] = {order[i]}
-        for j in t.out_neighbors(i):
-            pool |= classes[j]
-        prelim.append(frozenset(pool - d.in_neighbors(order[i])))
-    candidates: list[frozenset[int]] = []
+        union = 0
+        for j in members(t_out[i]):
+            union |= classes[j]
+        reached.append(union)
+    prelim = [(reached[i] | 1 << order[i]) & ~d_in[order[i]] for i in range(nk)]
+    candidates: list[int] = []
     for i in range(nk):
-        src = i if two_serf[i] else dominate_two_serf(t, i)
+        src = i if t.is_two_serf(i) else dominate_two_serf(t, i)
         q = prelim[src]
-        limit = sum(len(classes[j]) for j in t.out_neighbors(i)) + 1
-        _require(len(q) <= limit, f"per-vertex size inequality violated at clique index {i}")
+        limit = reached[i].bit_count() + 1
+        _require(q.bit_count() <= limit, f"per-vertex size inequality violated at clique index {i}")
         candidates.append(q)
-    best = min(range(nk), key=lambda i: (len(candidates[i]), i))
-    cert = d.certify(candidates[best], "one-way", bound=Fraction(_one_way_size_cap(n)))
+    best = min(range(nk), key=lambda i: (candidates[i].bit_count(), i))
+    cert = d.certify(members(candidates[best]), "one-way", bound=Fraction(_one_way_size_cap(n)))
     _check_one_way_bound(n, cert.size)
     return cert
 
@@ -169,70 +173,65 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     bound = Fraction(2 * n, 3)
     if n == 0:
         return d.certify((), "two-thirds", bound=bound)
-    clique, indep = sd.clique, sd.independent
+    out, inn = d.out_masks, d.in_masks
+    clique, indep = d.mask_of(sd.clique), d.mask_of(sd.independent)
 
-    matched: set[int] = set()
-    i_m: set[int] = set()
-    k_m: set[int] = set()
-    for t_, h in sorted(a for a in d.arcs if a[0] in clique and a[1] in indep):
-        if t_ not in matched and h not in matched:
-            matched.update((t_, h))
-            k_m.add(t_)
-            i_m.add(h)
-    i_m_f = frozenset(i_m)
+    # greedy matching over clique-to-independent arcs in ascending order
+    k_m = i_m = 0
+    for u in members(clique):
+        free = out[u] & indep & ~i_m
+        if free:
+            k_m |= 1 << u
+            i_m |= 1 << lowest(free)
     _require(
-        all(
-            not (d.out_neighbors(u) & (indep - i_m_f))
-            for u in sorted(clique - k_m)
-        ),
+        not any(out[u] & indep & ~i_m for u in members(clique & ~k_m)),
         "matching not inclusion-maximal",
     )
 
-    n_im = d.in_set(i_m_f)
-    nii = d.second_in_set(i_m_f) & indep
-    region_a = i_m_f | n_im | nii
-    region_b = frozenset(range(n)) - region_a
-    if len(region_b) <= 1:
-        cert = d.certify(i_m_f, "two-thirds", bound=bound)
+    n_im = d.in_set_mask(i_m)
+    nii = d.second_in_set_mask(i_m) & indep
+    region_b = d.full_mask & ~(i_m | n_im | nii)
+    if region_b.bit_count() <= 1:
+        cert = d.certify(members(i_m), "two-thirds", bound=bound)
         _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
         return cert
 
     bk = region_b & clique
     bi = region_b & indep
     _require(
-        all(not (d.out_neighbors(u) & indep) for u in sorted(bk)),
+        not any(out[u] & indep for u in members(bk)),
         "arcs from the remainder clique side into the independent part",
     )
 
     # candidate around B: a 2-serf of D[B] if its clique side has a sink
     # there, else the one-way construction on D[B]
-    b_sinks = frozenset(v for v in region_b if not d.out_neighbors(v) & region_b)
+    b_sinks = _sinks_within(d, region_b)
     if b_sinks:
-        _require(b_sinks <= bk, "remainder sink outside the clique side")
-        q1 = frozenset({min(b_sinks)})
+        _require(not b_sinks & ~bk, "remainder sink outside the clique side")
+        q1 = b_sinks & -b_sinks
     else:
-        sub, old_of_new, _ = sd.induced_split(region_b)
-        q1 = frozenset(old_of_new[v] for v in one_way_qk(sub).vertices)
-    cand_q = (q1 | i_m_f | nii) - d.in_set(q1)
+        sub, old_of_new, _ = sd.induced_split(members(region_b))
+        q1 = d.mask_of(old_of_new[v] for v in one_way_qk(sub).vertices)
+    cand_q = (q1 | i_m | nii) & ~d.in_set_mask(q1)
 
     # candidate around the matching
-    if all(d.out_neighbors(u) & n_im for u in sorted(bk)):
-        cand_qp = i_m_f | bi
+    v = next((u for u in members(bk) if not out[u] & n_im), None)
+    if v is None:
+        cand_qp = i_m | bi
     else:
-        v = min(u for u in sorted(bk) if not d.out_neighbors(u) & n_im)
         _require(
-            n_im <= (d.in_neighbors(v) - d.out_neighbors(v)),
+            not n_im & ~(inn[v] & ~out[v]),
             "matched in-neighborhood not dominated by the chosen vertex",
         )
-        kt, k_order = d.induced(clique)[:2]
+        kt, k_order = d.induced(sd.clique)[:2]
         pos = {k: idx for idx, k in enumerate(k_order)}
         if not kt.is_two_serf(pos[v]):
             v = k_order[dominate_two_serf(kt, pos[v])]
-            _require(v in bk, "dominating 2-serf left the remainder clique side")
-        cand_qp = frozenset({v}) | (indep - (nii | d.in_neighbors(v)))
+            _require(bk >> v & 1 == 1, "dominating 2-serf left the remainder clique side")
+        cand_qp = 1 << v | (indep & ~(nii | inn[v]))
 
-    chosen = cand_q if len(cand_q) <= len(cand_qp) else cand_qp
-    cert = d.certify(chosen, "two-thirds", bound=bound)
+    chosen = cand_q if cand_q.bit_count() <= cand_qp.bit_count() else cand_qp
+    cert = d.certify(members(chosen), "two-thirds", bound=bound)
     _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
     return cert
 
@@ -258,16 +257,17 @@ def complete_split_min_qk(sd: SplitDigraph) -> QkCertificate:
         if d.is_two_serf(v):
             return d.certify((v,), "complete-split", bound=Fraction(2))
 
-    clique = sd.clique
-    x = min(range(n), key=lambda v: (-len(d.in_neighbors(v) & clique), v))
+    out, inn = d.out_masks, d.in_masks
+    clique = d.mask_of(sd.clique)
+    x = max(range(n), key=lambda v: (inn[v] & clique).bit_count())
     _require(x in sd.independent, "maximum clique in-degree vertex not independent")
     pick: int | None = None
     fallback_pick: int | None = None
     for t_ in sorted(sd.independent - {x}):
-        witnesses = d.out_neighbors(x) & d.in_neighbors(t_)
+        witnesses = out[x] & inn[t_]
         if not witnesses:
             continue
-        if witnesses - d.in_neighbors(x):
+        if witnesses & ~inn[x]:
             pick = t_
             break
         if fallback_pick is None:
@@ -300,26 +300,23 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
         raise PreconditionError("alpha must be at least 1/2")
     sinks0 = d.sinks()
     in0 = d.in_set(sinks0)
-    acc: set[int] = set()
-    remaining = frozenset(range(d.n))
+    acc = 0
+    remaining = d.full_mask
     while True:
-        cur_sinks = frozenset(v for v in remaining if not d.out_neighbors(v) & remaining)
+        cur_sinks = _sinks_within(d, remaining)
         if not cur_sinks:
             acc |= _run_oracle(d, oracle, remaining)
             break
         acc |= cur_sinks
-        near = frozenset(
-            v for v in remaining - cur_sinks if d.out_neighbors(v) & cur_sinks
-        )
-        r1 = remaining - cur_sinks - near
-        s1 = frozenset(v for v in r1 if not d.out_neighbors(v) & r1)
+        r1 = remaining & ~cur_sinks & ~d.in_set_mask(cur_sinks)
+        s1 = _sinks_within(d, r1)
         if not s1:
             acc |= _run_oracle(d, oracle, r1)
             break
-        n1 = frozenset(v for v in r1 - s1 if d.out_neighbors(v) & s1)
-        remaining = r1 if len(s1) <= len(n1) else r1 - s1
+        n1 = d.in_set_mask(s1) & r1
+        remaining = r1 if s1.bit_count() <= n1.bit_count() else r1 & ~s1
     bound = alpha * (d.n + len(sinks0) - len(in0))
-    cert = d.certify(acc, "peel", bound=bound)
+    cert = d.certify(members(acc), "peel", bound=bound)
     _require(sinks0 <= cert.vertices, "sink set not contained in the result")
     _require(
         not ((cert.vertices - sinks0) & in0),
@@ -329,12 +326,23 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
     return cert
 
 
-def _run_oracle(d: Digraph, oracle: SinkFreeOracle, subset: frozenset[int]) -> frozenset[int]:
+def _sinks_within(d: Digraph, region: int) -> int:
+    """Mask of the vertices of a region with no out-neighbor inside it."""
+    out = d.out_masks
+    sinks = 0
+    for v in members(region):
+        if not out[v] & region:
+            sinks |= 1 << v
+    return sinks
+
+
+def _run_oracle(d: Digraph, oracle: SinkFreeOracle, subset: int) -> int:
     if not subset:
-        return frozenset()
-    q = frozenset(oracle(d, subset))
-    _require(q <= subset, "oracle returned vertices outside its subdigraph")
-    return q
+        return 0
+    vertices = frozenset(members(subset))
+    q = frozenset(oracle(d, vertices))
+    _require(q <= vertices, "oracle returned vertices outside its subdigraph")
+    return d.mask_of(q)
 
 
 def split_subset_oracle(

@@ -85,6 +85,26 @@ def random_semicomplete(seed: int, max_n: int = 10) -> Digraph:
     return Digraph(n, arcs)
 
 
+def reaching_within_two(arcs, v: int) -> set[int]:
+    """Vertices with a path of at most two arcs to v, by scanning the arc list."""
+    first = {t for t, h in arcs if h == v}
+    return {v} | first | {t for t, h in arcs if h in first}
+
+
+def dominating_two_serf_by_scan(n: int, arcs, v: int) -> int:
+    """Reference for dominate_two_serf: among the vertices that do not reach v
+    within two arcs, the one with the most in-neighbors among them, smallest
+    index on ties."""
+    rest = set(range(n)) - reaching_within_two(arcs, v)
+    return min(rest, key=lambda w: (-sum(1 for t, h in arcs if h == w and t in rest), w))
+
+
+def induced_by_filter(arcs, s) -> set[tuple[int, int]]:
+    """Arcs of the subdigraph on s, relabelled by rank in sorted(s)."""
+    rank = {v: i for i, v in enumerate(sorted(s))}
+    return {(rank[t], rank[h]) for t, h in arcs if t in rank and h in rank}
+
+
 def relabel(d: Digraph, perm: list[int]) -> Digraph:
     return Digraph(d.n, [(perm[t], perm[h]) for (t, h) in d.arcs])
 
@@ -119,7 +139,17 @@ def digraphs_with_subsets(draw, max_n: int = 7) -> tuple[Digraph, frozenset[int]
 
 
 @st.composite
-def semicomplete(draw, min_n: int = 1, max_n: int = 7) -> Digraph:
+def arc_lists(draw, max_n: int = 12) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count and an arc list in arbitrary order, repeats allowed."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    if not pairs:
+        return n, []
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=2 * len(pairs)))
+
+
+@st.composite
+def semicomplete_arc_lists(draw, min_n: int = 1, max_n: int = 7) -> tuple[int, list[tuple[int, int]]]:
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     arcs: list[tuple[int, int]] = []
     for a in range(n):
@@ -129,7 +159,11 @@ def semicomplete(draw, min_n: int = 1, max_n: int = 7) -> Digraph:
                 arcs.append((a, b))
             if kind in (1, 2):
                 arcs.append((b, a))
-    return Digraph(n, arcs)
+    return n, arcs
+
+
+def semicomplete(min_n: int = 1, max_n: int = 7):
+    return semicomplete_arc_lists(min_n, max_n).map(lambda case: Digraph(*case))
 
 
 @st.composite

@@ -79,6 +79,18 @@ def test_solve_auto_dispatch_peel(tmp_path, capsys):
     assert "algorithm: peel" in out
 
 
+def test_solve_algo_peel_matches_auto(tmp_path, capsys):
+    path = tmp_path / "sinks.qkdg"
+    code = main(["gen", "random-split", "--seed", "2", "--nk", "6", "--ni", "10", "--out", str(path)])
+    assert code == 0
+    code, auto = run(capsys, "solve", str(path))
+    assert code == 0 and "algorithm: peel" in auto
+    code, peel = run(capsys, "solve", str(path), "--algo", "peel")
+    assert code == 0
+    set_line = [l for l in auto.splitlines() if l.startswith("set:")]
+    assert set_line == [l for l in peel.splitlines() if l.startswith("set:")]
+
+
 def test_solve_plain_digraph_uses_cl(tmp_path, capsys):
     path = tmp_path / "plain.qkdg"
     path.write_text("qkdg 1\nn 3\na 0 1\na 1 2\na 2 0\n")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from quasikernel import (
@@ -20,6 +22,12 @@ def test_construction_rejects_loops_and_bad_endpoints():
         Digraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Digraph(-1)
+
+
+@pytest.mark.parametrize("arc", [(0.7, 1), (True, 2), (0, False), ("1", 2), (1, 2.0)])
+def test_construction_rejects_non_int_endpoints(arc):
+    with pytest.raises(TypeError, match=re.escape(repr(arc))):
+        Digraph(3, [(0, 1), arc])
 
 
 def test_duplicate_arcs_collapse():

@@ -1,6 +1,7 @@
 import pytest
 
 from quasikernel import (
+    CertificateParseError,
     Digraph,
     InstanceParseError,
     VerificationError,
@@ -121,6 +122,23 @@ def test_certificate_bound_formats():
     text = serialize_certificate(doc)
     assert "bound 2/1" in text
     assert parse_certificate(text).bound == 2
+
+
+@pytest.mark.parametrize(
+    "old,new,line,pattern",
+    [
+        ("set 0 4", "set 0 x", 5, "set entries"),
+        ("bound null", "bound 1/0", 6, "bound must be"),
+    ],
+)
+def test_certificate_parse_errors_carry_line_numbers(old, new, line, pattern):
+    sd = gen_dn(1)
+    text = serialize_certificate(certificate_document(sd.graph.certify({0, 4}, "verify"), sd))
+    assert old in text
+    text = "# leading comment\n" + text.replace(old, new)
+    with pytest.raises(CertificateParseError, match=pattern) as exc:
+        parse_certificate(text)
+    assert exc.value.line == line
 
 
 def test_certificate_tamper_detected():

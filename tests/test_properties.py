@@ -1,19 +1,28 @@
 """Property tests for the structural invariants."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    arc_lists,
     digraphs,
     digraphs_with_subsets,
+    dominating_two_serf_by_scan,
+    induced_by_filter,
     qk_by_bfs,
+    reaching_within_two,
     relabel_split,
     semicomplete,
+    semicomplete_arc_lists,
     split_digraphs,
 )
 from quasikernel import (
+    Digraph,
     NotQuasiKernelError,
+    PreconditionError,
+    dominate_two_serf,
     quasi_kernel_cl,
     quasi_kernel_rooted,
     two_serf_semicomplete,
@@ -96,3 +105,36 @@ def test_split_minimum_agrees_across_modes(sd):
         assert r_general.certificate is None
     else:
         assert r_split.certificate.size == r_general.certificate.size
+
+
+@given(semicomplete_arc_lists(min_n=1, max_n=12))
+@settings(max_examples=60)
+def test_dominate_two_serf_matches_scan_reference(case):
+    n, arcs = case
+    t = Digraph(n, arcs)
+    for v in range(n):
+        if len(reaching_within_two(arcs, v)) == n:
+            with pytest.raises(PreconditionError):
+                dominate_two_serf(t, v)
+            continue
+        u = dominate_two_serf(t, v)
+        assert u == dominating_two_serf_by_scan(n, arcs, v)
+        in_u = {a for a, b in arcs if b == u}
+        assert {v} | {a for a, b in arcs if b == v} <= in_u
+
+
+@given(arc_lists(max_n=12))
+def test_arcs_ascend_without_repeats(case):
+    n, arcs = case
+    assert list(Digraph(n, arcs).arcs) == sorted(set(arcs))
+
+
+@given(arc_lists(max_n=12), st.data())
+def test_induced_matches_arc_filter(case, data):
+    n, arcs = case
+    s = data.draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    sub, old_of_new, new_of_old = Digraph(n, arcs).induced(s)
+    assert old_of_new == tuple(sorted(s))
+    assert all(old_of_new[new] == old for old, new in new_of_old.items())
+    assert sub.n == len(s)
+    assert set(sub.arcs) == induced_by_filter(arcs, s)

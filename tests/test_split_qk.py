@@ -28,6 +28,37 @@ def one_way_bound_holds(n: int, size: int) -> bool:
 # -- one_way_qk -------------------------------------------------------------
 
 
+def near_transitive_ladder(k: int) -> SplitDigraph:
+    """Clique i->j for i<j with (k-3, k-1) reversed; independent k+i -> i."""
+    arcs = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (k - 3, k - 1)]
+    arcs.append((k - 1, k - 3))
+    arcs += [(k + i, i) for i in range(k)]
+    return SplitDigraph(Digraph(2 * k, arcs), range(k), range(k, 2 * k))
+
+
+def test_one_way_builds_only_the_spanning_tournament(monkeypatch):
+    # every non-2-serf clique vertex goes through dominate_two_serf; none of
+    # those calls may copy the tournament
+    sd = near_transitive_ladder(60)
+    calls = {"__init__": 0, "induced": 0}
+
+    def counted(name):
+        original = getattr(Digraph, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Digraph, name, wrapper)
+
+    counted("__init__")
+    counted("induced")
+    cert = one_way_qk(sd)
+    assert one_way_bound_holds(sd.graph.n, cert.size)
+    assert calls["induced"] == 0
+    assert calls["__init__"] <= 1
+
+
 def test_one_way_dn1():
     cert = one_way_qk(gen_dn(1))
     cert.check(gen_dn(1).graph)
