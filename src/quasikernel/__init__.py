@@ -26,7 +26,6 @@ from .digraph import (
     SplitError,
     SplitFlags,
     VerificationError,
-    check_split,
 )
 from .exact import (
     CapExceededError,
@@ -99,7 +98,6 @@ __all__ = [
     "assign_one_way",
     "certificate_document",
     "check_certificate",
-    "check_split",
     "complete_split_min_qk",
     "dominate_two_serf",
     "family_labels",

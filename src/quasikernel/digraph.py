@@ -465,7 +465,3 @@ class SplitDigraph:
         i = [new_of_old[v] for v in self.independent & keep]
         return InducedSplit(SplitDigraph(sub, k, i), old_of_new, new_of_old)
 
-
-def check_split(graph: Digraph, clique: Iterable[int], independent: Iterable[int]) -> SplitDigraph:
-    """Validate a given bipartition, returning the SplitDigraph or raising SplitError."""
-    return SplitDigraph(graph, clique, independent)

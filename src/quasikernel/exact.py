@@ -1,17 +1,17 @@
 """Exact solvers: minimum quasi-kernel, minimum dominating set, and the
 two fixed-parameter algorithms for split digraphs.
 
-The minimum searches enumerate candidate sets by ascending cardinality and
-then lexicographically, so the first verified hit is provably minimum and
-deterministic.  Bitmask arithmetic keeps the per-candidate cost at a few
-integer operations; practical size caps turn hopeless instances into a
-refusal instead of a silent slow run.
+The minimum quasi-kernel, the minimum dominating set and fpt_by_independent
+share one enumeration, ``_first_cover``: candidate sets by ascending
+cardinality and then lexicographically, so the first verified hit is
+provably minimum and deterministic.  Bitmask arithmetic keeps the
+per-candidate cost at a few integer operations; practical size caps turn
+hopeless instances into a refusal instead of a silent slow run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .digraph import Digraph, QkCertificate, SplitDigraph
 
@@ -38,100 +38,99 @@ class SolveReport:
     algorithm: str
 
 
-def _independent_k_subsets(adj: list[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Independent k-subsets in lexicographic order, pruning on adjacency."""
-    chosen: list[int] = []
+def _first_cover(
+    k: int, conflict: list[int], reach: list[int], banned: int, cover: int, full: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The lexicographically first k-set S of vertices outside ``banned``,
+    with no v in S inside ``conflict[u]`` of another member u, such that
+    ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; and the number
+    of k-sets tested.
 
-    def rec(start: int, banned: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        need = k - len(chosen)
-        for v in range(start, n - need + 1):
-            if banned >> v & 1:
-                continue
-            chosen.append(v)
-            yield from rec(v + 1, banned | adj[v] | (1 << v))
-            chosen.pop()
+    This is the package's one exhaustive enumeration.  It walks the sets in
+    lexicographic order without recursion, keeping one entry per chosen
+    member, so its memory and depth never depend on the number of vertices.
+    It skips only branches left with fewer than k free vertices, so every
+    k-set it could complete is tested.
+    """
+    if k == 0:
+        return (() if cover == full else None), 1
+    last = k - 1
+    tested = 0
+    chosen = [0] * k
+    # at each depth: the vertices still free to choose there, and the cover
+    # of the vertices chosen above it
+    free_at = [0] * k
+    cov_at = [0] * k
+    free_at[0] = ~banned & (1 << len(reach)) - 1
+    cov_at[0] = cover
+    depth = 0
+    while depth >= 0:
+        free = free_at[depth]
+        if depth == last:
+            cov = cov_at[depth]
+            tested += free.bit_count()
+            while free:
+                low = free & -free
+                if cov | reach[low.bit_length() - 1] == full:
+                    tested -= (free ^ low).bit_count()
+                    chosen[last] = low.bit_length() - 1
+                    return tuple(chosen), tested
+                free ^= low
+            depth -= 1
+        elif free.bit_count() < k - depth:
+            depth -= 1
+        else:
+            low = free & -free
+            free ^= low
+            free_at[depth] = free
+            v = low.bit_length() - 1
+            after = free & ~conflict[v]
+            if after.bit_count() >= last - depth:
+                chosen[depth] = v
+                depth += 1
+                free_at[depth] = after
+                cov_at[depth] = cov_at[depth - 1] | reach[v]
+    return None, tested
 
-    yield from rec(0, 0)
+
+def _qk_tables(d: Digraph) -> tuple[list[int], list[int]]:
+    """Per-vertex conflict masks (out | in) and reach-in-two masks: an
+    independent set is a quasi-kernel iff its reach masks OR to full_mask."""
+    return (
+        [o | i for o, i in zip(d.out_masks, d.in_masks)],
+        [d.reach_in_two(v) for v in range(d.n)],
+    )
 
 
 def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> SolveReport:
     """Minimum-cardinality quasi-kernel (ties broken to the lexicographically
     least vertex set), or a none-within-budget report.
 
-    Passing a SplitDigraph switches to the split-aware enumeration (at most
-    one clique vertex combined with independent-part subsets); passing its
-    plain ``graph`` forces the general enumeration.
+    Sizes are tried in ascending order, each by one pruned scan of the
+    independent sets of that size.  The input type only picks the cap: a
+    SplitDigraph is refused when |I| > SPLIT_INDEPENDENT_CAP (each of its
+    independent sets is a subset of I plus at most one clique vertex), a
+    plain Digraph when n > GENERAL_VERTEX_CAP.  Both give the same set.
     """
     if isinstance(d, SplitDigraph):
-        return _min_qk_split(d, budget)
-    return _min_qk_general(d, budget)
-
-
-def _min_qk_general(d: Digraph, budget: int | None) -> SolveReport:
-    if d.n > GENERAL_VERTEX_CAP:
+        if len(d.independent) > SPLIT_INDEPENDENT_CAP:
+            raise CapExceededError(
+                f"split-aware search refused for |I|={len(d.independent)} > {SPLIT_INDEPENDENT_CAP}"
+            )
+        d = d.graph
+    elif d.n > GENERAL_VERTEX_CAP:
         raise CapExceededError(
             f"general search refused for n={d.n} > {GENERAL_VERTEX_CAP};"
             " supply a split partition or a budget-free smaller instance"
         )
-    adj = [o | i for o, i in zip(d.out_masks, d.in_masks)]
-    reach2 = [d.reach_in_two(v) for v in range(d.n)]
-    full = d.full_mask
+    conflict, reach2 = _qk_tables(d)
     explored = 0
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        for cand in _independent_k_subsets(adj, d.n, k):
-            explored += 1
-            cover = 0
-            for v in cand:
-                cover |= reach2[v]
-            if cover == full:
-                cert = d.certify(cand, "exact")
-                return SolveReport(cert, True, explored, "exact")
-    return SolveReport(None, False, explored, "exact")
-
-
-def _min_qk_split(sd: SplitDigraph, budget: int | None) -> SolveReport:
-    d = sd.graph
-    indep = sorted(sd.independent)
-    if len(indep) > SPLIT_INDEPENDENT_CAP:
-        raise CapExceededError(
-            f"split-aware search refused for |I|={len(indep)} > {SPLIT_INDEPENDENT_CAP}"
-        )
-    adj = [o | i for o, i in zip(d.out_masks, d.in_masks)]
-    reach2 = [d.reach_in_two(v) for v in range(d.n)]
-    full = d.full_mask
-    explored = 0
-    n = d.n
-    max_k = n if budget is None else min(budget, n)
-
-    def first_hit(pool: list[int], size: int, base: tuple[int, ...], base_cover: int) -> tuple[int, ...] | None:
-        nonlocal explored
-        for rest in combinations(pool, size):
-            explored += 1
-            cover = base_cover
-            for v in rest:
-                cover |= reach2[v]
-            if cover == full:
-                return tuple(sorted(base + rest))
-        return None
-
-    for k in range(max_k + 1):
-        hits: list[tuple[int, ...]] = []
-        hit = first_hit(indep, k, (), 0)
+        hit, tested = _first_cover(k, conflict, reach2, 0, 0, d.full_mask)
+        explored += tested
         if hit is not None:
-            hits.append(hit)
-        if k >= 1:
-            for c in sorted(sd.clique):
-                pool = [s for s in indep if not (adj[c] >> s & 1)]
-                hit = first_hit(pool, k - 1, (c,), reach2[c])
-                if hit is not None:
-                    hits.append(hit)
-        if hits:
-            cert = d.certify(min(hits), "exact")
-            return SolveReport(cert, True, explored, "exact")
+            return SolveReport(d.certify(hit, "exact"), True, explored, "exact")
     return SolveReport(None, False, explored, "exact")
 
 
@@ -147,18 +146,16 @@ def is_dominating(d: Digraph, s: Iterable[int]) -> bool:
 
 
 def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] | None:
-    """Minimum dominating set by exhaustive cardinality-ascending search."""
+    """Minimum dominating set by exhaustive cardinality-ascending search
+    (ties broken to the lexicographically least vertex set)."""
     if d.n > GENERAL_VERTEX_CAP:
         raise CapExceededError(f"dominating-set search refused for n={d.n} > {GENERAL_VERTEX_CAP}")
-    full = d.full_mask
+    closed_in = [row | 1 << v for v, row in enumerate(d.in_masks)]
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        for cand in combinations(range(d.n), k):
-            mask = 0
-            for v in cand:
-                mask |= 1 << v
-            if mask | d.in_set_mask(mask) == full:
-                return frozenset(cand)
+        hit, _ = _first_cover(k, [0] * d.n, closed_in, 0, 0, d.full_mask)
+        if hit is not None:
+            return frozenset(hit)
     return None
 
 
@@ -179,68 +176,66 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
 
     Each class contributes one of three states (excluded, whole class,
     representative only), combined with at most one clique vertex; a
-    depth-first scan with a size budget tests the combinations.
+    depth-first scan with a size budget and an explicit stack tests the
+    combinations.
     """
     d = sd.graph
     if k < 0:
         return None
     classes = _independent_classes(sd)
-    reps = [rc[0] for rc in classes]
-    members = [rc[1] for rc in classes]
-    adj = [d.in_masks[rep] | d.out_masks[rep] for rep in reps]
-
-    def options(idx: int, c: int | None) -> list[frozenset[int]]:
-        rep, cls = reps[idx], members[idx]
-        if c is not None and adj[idx] >> c & 1:
-            return [frozenset()]
-        opts = [frozenset(), cls]
-        if len(cls) > 1:
-            opts.append(frozenset({rep}))
-        return opts
-
-    def dfs(idx: int, acc: frozenset[int], room: int, c: int | None) -> frozenset[int] | None:
-        if idx == len(classes):
-            cand = acc if c is None else acc | {c}
-            if d.is_quasi_kernel(cand):
-                return cand
-            return None
-        for opt in options(idx, c):
-            if len(opt) > room:
-                continue
-            found = dfs(idx + 1, acc | opt, room - len(opt), c)
-            if found is not None:
-                return found
-        return None
+    adj = [d.in_masks[rep] | d.out_masks[rep] for rep, _ in classes]
+    # each class's states in scan order: excluded, whole class, representative only
+    states = [
+        (frozenset(), cls, frozenset({rep})) if len(cls) > 1 else (frozenset(), cls)
+        for rep, cls in classes
+    ]
 
     for c in [None, *sorted(sd.clique)]:
         room = k - (0 if c is None else 1)
         if room < 0:
             continue
-        found = dfs(0, frozenset(), room, c)
-        if found is not None:
-            return d.certify(found, "fpt-k")
+        stack = [(0, frozenset(), room)]
+        while stack:
+            idx, acc, left = stack.pop()
+            # with no room left every remaining class can only be excluded
+            if idx == len(classes) or left == 0:
+                cand = acc if c is None else acc | {c}
+                if d.is_quasi_kernel(cand):
+                    return d.certify(cand, "fpt-k")
+                continue
+            if c is not None and adj[idx] >> c & 1:
+                stack.append((idx + 1, acc, left))
+                continue
+            for opt in reversed(states[idx]):
+                if len(opt) <= left:
+                    stack.append((idx + 1, acc | opt, left - len(opt)))
     return None
 
 
 def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     """Quasi-kernel of size <= k, or None, by independent-part subset enumeration.
 
-    At most one clique vertex joins a subset of the independent part;
-    candidates are tested in ascending total size, so the first hit is a
-    minimum one.
+    At most one clique vertex joins a subset of the independent part.
+    Candidates are tested in ascending total size, so the first hit is a
+    minimum one; within a size, the subsets of I alone come first, then
+    those with each clique vertex c in ascending order, each group in
+    lexicographic order.  There is no cap on |I|.
     """
     d = sd.graph
     if k < 0:
         return None
-    indep = sorted(sd.independent)
-    cliques: list[int | None] = [None, *sorted(sd.clique)]
-    for size in range(k + 1):
-        for c in cliques:
-            rest = size if c is None else size - 1
-            if rest < 0:
-                continue
-            for part in combinations(indep, rest):
-                cand = frozenset(part) if c is None else frozenset(part) | {c}
-                if d.is_quasi_kernel(cand):
-                    return d.certify(cand, "fpt-i")
+    conflict, reach2 = _qk_tables(d)
+    full = d.full_mask
+    clique = sorted(sd.clique)
+    k_mask = d.mask_of(clique)
+    for size in range(min(k, d.n) + 1):
+        hit, _ = _first_cover(size, conflict, reach2, k_mask, 0, full)
+        if hit is None and size >= 1:
+            for c in clique:
+                hit, _ = _first_cover(size - 1, conflict, reach2, k_mask | conflict[c], reach2[c], full)
+                if hit is not None:
+                    hit = (*hit, c)
+                    break
+        if hit is not None:
+            return d.certify(hit, "fpt-i")
     return None

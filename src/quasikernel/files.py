@@ -134,7 +134,6 @@ class CertificateDocument:
     digest: str
     vertices: tuple[int, ...]
     bound: Fraction | None
-    verified: bool
     witnesses: Mapping[int, tuple[int, ...]]
 
     def to_certificate(self) -> QkCertificate:
@@ -153,7 +152,6 @@ def certificate_document(
         digest=instance_digest(instance),
         vertices=cert.sorted_vertices(),
         bound=cert.bound,
-        verified=True,
         witnesses=dict(sorted(cert.witnesses.items())),
     )
 
@@ -166,7 +164,7 @@ def serialize_certificate(doc: CertificateDocument) -> str:
         f"instance {doc.digest}",
         ("set " + " ".join(str(v) for v in doc.vertices)).rstrip(),
         f"bound {bound}",
-        f"verified {'true' if doc.verified else 'false'}",
+        "verified true",
     ]
     for v in sorted(doc.witnesses):
         lines.append("w " + " ".join(str(u) for u in doc.witnesses[v]))
@@ -219,12 +217,13 @@ def parse_certificate(text: str) -> CertificateDocument:
             bound = Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
             raise CertificateParseError("bound must be 'p/q' or 'null'", field_lines["bound"]) from None
+    if fields["verified"] != "true":
+        raise CertificateParseError("verified line must be 'verified true'", field_lines["verified"])
     return CertificateDocument(
         algorithm=fields["algorithm"],
         digest=fields["instance"],
         vertices=vertices,
         bound=bound,
-        verified=fields["verified"] == "true",
         witnesses=witnesses,
     )
 

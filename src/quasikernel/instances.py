@@ -216,22 +216,6 @@ class ReductionArtifact:
     names: tuple[str, ...]
     arc_order: tuple[Arc, ...]
 
-    @property
-    def s_index(self) -> int:
-        return 0
-
-    def s1_index(self, v: int) -> int:
-        return 1 + v
-
-    def s2_index(self, i: int) -> int:
-        return 1 + self.source_n + (i - 1)
-
-    def k1_index(self, arc: Arc) -> int:
-        return 1 + self.source_n + self.b + self.arc_order.index(arc)
-
-    def k2_index(self, i: int) -> int:
-        return 1 + self.source_n + self.b + self.source_m + (i - 1)
-
 
 def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     """Build the gadget host: d has a dominating set of size <= q iff the
@@ -309,7 +293,7 @@ def lift_domset(art: ReductionArtifact, dom: Iterable[int]) -> frozenset[int]:
         raise PreconditionError(f"dominating set larger than q={art.q}")
     if not is_dominating(art.source, dom_f):
         raise PreconditionError("not a dominating set of the source")
-    q_set = frozenset({art.s_index} | {art.s1_index(v) for v in dom_f})
+    q_set = frozenset({art.labels["s"]} | {art.labels[f"s1_{v}"] for v in dom_f})
     if not art.host.graph.is_quasi_kernel(q_set):
         raise VerificationError("lifted set is not a quasi-kernel of the host")
     return q_set
@@ -323,7 +307,7 @@ def project_qk(art: ReductionArtifact, qk: Iterable[int]) -> frozenset[int]:
         raise PreconditionError(f"quasi-kernel larger than q+1={art.q + 1}")
     if not art.host.graph.is_quasi_kernel(qk_f):
         raise PreconditionError("not a quasi-kernel of the host")
-    dom = frozenset(v for v in range(art.source_n) if art.s1_index(v) in qk_f)
+    dom = frozenset(v for v in range(art.source_n) if art.labels[f"s1_{v}"] in qk_f)
     if len(dom) > art.q:
         raise VerificationError("projected set larger than q")
     if not is_dominating(art.source, dom):

@@ -8,6 +8,7 @@ predicates.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -103,6 +104,35 @@ def induced_by_filter(arcs, s) -> set[tuple[int, int]]:
     """Arcs of the subdigraph on s, relabelled by rank in sorted(s)."""
     rank = {v: i for i, v in enumerate(sorted(s))}
     return {(rank[t], rank[h]) for t, h in arcs if t in rank and h in rank}
+
+
+def distinct_class_split(nk: int = 12, ni: int = 1500) -> SplitDigraph:
+    """Transitive-tournament clique 0..nk-1 (i -> j for i < j) and ni
+    independent vertices with pairwise distinct out-neighbourhoods: vertex
+    nk + j has arcs to the clique vertices at the set bits of j + 1.  Every
+    independent vertex is its own class, and {nk - 1} is the only minimum
+    quasi-kernel."""
+    arcs = [(i, j) for i in range(nk) for j in range(i + 1, nk)]
+    for j in range(ni):
+        arcs += [(nk + j, c) for c in range(nk) if (j + 1) >> c & 1]
+    return SplitDigraph(Digraph(nk + ni, arcs), range(nk), range(nk, nk + ni))
+
+
+def fpt_by_independent_by_bfs(sd: SplitDigraph, k: int) -> frozenset[int] | None:
+    """Reference for fpt_by_independent's tie-break: by ascending size, the
+    subsets of I alone, then each clique vertex ascending joined with subsets
+    of I, each group in lexicographic order; the first quasi-kernel wins."""
+    indep = sorted(sd.independent)
+    for size in range(k + 1):
+        for c in [None, *sorted(sd.clique)]:
+            rest = size if c is None else size - 1
+            if rest < 0:
+                continue
+            for part in combinations(indep, rest):
+                cand = set(part) if c is None else set(part) | {c}
+                if qk_by_bfs(sd.graph, cand):
+                    return frozenset(cand)
+    return None
 
 
 def relabel(d: Digraph, perm: list[int]) -> Digraph:

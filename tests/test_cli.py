@@ -1,6 +1,14 @@
 from pathlib import Path
 
-from quasikernel import parse_certificate, parse_instance, check_certificate, gen_dn
+from conftest import distinct_class_split
+
+from quasikernel import (
+    check_certificate,
+    gen_dn,
+    parse_certificate,
+    parse_instance,
+    serialize_instance,
+)
 from quasikernel.cli import main
 
 
@@ -105,6 +113,17 @@ def test_solve_fpt_k_no_solution(tmp_path, capsys):
     code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "1")
     assert code == 1
     assert "no quasi-kernel of size <= 1" in out
+
+
+def test_solve_fpt_k_on_many_classes(tmp_path, capsys):
+    path = tmp_path / "wide.qkdg"
+    path.write_text(serialize_instance(distinct_class_split()))
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "0")
+    assert code == 1
+    assert "no quasi-kernel of size <= 0" in out
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "1")
+    assert code == 0
+    assert "algorithm: fpt-k" in out and "set: 11" in out
 
 
 def test_solve_precondition_failures_exit_1(tmp_path, capsys):

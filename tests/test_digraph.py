@@ -7,7 +7,6 @@ from quasikernel import (
     NotQuasiKernelError,
     SplitDigraph,
     SplitError,
-    check_split,
     gen_dn,
     gen_dpn,
 )
@@ -121,21 +120,21 @@ def test_certificate_check_rejects_tampering():
 
 def test_check_split_accepts_dn1():
     sd = gen_dn(1)
-    rebuilt = check_split(sd.graph, sd.clique, sd.independent)
+    rebuilt = SplitDigraph(sd.graph, sd.clique, sd.independent)
     assert rebuilt == sd
 
 
 def test_check_split_errors():
     d = Digraph(2)
     with pytest.raises(SplitError, match=r"missing clique adjacency \(0,1\)"):
-        check_split(d, [0, 1], [])
+        SplitDigraph(d, [0, 1], [])
     d2 = Digraph(2, [(0, 1)])
     with pytest.raises(SplitError, match="arc inside independent part"):
-        check_split(d2, [], [0, 1])
+        SplitDigraph(d2, [], [0, 1])
     with pytest.raises(SplitError, match="partition"):
-        check_split(d2, [0], [0, 1])
+        SplitDigraph(d2, [0], [0, 1])
     with pytest.raises(SplitError, match="out of range"):
-        check_split(d2, [0, 5], [1])
+        SplitDigraph(d2, [0, 5], [1])
 
 
 def test_classify_dn_and_dpn():

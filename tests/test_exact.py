@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import qk_by_bfs, random_digraph
+from conftest import distinct_class_split, qk_by_bfs, random_digraph
 from quasikernel import (
     CapExceededError,
     Digraph,
@@ -161,3 +161,12 @@ def test_fpt_agreement_campaign():
                 if cert is not None:
                     assert cert.size <= k
                     cert.check(sd.graph)
+
+
+def test_fpt_by_clique_depth_does_not_grow_with_classes():
+    # 1500 singleton classes: a recursion per class would overflow the stack
+    sd = distinct_class_split()
+    assert fpt_by_clique(sd, 0) is None
+    assert fpt_by_independent(sd, 0) is None
+    cert = fpt_by_clique(sd, 1)
+    assert cert.sorted_vertices() == fpt_by_independent(sd, 1).sorted_vertices() == (11,)

@@ -105,6 +105,8 @@ def test_certificate_round_trip():
     text = serialize_certificate(doc)
     parsed = parse_certificate(text)
     assert parsed == doc
+    assert "\nverified true\n" in text
+    assert serialize_certificate(parsed) == text
     check_certificate(parsed, sd)
 
 
@@ -129,6 +131,8 @@ def test_certificate_bound_formats():
     [
         ("set 0 4", "set 0 x", 5, "set entries"),
         ("bound null", "bound 1/0", 6, "bound must be"),
+        ("verified true", "verified false", 7, "verified line must be"),
+        ("verified true", "verified", 7, "verified line must be"),
     ],
 )
 def test_certificate_parse_errors_carry_line_numbers(old, new, line, pattern):

@@ -1,5 +1,6 @@
 """Property tests for the structural invariants."""
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from conftest import (
     arc_lists,
     digraphs,
     digraphs_with_subsets,
+    dominating_by_scan,
     dominating_two_serf_by_scan,
+    fpt_by_independent_by_bfs,
     induced_by_filter,
     qk_by_bfs,
     reaching_within_two,
@@ -23,6 +26,9 @@ from quasikernel import (
     NotQuasiKernelError,
     PreconditionError,
     dominate_two_serf,
+    fpt_by_independent,
+    min_dominating_set,
+    min_quasi_kernel,
     quasi_kernel_cl,
     quasi_kernel_rooted,
     two_serf_semicomplete,
@@ -138,3 +144,36 @@ def test_induced_matches_arc_filter(case, data):
     assert all(old_of_new[new] == old for old, new in new_of_old.items())
     assert sub.n == len(s)
     assert set(sub.arcs) == induced_by_filter(arcs, s)
+
+
+def first_by_size(n: int, accept) -> frozenset[int] | None:
+    """The lexicographically least of the smallest subsets of range(n) that accept takes."""
+    for size in range(n + 1):
+        for cand in combinations(range(n), size):
+            if accept(cand):
+                return frozenset(cand)
+    return None
+
+
+@given(split_digraphs(), st.data())
+@settings(max_examples=80)
+def test_exhaustive_searches_match_brute_force(sd, data):
+    n = sd.graph.n
+    sd = relabel_split(sd, data.draw(st.permutations(range(n))))
+    d = sd.graph
+    least_qk = first_by_size(n, lambda cand: qk_by_bfs(d, cand))
+    # every independent set up to the hit, in (size, lexicographic) order, is tested
+    last = tuple(sorted(least_qk))
+    tested = sum(
+        1
+        for size in range(len(last) + 1)
+        for cand in combinations(range(n), size)
+        if (size < len(last) or cand <= last) and not any(t in cand and h in cand for t, h in d.arcs)
+    )
+    for report in (min_quasi_kernel(sd), min_quasi_kernel(d)):
+        assert report.certificate.vertices == least_qk
+        assert report.explored == tested
+    k = data.draw(st.integers(0, 6))
+    cert = fpt_by_independent(sd, k)
+    assert (cert and cert.vertices) == fpt_by_independent_by_bfs(sd, k)
+    assert min_dominating_set(d) == first_by_size(n, lambda cand: dominating_by_scan(d, cand))

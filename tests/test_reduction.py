@@ -51,10 +51,16 @@ def test_host_is_an_orientation_of_a_split_graph():
 def test_labels_cover_all_host_vertices():
     art = reduce_dds_to_qk(SINGLE_ARC, 1)
     assert len(art.names) == art.host.graph.n
+    n, m, b = art.source_n, art.source_m, art.b
     assert art.labels["s"] == 0
-    assert art.labels["s1_0"] == art.s1_index(0)
-    assert art.labels["k1_0_1"] == art.k1_index((0, 1))
-    assert art.labels["k2_5"] == art.k2_index(5)
+    assert art.labels["s1_0"] == 1
+    assert art.labels["s1_1"] == 1 + 1
+    assert art.labels["s2_1"] == 1 + n
+    assert art.labels["s2_5"] == 1 + n + 4
+    assert art.labels["k1_0_1"] == 1 + n + b
+    assert art.labels["k2_1"] == 1 + n + b + m
+    assert art.labels["k2_5"] == 1 + n + b + m + 4
+    assert all(art.names[idx] == name for name, idx in art.labels.items())
 
 
 def test_reduce_rejects_bad_q():
@@ -65,7 +71,7 @@ def test_reduce_rejects_bad_q():
 def test_lift_single_arc():
     art = reduce_dds_to_qk(SINGLE_ARC, 1)
     lifted = lift_domset(art, {1})
-    assert lifted == {art.s_index, art.s1_index(1)}
+    assert lifted == {art.labels["s"], art.labels["s1_1"]}
     assert art.host.graph.is_quasi_kernel(lifted)
 
 
@@ -86,9 +92,9 @@ def test_project_rejects_oversized_or_invalid():
     art = reduce_dds_to_qk(SINGLE_ARC, 1)
     lifted = lift_domset(art, {1})
     with pytest.raises(PreconditionError, match="larger"):
-        project_qk(art, lifted | {art.s2_index(1), art.s2_index(2)})
+        project_qk(art, lifted | {art.labels["s2_1"], art.labels["s2_2"]})
     with pytest.raises(PreconditionError, match="not a quasi-kernel"):
-        project_qk(art, {art.s_index})
+        project_qk(art, {art.labels["s"]})
 
 
 def test_round_trip_on_three_vertex_sources():
