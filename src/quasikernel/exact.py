@@ -4,16 +4,18 @@ two fixed-parameter algorithms for split digraphs.
 The minimum quasi-kernel, the minimum dominating set and fpt_by_independent
 share one enumeration, ``_first_cover``: candidate sets by ascending
 cardinality and then lexicographically, so the first verified hit is
-provably minimum and deterministic.  Bitmask arithmetic keeps the
-per-candidate cost at a few integer operations; practical size caps turn
-hopeless instances into a refusal instead of a silent slow run.
+provably minimum and deterministic.  It prunes on adjacency and on cover
+(some member must cover the lowest vertex still uncovered), which skips
+only subtrees without a hit.  Bitmask arithmetic keeps the per-candidate
+cost at a few integer operations; practical size caps turn hopeless
+instances into a refusal instead of a silent slow run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import Digraph, QkCertificate, SplitDigraph
+from .digraph import Digraph, QkCertificate, SplitDigraph, members
 
 GENERAL_VERTEX_CAP = 24
 SPLIT_INDEPENDENT_CAP = 24
@@ -29,7 +31,8 @@ class SolveReport:
 
     ``optimal`` is True only when the enumeration order proves no smaller
     quasi-kernel exists; ``explored`` counts the independent candidate
-    sets whose coverage was tested.
+    sets whose cover was decided: at the last member, each free choice up
+    to the first hit.  Subtrees skipped by the cover prune add nothing.
     """
 
     certificate: QkCertificate | None
@@ -39,18 +42,30 @@ class SolveReport:
 
 
 def _first_cover(
-    k: int, conflict: list[int], reach: list[int], banned: int, cover: int, full: int
+    k: int,
+    conflict: list[int],
+    reach: list[int],
+    covers: list[int],
+    banned: int,
+    cover: int,
+    full: int,
 ) -> tuple[tuple[int, ...] | None, int]:
     """The lexicographically first k-set S of vertices outside ``banned``,
     with no v in S inside ``conflict[u]`` of another member u, such that
     ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; and the number
-    of k-sets tested.
+    of k-sets whose cover was decided.
 
-    This is the package's one exhaustive enumeration.  It walks the sets in
-    lexicographic order without recursion, keeping one entry per chosen
-    member, so its memory and depth never depend on the number of vertices.
-    It skips only branches left with fewer than k free vertices, so every
-    k-set it could complete is tested.
+    ``covers`` mirrors ``reach``: ``covers[u]`` is the mask of the vertices
+    v with u in ``reach[v]``.  This is the package's one exhaustive
+    enumeration.  It walks the sets in lexicographic order without
+    recursion, keeping one entry per chosen member, so its memory and depth
+    never depend on the number of vertices.  Two prunes skip only subtrees
+    that hold no hit, so the first hit is the same as an unpruned scan's:
+    a depth backtracks when fewer free vertices are left than still needed,
+    or when no free vertex covers u, the lowest vertex its prefix leaves
+    uncovered.  At the last depth the hits are the free vertices that cover
+    every uncovered vertex, found by AND'ing their ``covers`` masks; each
+    free vertex there up to the first hit counts as one decided k-set.
     """
     if k == 0:
         return (() if cover == full else None), 1
@@ -66,18 +81,24 @@ def _first_cover(
     depth = 0
     while depth >= 0:
         free = free_at[depth]
+        missing = full & ~cov_at[depth]
         if depth == last:
-            cov = cov_at[depth]
+            cand = free
+            while missing and cand:
+                low = missing & -missing
+                cand &= covers[low.bit_length() - 1]
+                missing ^= low
+            if cand:
+                hit = cand & -cand
+                tested += (free & (hit << 1) - 1).bit_count()
+                chosen[last] = hit.bit_length() - 1
+                return tuple(chosen), tested
             tested += free.bit_count()
-            while free:
-                low = free & -free
-                if cov | reach[low.bit_length() - 1] == full:
-                    tested -= (free ^ low).bit_count()
-                    chosen[last] = low.bit_length() - 1
-                    return tuple(chosen), tested
-                free ^= low
             depth -= 1
         elif free.bit_count() < k - depth:
+            depth -= 1
+        elif missing and not free & covers[(missing & -missing).bit_length() - 1]:
+            # every completion needs a member that covers the lowest uncovered vertex
             depth -= 1
         else:
             low = free & -free
@@ -93,12 +114,21 @@ def _first_cover(
     return None, tested
 
 
-def _qk_tables(d: Digraph) -> tuple[list[int], list[int]]:
-    """Per-vertex conflict masks (out | in) and reach-in-two masks: an
+def _qk_tables(d: Digraph) -> tuple[list[int], list[int], list[int]]:
+    """Per-vertex conflict masks (out | in), reach-in-two masks and their
+    mirror (the vertices each vertex reaches in at most two arcs): an
     independent set is a quasi-kernel iff its reach masks OR to full_mask."""
+    out = d.out_masks
+    covers = []
+    for u, near in enumerate(out):
+        mask = near | 1 << u
+        for w in members(near):
+            mask |= out[w]
+        covers.append(mask)
     return (
-        [o | i for o, i in zip(d.out_masks, d.in_masks)],
+        [o | i for o, i in zip(out, d.in_masks)],
         [d.reach_in_two(v) for v in range(d.n)],
+        covers,
     )
 
 
@@ -123,11 +153,11 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
             f"general search refused for n={d.n} > {GENERAL_VERTEX_CAP};"
             " supply a split partition or a budget-free smaller instance"
         )
-    conflict, reach2 = _qk_tables(d)
+    conflict, reach2, covers = _qk_tables(d)
     explored = 0
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, tested = _first_cover(k, conflict, reach2, 0, 0, d.full_mask)
+        hit, tested = _first_cover(k, conflict, reach2, covers, 0, 0, d.full_mask)
         explored += tested
         if hit is not None:
             return SolveReport(d.certify(hit, "exact"), True, explored, "exact")
@@ -151,9 +181,10 @@ def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] 
     if d.n > GENERAL_VERTEX_CAP:
         raise CapExceededError(f"dominating-set search refused for n={d.n} > {GENERAL_VERTEX_CAP}")
     closed_in = [row | 1 << v for v, row in enumerate(d.in_masks)]
+    closed_out = [row | 1 << v for v, row in enumerate(d.out_masks)]
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, _ = _first_cover(k, [0] * d.n, closed_in, 0, 0, d.full_mask)
+        hit, _ = _first_cover(k, [0] * d.n, closed_in, closed_out, 0, 0, d.full_mask)
         if hit is not None:
             return frozenset(hit)
     return None
@@ -177,38 +208,46 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
     Each class contributes one of three states (excluded, whole class,
     representative only), combined with at most one clique vertex; a
     depth-first scan with a size budget and an explicit stack tests the
-    combinations.
+    combinations.  A state is a member mask with the OR of its members'
+    reach-in-two masks, so a combination is a quasi-kernel iff its masks OR
+    to full_mask: it is independent by construction, because the classes
+    adjacent to the clique vertex are always excluded.
     """
     d = sd.graph
     if k < 0:
         return None
+    full = d.full_mask
     classes = _independent_classes(sd)
     adj = [d.in_masks[rep] | d.out_masks[rep] for rep, _ in classes]
-    # each class's states in scan order: excluded, whole class, representative only
-    states = [
-        (frozenset(), cls, frozenset({rep})) if len(cls) > 1 else (frozenset(), cls)
-        for rep, cls in classes
-    ]
+    # each class's states in scan order: excluded, whole class, representative
+    # only, as (member mask, OR of the members' reach-in-two, size); members
+    # share their in-neighbours, so the class's OR is its mask | rep's reach
+    states = []
+    for rep, cls in classes:
+        reach = d.reach_in_two(rep)
+        cls_mask = d.mask_of(cls)
+        whole = (cls_mask, cls_mask | reach, len(cls))
+        rep_only = (1 << rep, reach, 1)
+        states.append(((0, 0, 0), whole, rep_only) if len(cls) > 1 else ((0, 0, 0), whole))
 
     for c in [None, *sorted(sd.clique)]:
         room = k - (0 if c is None else 1)
         if room < 0:
             continue
-        stack = [(0, frozenset(), room)]
+        stack = [(0, 0, 0, room) if c is None else (0, 1 << c, d.reach_in_two(c), room)]
         while stack:
-            idx, acc, left = stack.pop()
+            idx, mask, cov, left = stack.pop()
             # with no room left every remaining class can only be excluded
             if idx == len(classes) or left == 0:
-                cand = acc if c is None else acc | {c}
-                if d.is_quasi_kernel(cand):
-                    return d.certify(cand, "fpt-k")
+                if cov == full:
+                    return d.certify(members(mask), "fpt-k")
                 continue
             if c is not None and adj[idx] >> c & 1:
-                stack.append((idx + 1, acc, left))
+                stack.append((idx + 1, mask, cov, left))
                 continue
-            for opt in reversed(states[idx]):
-                if len(opt) <= left:
-                    stack.append((idx + 1, acc | opt, left - len(opt)))
+            for opt, opt_cov, size in reversed(states[idx]):
+                if size <= left:
+                    stack.append((idx + 1, mask | opt, cov | opt_cov, left - size))
     return None
 
 
@@ -224,15 +263,17 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     d = sd.graph
     if k < 0:
         return None
-    conflict, reach2 = _qk_tables(d)
+    conflict, reach2, covers = _qk_tables(d)
     full = d.full_mask
     clique = sorted(sd.clique)
     k_mask = d.mask_of(clique)
     for size in range(min(k, d.n) + 1):
-        hit, _ = _first_cover(size, conflict, reach2, k_mask, 0, full)
+        hit, _ = _first_cover(size, conflict, reach2, covers, k_mask, 0, full)
         if hit is None and size >= 1:
             for c in clique:
-                hit, _ = _first_cover(size - 1, conflict, reach2, k_mask | conflict[c], reach2[c], full)
+                hit, _ = _first_cover(
+                    size - 1, conflict, reach2, covers, k_mask | conflict[c], reach2[c], full
+                )
                 if hit is not None:
                     hit = (*hit, c)
                     break

@@ -18,6 +18,9 @@ from .digraph import Digraph, QkCertificate, SplitDigraph, SplitError, Verificat
 
 INSTANCE_MAGIC = "qkdg 1"
 CERTIFICATE_MAGIC = "qkcert 1"
+# adjacency masks take up to 2 * n**2 / 8 bytes, 100 MB at 20,000 vertices
+MAX_VERTICES = 20_000
+MAX_ARCS = 2_000_000
 
 
 class InstanceParseError(ValueError):
@@ -68,11 +71,18 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
         if tag == "n":
             if n is not None:
                 raise InstanceParseError("duplicate n line", lineno)
-            if len(fields) != 2 or not fields[1].lstrip("-").isdigit():
+            digits = fields[1].removeprefix("-") if len(fields) == 2 else ""
+            # str.isdigit alone also takes digits such as '²' that int() refuses
+            if not (digits.isascii() and digits.isdigit()):
                 raise InstanceParseError("n line must be 'n <count>'", lineno)
-            n = int(fields[1])
-            if n < 0:
+            if fields[1].startswith("-") and digits.strip("0"):
                 raise InstanceParseError("vertex count must be nonnegative", lineno)
+            # the length test comes first: int() refuses over 4300 digits
+            if len(digits.lstrip("0")) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+                raise InstanceParseError(
+                    f"vertex count over the cap MAX_VERTICES={MAX_VERTICES}", lineno
+                )
+            n = int(digits)
         elif tag == "k":
             if n is None:
                 raise InstanceParseError("k line before n line", lineno)
@@ -92,6 +102,8 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
         elif tag == "a":
             if n is None:
                 raise InstanceParseError("arc line before n line", lineno)
+            if len(arcs) == MAX_ARCS:
+                raise InstanceParseError(f"arc count over the cap MAX_ARCS={MAX_ARCS}", lineno)
             arcs_started = True
             try:
                 t, h = (int(f) for f in fields[1:])

@@ -166,10 +166,13 @@ def test_exit_code_2_on_malformed_inputs(tmp_path):
         "qkdg 1\nn 2\na 0 0\n",
         "qkdg 1\nn 2\na 0 1\na 0 1\n",
         "qkdg 1\nn 2\nk 0 1\n",
+        "qkdg 1\nn --5\n",
+        "qkdg 1\nn \u00b2\n",
+        "qkdg 1\nn 30000000\n",
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.qkdg"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert main(["solve", str(path)]) == 2
         assert main(["verify", str(path), "0"]) == 2
     assert main(["solve", str(tmp_path / "missing.qkdg")]) == 2

@@ -170,3 +170,25 @@ def test_fpt_by_clique_depth_does_not_grow_with_classes():
     assert fpt_by_independent(sd, 0) is None
     cert = fpt_by_clique(sd, 1)
     assert cert.sorted_vertices() == fpt_by_independent(sd, 1).sorted_vertices() == (11,)
+
+
+def test_cover_prune_bounds_the_exact_search():
+    # without the cover prune the scan tests 1,443,195 independent sets
+    rep = min_quasi_kernel(gen_dn(3))
+    assert rep.certificate.size == 10
+    assert rep.explored <= 30_000
+
+
+def test_fpt_by_clique_tests_combinations_on_masks(monkeypatch):
+    calls = 0
+    original = Digraph.is_quasi_kernel
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Digraph, "is_quasi_kernel", counted)
+    assert fpt_by_clique(gen_dn(3), 9) is None
+    assert fpt_by_clique(gen_dn(3), 10).size == 10
+    assert calls == 0

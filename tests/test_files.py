@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasikernel import (
     CertificateParseError,
@@ -18,6 +20,7 @@ from quasikernel import (
     serialize_instance,
     to_dot,
 )
+from quasikernel import files
 
 
 def test_serialize_dn1():
@@ -69,6 +72,9 @@ def test_empty_clique_line_round_trips():
         ("qkdg 1\nn 2\na 0 5\n", 3, "out of range"),
         ("qkdg 1\nn 2\na 0\n", 3, "arc line"),
         ("qkdg 1\nn x\n", 2, "n line"),
+        ("qkdg 1\nn --5\n", 2, "n line"),
+        ("qkdg 1\nn \u00b2\n", 2, "n line"),
+        ("qkdg 1\nn 30000000\n", 2, "MAX_VERTICES=20000"),
         ("qkdg 1\nn 2\nn 2\n", 3, "duplicate n"),
         ("qkdg 1\nn 2\nk 0 0\n", 3, "duplicate index"),
         ("qkdg 1\nn 2\nk 9\n", 3, "out of range"),
@@ -81,6 +87,18 @@ def test_parse_errors_carry_line_numbers(text, line, pattern):
     with pytest.raises(InstanceParseError, match=pattern) as exc:
         parse_instance(text)
     assert exc.value.line == line
+
+
+def test_size_caps_are_named_parse_errors(monkeypatch):
+    assert parse_instance(f"qkdg 1\nn {files.MAX_VERTICES}\n").n == files.MAX_VERTICES
+    # longer than int() accepts from text on Python 3.11+
+    with pytest.raises(InstanceParseError, match="MAX_VERTICES=20000"):
+        parse_instance("qkdg 1\nn " + "9" * 5000 + "\n")
+    monkeypatch.setattr(files, "MAX_ARCS", 2)
+    assert len(parse_instance("qkdg 1\nn 3\na 0 1\na 1 2\n").arcs) == 2
+    with pytest.raises(InstanceParseError, match="MAX_ARCS=2") as exc:
+        parse_instance("qkdg 1\nn 3\na 0 1\na 1 2\n# third\na 2 0\n")
+    assert exc.value.line == 6
 
 
 def test_split_violations_are_parse_errors():
@@ -157,3 +175,38 @@ def test_to_dot_mentions_all_arcs():
     dot = to_dot(gen_dn(1))
     assert dot.count("->") == 6
     assert "shape=box" in dot
+
+
+# lines of a directive and up to two arguments, from tokens that hit the
+# checks of both parsers, mixed with lines of arbitrary text
+FUZZ_TAGS = ["n", "k", "a", "w", "set", "bound", "verified", "algorithm", "instance", "#"]
+FUZZ_TOKENS = ["0", "1", "2", "-1", "--5", "\u00b2", "1/0", "3/2", "true", "null"]
+FUZZ_LINES = st.lists(
+    st.one_of(
+        st.builds(
+            lambda tag, args: " ".join([tag, *args]),
+            st.sampled_from(FUZZ_TAGS),
+            st.lists(st.sampled_from(FUZZ_TOKENS), max_size=2),
+        ),
+        st.text(max_size=8),
+    ),
+    max_size=6,
+)
+FUZZ_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda magic, lines: "\n".join([magic, *lines]),
+        st.sampled_from(["qkdg 1", "qkcert 1"]),
+        FUZZ_LINES,
+    ),
+)
+
+
+@given(FUZZ_TEXT)
+def test_parsers_raise_only_their_own_errors(text):
+    parsers = ((parse_instance, InstanceParseError), (parse_certificate, CertificateParseError))
+    for parse, error in parsers:
+        try:
+            parse(text)
+        except error:
+            pass

@@ -155,24 +155,44 @@ def first_by_size(n: int, accept) -> frozenset[int] | None:
     return None
 
 
+def decided_by_cover_prune(n: int, arcs, cand) -> bool:
+    """Whether a cover-pruned lexicographic scan decides the independent
+    candidate s_0 < ... < s_{k-1}: for every d <= k - 2 at which the prefix
+    S[:d] leaves a vertex uncovered, the lowest such vertex reaches within
+    two arcs some w >= s_d that conflicts with no member of S[:d]."""
+    for d in range(len(cand) - 1):
+        prefix = cand[:d]
+        covered = set().union(*(reaching_within_two(arcs, s) for s in prefix))
+        uncovered = [u for u in range(n) if u not in covered]
+        if uncovered and not any(
+            uncovered[0] in reaching_within_two(arcs, w)
+            and not any((w, s) in arcs or (s, w) in arcs for s in prefix)
+            for w in range(cand[d], n)
+        ):
+            return False
+    return True
+
+
 @given(split_digraphs(), st.data())
 @settings(max_examples=80)
 def test_exhaustive_searches_match_brute_force(sd, data):
     n = sd.graph.n
     sd = relabel_split(sd, data.draw(st.permutations(range(n))))
     d = sd.graph
+    arcs = set(d.arcs)
     least_qk = first_by_size(n, lambda cand: qk_by_bfs(d, cand))
-    # every independent set up to the hit, in (size, lexicographic) order, is tested
+    # the independent sets up to the hit, in (size, lexicographic) order
     last = tuple(sorted(least_qk))
-    tested = sum(
-        1
+    independent = [
+        cand
         for size in range(len(last) + 1)
         for cand in combinations(range(n), size)
-        if (size < len(last) or cand <= last) and not any(t in cand and h in cand for t, h in d.arcs)
-    )
+        if (size < len(last) or cand <= last) and not any(t in cand and h in cand for t, h in arcs)
+    ]
+    decided = sum(1 for cand in independent if decided_by_cover_prune(n, arcs, cand))
     for report in (min_quasi_kernel(sd), min_quasi_kernel(d)):
         assert report.certificate.vertices == least_qk
-        assert report.explored == tested
+        assert report.explored == decided <= len(independent)
     k = data.draw(st.integers(0, 6))
     cert = fpt_by_independent(sd, k)
     assert (cert and cert.vertices) == fpt_by_independent_by_bfs(sd, k)
