@@ -50,7 +50,16 @@ EXACT_BOUNDS_LIMIT = 18
 
 
 def _read_instance(path: str) -> Digraph | SplitDigraph:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InstanceParseError(
+            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line
+        ) from None
+    # as a text-mode read would: CR and CRLF end lines as LF does
+    return parse_instance(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _emit(text: str, out: str | None) -> None:

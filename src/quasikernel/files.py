@@ -1,17 +1,19 @@
 """Instance and certificate text formats.
 
 Instance files ("qkdg 1"): a vertex-count line, an optional clique-part
-line turning the file into a split digraph, and one line per arc in
-ascending order.  Certificate files ("qkcert 1") carry the algorithm
-label, the vertex set, per-vertex witness paths, the bound in force, and
-a digest of the instance they certify.  Both formats are line-based,
-LF-terminated and human-diffable.
+line turning the file into a split digraph, and one line per arc, in any
+order when read and ascending when written.  Certificate files
+("qkcert 1") carry the algorithm label, the vertex set, per-vertex
+witness paths, the bound in force, and a digest of the instance they
+certify.  Both formats are line-based and human-diffable; they are
+written LF-terminated and read with any line ending.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 from .digraph import Digraph, QkCertificate, SplitDigraph, SplitError, VerificationError
@@ -21,6 +23,7 @@ CERTIFICATE_MAGIC = "qkcert 1"
 # adjacency masks take up to 2 * n**2 / 8 bytes, 100 MB at 20,000 vertices
 MAX_VERTICES = 20_000
 MAX_ARCS = 2_000_000
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class InstanceParseError(ValueError):
@@ -45,7 +48,13 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     lines.append(f"n {graph.n}")
     if isinstance(obj, SplitDigraph):
         lines.append(("k " + " ".join(str(v) for v in sorted(obj.clique))).rstrip())
-    lines += [f"a {t} {h}" for t, h in graph.arcs]
+    names = [str(v) for v in range(graph.n)]
+    for t, row in enumerate(graph.out_masks):
+        if row:
+            # bin(row) reversed, as bytes 0/1, selects the heads in ascending order
+            heads = compress(names, bin(row)[:1:-1].encode().translate(_BIT_BYTES))
+            prefix = f"a {names[t]} "
+            lines.append(prefix + ("\n" + prefix).join(heads))
     return "\n".join(lines) + "\n"
 
 
@@ -53,22 +62,40 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     header_seen = False
     n: int | None = None
     clique: list[int] | None = None
-    arcs: list[tuple[int, int]] = []
-    seen_arcs: set[tuple[int, int]] = set()
-    arcs_started = False
+    arc_keys: set[int] = set()  # t * n + h of every arc so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields:
             continue
-        if not header_seen:
-            if line != INSTANCE_MAGIC:
+        tag = fields[0]
+        # nearly every line is an arc, so test for one first; n is set only
+        # after the header
+        if tag == "a" and n is not None:
+            if len(arc_keys) == MAX_ARCS:
+                raise InstanceParseError(f"arc count over the cap MAX_ARCS={MAX_ARCS}", lineno)
+            if len(fields) != 3:
+                raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno)
+            try:
+                t = int(fields[1])
+                h = int(fields[2])
+            except ValueError:
+                raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno) from None
+            if not (0 <= t < n and 0 <= h < n):
+                raise InstanceParseError(f"arc ({t},{h}) endpoint out of range", lineno)
+            if t == h:
+                raise InstanceParseError(f"loop arc ({t},{t}) not allowed", lineno)
+            key = t * n + h
+            if key in arc_keys:
+                raise InstanceParseError(f"duplicate arc ({t},{h})", lineno)
+            arc_keys.add(key)
+        elif tag[0] == "#":
+            continue
+        elif not header_seen:
+            if raw.strip() != INSTANCE_MAGIC:
                 raise InstanceParseError(f"expected header '{INSTANCE_MAGIC}'", lineno)
             header_seen = True
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "n":
+        elif tag == "n":
             if n is not None:
                 raise InstanceParseError("duplicate n line", lineno)
             digits = fields[1].removeprefix("-") if len(fields) == 2 else ""
@@ -88,7 +115,7 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
                 raise InstanceParseError("k line before n line", lineno)
             if clique is not None:
                 raise InstanceParseError("duplicate k line", lineno)
-            if arcs_started:
+            if arc_keys:
                 raise InstanceParseError("k line must precede arc lines", lineno)
             try:
                 clique = [int(f) for f in fields[1:]]
@@ -100,23 +127,7 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
                 if not 0 <= v < n:
                     raise InstanceParseError(f"clique index {v} out of range", lineno)
         elif tag == "a":
-            if n is None:
-                raise InstanceParseError("arc line before n line", lineno)
-            if len(arcs) == MAX_ARCS:
-                raise InstanceParseError(f"arc count over the cap MAX_ARCS={MAX_ARCS}", lineno)
-            arcs_started = True
-            try:
-                t, h = (int(f) for f in fields[1:])
-            except ValueError:
-                raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno) from None
-            if not (0 <= t < n and 0 <= h < n):
-                raise InstanceParseError(f"arc ({t},{h}) endpoint out of range", lineno)
-            if t == h:
-                raise InstanceParseError(f"loop arc ({t},{t}) not allowed", lineno)
-            if (t, h) in seen_arcs:
-                raise InstanceParseError(f"duplicate arc ({t},{h})", lineno)
-            seen_arcs.add((t, h))
-            arcs.append((t, h))
+            raise InstanceParseError("arc line before n line", lineno)
         else:
             raise InstanceParseError(f"unknown directive '{tag}'", lineno)
 
@@ -125,7 +136,8 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
         raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
     if n is None:
         raise InstanceParseError("missing n line", last)
-    graph = Digraph(n, arcs)
+    # divmod(t * n + h, n) is the arc (t, h)
+    graph = Digraph(n, map(divmod, arc_keys, repeat(n)))
     if clique is None:
         return graph
     independent = sorted(set(range(n)) - set(clique))

@@ -13,6 +13,8 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from quasikernel import Digraph, SplitDigraph
+from quasikernel.digraph import SplitError
+from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
 
 def qk_by_bfs(d: Digraph, s) -> bool:
@@ -216,3 +218,91 @@ def split_digraphs(draw, max_k: int = 4, max_i: int = 5) -> SplitDigraph:
             if kind in (2, 3):
                 arcs.append((s, k))
     return SplitDigraph(Digraph(nk + ni, arcs), range(nk), range(nk, nk + ni))
+
+
+# A plain instance parser with the checks, messages and line numbers of
+# files.parse_instance: the reference that test_files compares it against.
+def parse_instance_reference(text: str) -> Digraph | SplitDigraph:
+    header_seen = False
+    n: int | None = None
+    clique: list[int] | None = None
+    arcs: list[tuple[int, int]] = []
+    seen_arcs: set[tuple[int, int]] = set()
+    arcs_started = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != INSTANCE_MAGIC:
+                raise InstanceParseError(f"expected header '{INSTANCE_MAGIC}'", lineno)
+            header_seen = True
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "n":
+            if n is not None:
+                raise InstanceParseError("duplicate n line", lineno)
+            digits = fields[1].removeprefix("-") if len(fields) == 2 else ""
+            # str.isdigit alone also takes digits such as '²' that int() refuses
+            if not (digits.isascii() and digits.isdigit()):
+                raise InstanceParseError("n line must be 'n <count>'", lineno)
+            if fields[1].startswith("-") and digits.strip("0"):
+                raise InstanceParseError("vertex count must be nonnegative", lineno)
+            # the length test comes first: int() refuses over 4300 digits
+            if len(digits.lstrip("0")) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+                raise InstanceParseError(
+                    f"vertex count over the cap MAX_VERTICES={MAX_VERTICES}", lineno
+                )
+            n = int(digits)
+        elif tag == "k":
+            if n is None:
+                raise InstanceParseError("k line before n line", lineno)
+            if clique is not None:
+                raise InstanceParseError("duplicate k line", lineno)
+            if arcs_started:
+                raise InstanceParseError("k line must precede arc lines", lineno)
+            try:
+                clique = [int(f) for f in fields[1:]]
+            except ValueError:
+                raise InstanceParseError("k line indices must be integers", lineno) from None
+            if len(set(clique)) != len(clique):
+                raise InstanceParseError("duplicate index in k line", lineno)
+            for v in clique:
+                if not 0 <= v < n:
+                    raise InstanceParseError(f"clique index {v} out of range", lineno)
+        elif tag == "a":
+            if n is None:
+                raise InstanceParseError("arc line before n line", lineno)
+            if len(arcs) == MAX_ARCS:
+                raise InstanceParseError(f"arc count over the cap MAX_ARCS={MAX_ARCS}", lineno)
+            arcs_started = True
+            try:
+                t, h = (int(f) for f in fields[1:])
+            except ValueError:
+                raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno) from None
+            if not (0 <= t < n and 0 <= h < n):
+                raise InstanceParseError(f"arc ({t},{h}) endpoint out of range", lineno)
+            if t == h:
+                raise InstanceParseError(f"loop arc ({t},{t}) not allowed", lineno)
+            if (t, h) in seen_arcs:
+                raise InstanceParseError(f"duplicate arc ({t},{h})", lineno)
+            seen_arcs.add((t, h))
+            arcs.append((t, h))
+        else:
+            raise InstanceParseError(f"unknown directive '{tag}'", lineno)
+
+    last = text.count("\n") + 1
+    if not header_seen:
+        raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
+    if n is None:
+        raise InstanceParseError("missing n line", last)
+    graph = Digraph(n, arcs)
+    if clique is None:
+        return graph
+    independent = sorted(set(range(n)) - set(clique))
+    try:
+        return SplitDigraph(graph, clique, independent)
+    except SplitError as exc:
+        raise InstanceParseError(f"invalid split partition: {exc}", last) from exc

@@ -159,7 +159,7 @@ def test_verify_bad_literal(tmp_path):
     assert main(["verify", str(path), "0,x"]) == 2
 
 
-def test_exit_code_2_on_malformed_inputs(tmp_path):
+def test_exit_code_2_on_malformed_inputs(tmp_path, capsys):
     cases = [
         "qkdg 2\nn 1\n",
         "n 1\n",
@@ -169,12 +169,14 @@ def test_exit_code_2_on_malformed_inputs(tmp_path):
         "qkdg 1\nn --5\n",
         "qkdg 1\nn \u00b2\n",
         "qkdg 1\nn 30000000\n",
+        b"qkdg 1\nn 2\na 0 1\xff\n",
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.qkdg"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert main(["solve", str(path)]) == 2
         assert main(["verify", str(path), "0"]) == 2
+    assert "error: line 3: not UTF-8: byte 0xff" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.qkdg")]) == 2
     assert main(["solve"]) == 2  # argparse usage error
 

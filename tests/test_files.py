@@ -1,11 +1,15 @@
+from unittest.mock import patch
+
+import conftest
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasikernel import (
     CertificateParseError,
     Digraph,
     InstanceParseError,
+    SplitDigraph,
     VerificationError,
     certificate_document,
     check_certificate,
@@ -210,3 +214,80 @@ def test_parsers_raise_only_their_own_errors(text):
             parse(text)
         except error:
             pass
+
+
+@st.composite
+def instance_texts(draw):
+    """(text, n, arcs, arc cap) for a random instance in a random layout,
+    with at most one bad line that trips one check of the parser."""
+    n = draw(st.integers(0, 7))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    clique = None
+    if draw(st.booleans()):
+        clique = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))
+        if draw(st.booleans()):
+            # make the partition valid: no arc between independent vertices,
+            # an arc between every clique pair
+            arcs = [a for a in arcs if a[0] in clique or a[1] in clique]
+            arcs += [(u, v) for u in clique for v in clique
+                     if u < v and (u, v) not in arcs and (v, u) not in arcs]
+    arcs = draw(st.permutations(arcs))
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+
+    def line(*fields):
+        return pad + sep.join(str(f) for f in fields) + draw(st.sampled_from(["", pad]))
+
+    # the header must equal "qkdg 1" once stripped, so it is only padded
+    lines = [pad + "qkdg 1" + pad, line("n", n)]
+    if clique is not None:
+        lines.append(line("k", *clique))
+    lines += [line("a", t, h) for t, h in arcs]
+    bad_lines = {
+        "duplicate": lambda: line("a", *draw(st.sampled_from(arcs))) if arcs else None,
+        "loop": lambda: line("a", v := draw(st.integers(0, n)), v),
+        "range": lambda: line("a", *draw(st.sampled_from([(-1, 0), (0, -1), (n, 0), (0, n)]))),
+        "fields": lambda: line(
+            "a", *draw(st.lists(st.integers(0, n), max_size=3).filter(lambda f: len(f) != 2))
+        ),
+        "token": lambda: line("a", draw(st.sampled_from(["x", "1.5", "0x1"])), 0),
+        "late k": lambda: line("k", 0),
+    }
+    kind = draw(st.sampled_from([None, *bad_lines]))
+    bad = bad_lines[kind]() if kind else None
+    if bad is not None:
+        # the late k line goes after the arcs, the rest anywhere among them
+        at = len(lines) if kind == "late k" else draw(st.integers(2, len(lines)))
+        lines.insert(at, bad)
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "\t", "# note", "  #a 0 1"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    cap = draw(st.just(files.MAX_ARCS) | st.integers(0, len(arcs) + 1))
+    return text, n, arcs, cap
+
+
+def parse_outcome(parse, text):
+    try:
+        obj = parse(text)
+    except InstanceParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", type(obj), obj)
+
+
+@settings(max_examples=300)
+@given(instance_texts())
+def test_parser_matches_reference(case):
+    text, n, arcs, cap = case
+    with patch.object(files, "MAX_ARCS", cap), patch.object(conftest, "MAX_ARCS", cap):
+        expected = parse_outcome(conftest.parse_instance_reference, text)
+        got = parse_outcome(parse_instance, text)
+    assert got == expected
+    if got[0] == "ok":
+        obj = got[2]
+        lines = ["qkdg 1", f"n {n}"]
+        if isinstance(obj, SplitDigraph):
+            lines.append(" ".join(["k", *map(str, sorted(obj.clique))]))
+        lines += [f"a {t} {h}" for t, h in sorted(arcs)]
+        assert serialize_instance(obj) == "\n".join(lines) + "\n"
