@@ -4,16 +4,19 @@ two fixed-parameter algorithms for split digraphs.
 The minimum quasi-kernel, the minimum dominating set and fpt_by_independent
 share one enumeration, ``_first_cover``: candidate sets by ascending
 cardinality and then lexicographically, so the first verified hit is
-provably minimum and deterministic.  It prunes on adjacency and on cover
-(some member must cover the lowest vertex still uncovered), which skips
-only subtrees without a hit.  Bitmask arithmetic keeps the per-candidate
-cost at a few integer operations; practical size caps turn hopeless
-instances into a refusal instead of a silent slow run.
+provably minimum and deterministic.  It prunes on adjacency, on cover
+(some member must cover the lowest vertex still uncovered), on a packing
+bound (uncovered vertices with disjoint coverers need a member each) and
+on twins (vertices with equal in- and out-neighbourhoods are taken lowest
+first).  No prune ever skips the first hit, so the answers are those of an
+unpruned scan.  Bitmask arithmetic keeps the per-candidate cost at a few
+integer operations; practical size caps turn hopeless instances into a
+refusal instead of a silent slow run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, QkCertificate, SplitDigraph, members
 
@@ -31,8 +34,10 @@ class SolveReport:
 
     ``optimal`` is True only when the enumeration order proves no smaller
     quasi-kernel exists; ``explored`` counts the independent candidate
-    sets whose cover was decided: at the last member, each free choice up
-    to the first hit.  Subtrees skipped by the cover prune add nothing.
+    sets whose cover was decided: at the last member, each choice the twin
+    rule allows up to the first hit.  Subtrees skipped by the cover prune,
+    children cut by the packing bound and sets the twin rule excludes add
+    nothing.
     """
 
     certificate: QkCertificate | None
@@ -41,34 +46,72 @@ class SolveReport:
     algorithm: str
 
 
+class _Tables(NamedTuple):
+    """The per-vertex masks of one exhaustive search.
+
+    ``conflict[u]``: the vertices that may not join a set holding u.
+    ``reach[v]``: the vertices that v covers.  ``covers[u]``: the mirror,
+    the vertices v with u in ``reach[v]``.  ``twins[v]``: the other vertices
+    with v's in- and out-neighbourhoods; ``paired``: the vertices that have
+    one.
+    """
+
+    conflict: list[int]
+    reach: list[int]
+    covers: list[int]
+    twins: list[int]
+    paired: int
+
+
+def _tables(d: Digraph, conflict: list[int], reach: list[int], covers: list[int]) -> _Tables:
+    """Bundle a search's masks with the twin classes of d."""
+    keys = list(zip(d.out_masks, d.in_masks))
+    classes: dict[tuple[int, int], int] = {}
+    for v, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << v
+    twins = [classes[key] ^ 1 << v for v, key in enumerate(keys)]
+    paired = sum(1 << v for v, mask in enumerate(twins) if mask)
+    return _Tables(conflict, reach, covers, twins, paired)
+
+
 def _first_cover(
-    k: int,
-    conflict: list[int],
-    reach: list[int],
-    covers: list[int],
-    banned: int,
-    cover: int,
-    full: int,
+    k: int, tables: _Tables, banned: int, cover: int, full: int
 ) -> tuple[tuple[int, ...] | None, int]:
     """The lexicographically first k-set S of vertices outside ``banned``,
     with no v in S inside ``conflict[u]`` of another member u, such that
     ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; and the number
     of k-sets whose cover was decided.
 
-    ``covers`` mirrors ``reach``: ``covers[u]`` is the mask of the vertices
-    v with u in ``reach[v]``.  This is the package's one exhaustive
-    enumeration.  It walks the sets in lexicographic order without
-    recursion, keeping one entry per chosen member, so its memory and depth
-    never depend on the number of vertices.  Two prunes skip only subtrees
-    that hold no hit, so the first hit is the same as an unpruned scan's:
-    a depth backtracks when fewer free vertices are left than still needed,
-    or when no free vertex covers u, the lowest vertex its prefix leaves
-    uncovered.  At the last depth the hits are the free vertices that cover
-    every uncovered vertex, found by AND'ing their ``covers`` masks; each
-    free vertex there up to the first hit counts as one decided k-set.
+    This is the package's one exhaustive enumeration.  It walks the sets in
+    lexicographic order without recursion, keeping one entry per chosen
+    member, so its memory and depth never depend on the number of vertices.
+    Its prunes never skip the first hit, so it is the same as an unpruned
+    scan's:
+
+    - a depth backtracks when fewer free vertices are left than still
+      needed, or when no free vertex covers u, the lowest vertex its prefix
+      leaves uncovered;
+    - a child depth is not entered when its packing bound rules it out:
+      scanning its uncovered vertices in ascending order, it keeps each one
+      whose free coverers (``covers[u]`` within the child's free set) are
+      disjoint from those of the vertices already kept.  Each kept vertex
+      needs a member of its own among its free coverers, so the child is
+      cut when more vertices are kept than members are still to choose, or
+      when a kept vertex has no free coverer;
+    - two twins outside ``banned`` are swapped by an automorphism of the
+      digraph that fixes every caller's ``banned`` and ``cover``, so the
+      first hit holds such a twin only with all of its lower ones: once a
+      vertex is passed over at a depth, its twins leave that depth's free
+      set, and at the last depth only the lowest free vertex of each twin
+      class is a choice.
+
+    At the last depth the hits are the choices that cover every uncovered
+    vertex, found by AND'ing their ``covers`` masks; each choice there up
+    to the first hit counts as one decided k-set.
     """
     if k == 0:
         return (() if cover == full else None), 1
+    conflict, reach, covers, twins, paired = tables
     last = k - 1
     tested = 0
     chosen = [0] * k
@@ -83,6 +126,13 @@ def _first_cover(
         free = free_at[depth]
         missing = full & ~cov_at[depth]
         if depth == last:
+            # the lowest free vertex of each twin class is its only choice
+            rest = free & paired
+            while rest:
+                low = rest & -rest
+                others = twins[low.bit_length() - 1]
+                free &= ~others
+                rest &= ~(others | low)
             cand = free
             while missing and cand:
                 low = missing & -missing
@@ -103,18 +153,36 @@ def _first_cover(
         else:
             low = free & -free
             free ^= low
-            free_at[depth] = free
             v = low.bit_length() - 1
+            # the siblings after v skip its twins; the child under v keeps them
+            free_at[depth] = free & ~twins[v]
             after = free & ~conflict[v]
-            if after.bit_count() >= last - depth:
-                chosen[depth] = v
-                depth += 1
-                free_at[depth] = after
-                cov_at[depth] = cov_at[depth - 1] | reach[v]
+            need = last - depth
+            if after.bit_count() >= need:
+                # the packing bound of the child: need ends below 0 to cut it
+                cov = cov_at[depth] | reach[v]
+                missing = full & ~cov
+                claimed = 0
+                while missing and need >= 0:
+                    low = missing & -missing
+                    missing ^= low
+                    coverers = covers[low.bit_length() - 1] & after
+                    if coverers & claimed:
+                        continue
+                    if not coverers:
+                        need = -1
+                        break
+                    claimed |= coverers
+                    need -= 1
+                if need >= 0:
+                    chosen[depth] = v
+                    depth += 1
+                    free_at[depth] = after
+                    cov_at[depth] = cov
     return None, tested
 
 
-def _qk_tables(d: Digraph) -> tuple[list[int], list[int], list[int]]:
+def _qk_tables(d: Digraph) -> _Tables:
     """Per-vertex conflict masks (out | in), reach-in-two masks and their
     mirror (the vertices each vertex reaches in at most two arcs): an
     independent set is a quasi-kernel iff its reach masks OR to full_mask."""
@@ -125,7 +193,8 @@ def _qk_tables(d: Digraph) -> tuple[list[int], list[int], list[int]]:
         for w in members(near):
             mask |= out[w]
         covers.append(mask)
-    return (
+    return _tables(
+        d,
         [o | i for o, i in zip(out, d.in_masks)],
         [d.reach_in_two(v) for v in range(d.n)],
         covers,
@@ -153,11 +222,11 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
             f"general search refused for n={d.n} > {GENERAL_VERTEX_CAP};"
             " supply a split partition or a budget-free smaller instance"
         )
-    conflict, reach2, covers = _qk_tables(d)
+    tables = _qk_tables(d)
     explored = 0
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, tested = _first_cover(k, conflict, reach2, covers, 0, 0, d.full_mask)
+        hit, tested = _first_cover(k, tables, 0, 0, d.full_mask)
         explored += tested
         if hit is not None:
             return SolveReport(d.certify(hit, "exact"), True, explored, "exact")
@@ -177,14 +246,21 @@ def is_dominating(d: Digraph, s: Iterable[int]) -> bool:
 
 def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] | None:
     """Minimum dominating set by exhaustive cardinality-ascending search
-    (ties broken to the lexicographically least vertex set)."""
+    (ties broken to the lexicographically least vertex set).
+
+    It runs the quasi-kernel search core with no adjacency conflicts, the
+    closed in-neighbourhoods as reach masks and the closed
+    out-neighbourhoods as their mirror, so the packing bound and the twin
+    rule apply as they do there.
+    """
     if d.n > GENERAL_VERTEX_CAP:
         raise CapExceededError(f"dominating-set search refused for n={d.n} > {GENERAL_VERTEX_CAP}")
     closed_in = [row | 1 << v for v, row in enumerate(d.in_masks)]
     closed_out = [row | 1 << v for v, row in enumerate(d.out_masks)]
+    tables = _tables(d, [0] * d.n, closed_in, closed_out)
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, _ = _first_cover(k, [0] * d.n, closed_in, closed_out, 0, 0, d.full_mask)
+        hit, _ = _first_cover(k, tables, 0, 0, d.full_mask)
         if hit is not None:
             return frozenset(hit)
     return None
@@ -263,16 +339,16 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     d = sd.graph
     if k < 0:
         return None
-    conflict, reach2, covers = _qk_tables(d)
+    tables = _qk_tables(d)
     full = d.full_mask
     clique = sorted(sd.clique)
     k_mask = d.mask_of(clique)
     for size in range(min(k, d.n) + 1):
-        hit, _ = _first_cover(size, conflict, reach2, covers, k_mask, 0, full)
+        hit, _ = _first_cover(size, tables, k_mask, 0, full)
         if hit is None and size >= 1:
             for c in clique:
                 hit, _ = _first_cover(
-                    size - 1, conflict, reach2, covers, k_mask | conflict[c], reach2[c], full
+                    size - 1, tables, k_mask | tables.conflict[c], tables.reach[c], full
                 )
                 if hit is not None:
                     hit = (*hit, c)

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 from .digraph import Arc, Digraph, PreconditionError, SplitDigraph, VerificationError
 from .exact import is_dominating
+from .files import MAX_ARCS, MAX_VERTICES
 
 
 class GenerationError(ValueError):
@@ -223,11 +224,21 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
 
     The host is an orientation of a split graph with n+m+2b+1 vertices and
     C(m+b,2)+3m+2b arcs, b = 2q+3; both counts are asserted, not trusted.
+    A host that parse_instance would refuse, over MAX_VERTICES or MAX_ARCS,
+    raises GenerationError before anything is built.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
     n, m = d.n, len(d.arcs)
     b = 2 * q + 3
+    total = n + m + 2 * b + 1
+    total_arcs = math.comb(m + b, 2) + 3 * m + 2 * b
+    if total_arcs > MAX_ARCS:
+        raise GenerationError(f"gadget needs {total_arcs} arcs, over the cap MAX_ARCS={MAX_ARCS}")
+    if total > MAX_VERTICES:
+        raise GenerationError(
+            f"gadget needs {total} vertices, over the cap MAX_VERTICES={MAX_VERTICES}"
+        )
     arc_order = tuple(d.arcs)
 
     s = 0
@@ -235,7 +246,6 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     s2 = {i: 1 + n + (i - 1) for i in range(1, b + 1)}
     k1 = {a: 1 + n + b + r for r, a in enumerate(arc_order)}
     k2 = {i: 1 + n + b + m + (i - 1) for i in range(1, b + 1)}
-    total = n + m + 2 * b + 1
 
     arcs: list[Arc] = []
     arcs += [(s, k1[a]) for a in arc_order]
@@ -265,9 +275,9 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     indep = [s] + sorted(s1.values()) + sorted(s2.values())
     host = SplitDigraph(Digraph(total, arcs), clique, indep)
 
-    if host.graph.n != n + m + 2 * b + 1:
+    if host.graph.n != total:
         raise VerificationError("gadget vertex count formula violated")
-    if len(host.graph.arcs) != math.comb(m + b, 2) + 3 * m + 2 * b:
+    if len(host.graph.arcs) != total_arcs:
         raise VerificationError("gadget arc count formula violated")
     if not host.classify().orientation:
         raise VerificationError("gadget is not an orientation")

@@ -220,6 +220,120 @@ def split_digraphs(draw, max_k: int = 4, max_i: int = 5) -> SplitDigraph:
     return SplitDigraph(Digraph(nk + ni, arcs), range(nk), range(nk, nk + ni))
 
 
+def with_twins(d: Digraph, originals) -> Digraph:
+    """d with one new vertex per entry of originals, each taking the in- and
+    out-neighbours of its original: a twin of it."""
+    arcs = set(d.arcs)
+    n = d.n
+    for original in originals:
+        arcs |= {(n, h) for h in d.out_neighbors(original)}
+        arcs |= {(t, n) for t in d.in_neighbors(original)}
+        n += 1
+    return Digraph(n, arcs)
+
+
+@st.composite
+def twinned_digraphs(draw, max_base: int = 10, max_n: int = 20) -> Digraph:
+    """A random digraph on at most max_base vertices with twins of some of
+    its vertices, up to max_n vertices in all, relabelled at random."""
+    base = draw(digraphs(max_n=max_base))
+    originals = []
+    if base.n:
+        originals = draw(st.lists(st.integers(0, base.n - 1), max_size=max_n - base.n))
+    d = with_twins(base, originals)
+    return relabel(d, draw(st.permutations(range(d.n))))
+
+
+@st.composite
+def twinned_split_digraphs(draw, max_n: int = 20) -> SplitDigraph:
+    """A split digraph with twins of some independent vertices, up to max_n
+    vertices in all, relabelled at random."""
+    sd = draw(split_digraphs())
+    n = sd.graph.n
+    independent = sorted(sd.independent)
+    originals = []
+    if independent:
+        originals = draw(st.lists(st.sampled_from(independent), max_size=max_n - n))
+    d = with_twins(sd.graph, originals)
+    twinned = SplitDigraph(d, sd.clique, [*independent, *range(n, d.n)])
+    return relabel_split(twinned, draw(st.permutations(range(d.n))))
+
+
+# The exhaustive-search core before the packing bound and the twin rule,
+# kept unchanged as the reference that test_properties compares it against.
+def first_cover_reference(
+    k: int,
+    conflict: list[int],
+    reach: list[int],
+    covers: list[int],
+    banned: int,
+    cover: int,
+    full: int,
+) -> tuple[tuple[int, ...] | None, int]:
+    """The lexicographically first k-set S of vertices outside ``banned``,
+    with no v in S inside ``conflict[u]`` of another member u, such that
+    ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; and the number
+    of k-sets whose cover was decided.
+
+    ``covers`` mirrors ``reach``: ``covers[u]`` is the mask of the vertices
+    v with u in ``reach[v]``.  This is the package's one exhaustive
+    enumeration.  It walks the sets in lexicographic order without
+    recursion, keeping one entry per chosen member, so its memory and depth
+    never depend on the number of vertices.  Two prunes skip only subtrees
+    that hold no hit, so the first hit is the same as an unpruned scan's:
+    a depth backtracks when fewer free vertices are left than still needed,
+    or when no free vertex covers u, the lowest vertex its prefix leaves
+    uncovered.  At the last depth the hits are the free vertices that cover
+    every uncovered vertex, found by AND'ing their ``covers`` masks; each
+    free vertex there up to the first hit counts as one decided k-set.
+    """
+    if k == 0:
+        return (() if cover == full else None), 1
+    last = k - 1
+    tested = 0
+    chosen = [0] * k
+    # at each depth: the vertices still free to choose there, and the cover
+    # of the vertices chosen above it
+    free_at = [0] * k
+    cov_at = [0] * k
+    free_at[0] = ~banned & (1 << len(reach)) - 1
+    cov_at[0] = cover
+    depth = 0
+    while depth >= 0:
+        free = free_at[depth]
+        missing = full & ~cov_at[depth]
+        if depth == last:
+            cand = free
+            while missing and cand:
+                low = missing & -missing
+                cand &= covers[low.bit_length() - 1]
+                missing ^= low
+            if cand:
+                hit = cand & -cand
+                tested += (free & (hit << 1) - 1).bit_count()
+                chosen[last] = hit.bit_length() - 1
+                return tuple(chosen), tested
+            tested += free.bit_count()
+            depth -= 1
+        elif free.bit_count() < k - depth:
+            depth -= 1
+        elif missing and not free & covers[(missing & -missing).bit_length() - 1]:
+            # every completion needs a member that covers the lowest uncovered vertex
+            depth -= 1
+        else:
+            low = free & -free
+            free ^= low
+            free_at[depth] = free
+            v = low.bit_length() - 1
+            after = free & ~conflict[v]
+            if after.bit_count() >= last - depth:
+                chosen[depth] = v
+                depth += 1
+                free_at[depth] = after
+                cov_at[depth] = cov_at[depth - 1] | reach[v]
+    return None, tested
+
+
 # A plain instance parser with the checks, messages and line numbers of
 # files.parse_instance: the reference that test_files compares it against.
 def parse_instance_reference(text: str) -> Digraph | SplitDigraph:

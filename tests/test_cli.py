@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import distinct_class_split
 
+import quasikernel
 from quasikernel import (
     check_certificate,
     gen_dn,
@@ -191,6 +197,30 @@ def test_reduce_counts_and_labels(tmp_path, capsys):
     assert len(host.graph.arcs) == 28
     assert "# label s1_0 1" in out
     assert main(["reduce", str(src), "--q", "0"]) == 2
+
+
+def test_reduce_over_the_arc_cap_exit_1(tmp_path):
+    # q = 10**9 asks for about 2e18 arcs.  The command runs in a child
+    # process whose address space is capped at 1 GiB, so a gadget built
+    # before the cap is checked fails fast instead of filling the memory.
+    resource = pytest.importorskip("resource")
+    src = tmp_path / "arc.qkdg"
+    src.write_text("qkdg 1\nn 2\na 0 1\n")
+    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    limit = 1 << 30
+    script = "import sys; from quasikernel.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "reduce", str(src), "--q", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert "over the cap MAX_ARCS=2000000" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bounds_reports_applicable_rows(tmp_path, capsys):

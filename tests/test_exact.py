@@ -179,6 +179,30 @@ def test_cover_prune_bounds_the_exact_search():
     assert rep.explored <= 30_000
 
 
+def test_packing_bound_and_twins_bound_the_exact_search():
+    # the cover prune alone decides 30,813 sets
+    rep = min_quasi_kernel(gen_dpn(3))
+    assert rep.certificate.size == 7
+    assert rep.explored <= 2_000
+
+
+def test_fpt_by_independent_past_the_exact_caps():
+    # |I| = 36 is past SPLIT_INDEPENDENT_CAP; fpt_by_independent has no cap
+    dn4, dpn4 = gen_dn(4), gen_dpn(4)
+    assert fpt_by_independent(dn4, 16) is None
+    assert fpt_by_independent(dn4, 17).size == 17
+    assert fpt_by_independent(dpn4, 12) is None
+    assert fpt_by_independent(dpn4, 13).size == 13
+
+
+def test_fpt_by_independent_clique_vertex_twin():
+    # the clique vertex 0 and both independent vertices are isolated twins;
+    # the twin rule must not let the banned clique vertex block them
+    sd = SplitDigraph(Digraph(3), [0], [1, 2])
+    assert fpt_by_independent(sd, 2) is None
+    assert fpt_by_independent(sd, 3).sorted_vertices() == (0, 1, 2)
+
+
 def test_fpt_by_clique_tests_combinations_on_masks(monkeypatch):
     calls = 0
     original = Digraph.is_quasi_kernel

@@ -1,9 +1,10 @@
 """Property tests for the structural invariants."""
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -12,6 +13,7 @@ from conftest import (
     digraphs_with_subsets,
     dominating_by_scan,
     dominating_two_serf_by_scan,
+    first_cover_reference,
     fpt_by_independent_by_bfs,
     induced_by_filter,
     qk_by_bfs,
@@ -20,6 +22,8 @@ from conftest import (
     semicomplete,
     semicomplete_arc_lists,
     split_digraphs,
+    twinned_digraphs,
+    twinned_split_digraphs,
 )
 from quasikernel import (
     Digraph,
@@ -27,12 +31,15 @@ from quasikernel import (
     PreconditionError,
     dominate_two_serf,
     fpt_by_independent,
+    gen_dn,
+    gen_dpn,
     min_dominating_set,
     min_quasi_kernel,
     quasi_kernel_cl,
     quasi_kernel_rooted,
     two_serf_semicomplete,
 )
+from quasikernel import exact
 
 
 @given(digraphs_with_subsets())
@@ -155,30 +162,72 @@ def first_by_size(n: int, accept) -> frozenset[int] | None:
     return None
 
 
-def decided_by_cover_prune(n: int, arcs, cand) -> bool:
-    """Whether a cover-pruned lexicographic scan decides the independent
-    candidate s_0 < ... < s_{k-1}: for every d <= k - 2 at which the prefix
-    S[:d] leaves a vertex uncovered, the lowest such vertex reaches within
-    two arcs some w >= s_d that conflicts with no member of S[:d]."""
-    for d in range(len(cand) - 1):
-        prefix = cand[:d]
+def twins_by_scan(n: int, arcs) -> list[set[int]]:
+    """For each vertex, the other vertices with the same out- and
+    in-neighbours, read off the arc list."""
+    sides = [
+        ({h for t, h in arcs if t == v}, {t for t, h in arcs if h == v}) for v in range(n)
+    ]
+    return [{u for u in range(n) if u != v and sides[u] == sides[v]} for v in range(n)]
+
+
+def decided_by_prunes(n: int, arcs, cand) -> bool:
+    """Whether the pruned lexicographic scan decides the independent
+    candidate S = s_0 < ... < s_{k-1}.
+
+    A vertex w is open after a prefix P at a floor f when w >= f, w is not
+    adjacent to a member of P, and every twin of w below f is in P (a twin
+    passed over takes its higher twins out of the scan).  S is decided iff
+    every twin below a member is a member, and for every d <= k - 2:
+
+    - cover: if S[:d] leaves a vertex uncovered, the lowest such vertex
+      reaches within two arcs some w open after S[:d] at floor s_d;
+    - packing: going up the vertices that S[:d+1] leaves uncovered, keep
+      each one whose coverers (open after S[:d+1] at floor s_d + 1, and
+      reached from it within two arcs) avoid the coverers of every vertex
+      kept before it; no kept vertex lacks coverers, and at most k - d - 1
+      are kept.
+    """
+    twins = twins_by_scan(n, arcs)
+    if any(u not in cand for s in cand for u in twins[s] if u < s):
+        return False
+
+    def open_after(prefix, floor):
+        return [
+            w
+            for w in range(floor, n)
+            if not any((w, s) in arcs or (s, w) in arcs for s in prefix)
+            and all(u in prefix for u in twins[w] if u < floor)
+        ]
+
+    def uncovered(prefix):
         covered = set().union(*(reaching_within_two(arcs, s) for s in prefix))
-        uncovered = [u for u in range(n) if u not in covered]
-        if uncovered and not any(
-            uncovered[0] in reaching_within_two(arcs, w)
-            and not any((w, s) in arcs or (s, w) in arcs for s in prefix)
-            for w in range(cand[d], n)
+        return [u for u in range(n) if u not in covered]
+
+    for d in range(len(cand) - 1):
+        left = uncovered(cand[:d])
+        if left and not any(
+            left[0] in reaching_within_two(arcs, w) for w in open_after(cand[:d], cand[d])
         ):
+            return False
+        free = open_after(cand[: d + 1], cand[d] + 1)
+        kept: list[set[int]] = []
+        for u in uncovered(cand[: d + 1]):
+            coverers = {w for w in free if u in reaching_within_two(arcs, w)}
+            if all(coverers.isdisjoint(other) for other in kept):
+                if not coverers:
+                    return False
+                kept.append(coverers)
+        if len(kept) > len(cand) - d - 1:
             return False
     return True
 
 
-@given(split_digraphs(), st.data())
-@settings(max_examples=80)
-def test_exhaustive_searches_match_brute_force(sd, data):
-    n = sd.graph.n
-    sd = relabel_split(sd, data.draw(st.permutations(range(n))))
-    d = sd.graph
+def check_min_qk_by_brute_force(inst) -> None:
+    """Both search modes return the least minimum quasi-kernel, and their
+    explored count is the number of candidates that the prunes leave."""
+    d = getattr(inst, "graph", inst)
+    n = d.n
     arcs = set(d.arcs)
     least_qk = first_by_size(n, lambda cand: qk_by_bfs(d, cand))
     # the independent sets up to the hit, in (size, lexicographic) order
@@ -189,11 +238,59 @@ def test_exhaustive_searches_match_brute_force(sd, data):
         for cand in combinations(range(n), size)
         if (size < len(last) or cand <= last) and not any(t in cand and h in cand for t, h in arcs)
     ]
-    decided = sum(1 for cand in independent if decided_by_cover_prune(n, arcs, cand))
-    for report in (min_quasi_kernel(sd), min_quasi_kernel(d)):
+    decided = sum(1 for cand in independent if decided_by_prunes(n, arcs, cand))
+    for report in (min_quasi_kernel(inst), min_quasi_kernel(d)):
         assert report.certificate.vertices == least_qk
         assert report.explored == decided <= len(independent)
+
+
+@pytest.mark.parametrize("family, n", [(gen_dn, 1), (gen_dn, 2), (gen_dpn, 1), (gen_dpn, 2)])
+def test_family_searches_match_brute_force(family, n):
+    # each row of the families' independent part is a class of n twins
+    check_min_qk_by_brute_force(family(n))
+
+
+@given(digraphs(max_n=8))
+@example(Digraph(4, [(0, 2), (1, 3), (3, 0)]))  # after {0} no free vertex covers 2
+@settings(max_examples=80)
+def test_general_search_matches_brute_force(d):
+    check_min_qk_by_brute_force(d)
+
+
+@given(split_digraphs(), st.data())
+@settings(max_examples=80)
+def test_exhaustive_searches_match_brute_force(sd, data):
+    sd = relabel_split(sd, data.draw(st.permutations(range(sd.graph.n))))
+    check_min_qk_by_brute_force(sd)
+    d = sd.graph
+    n = d.n
     k = data.draw(st.integers(0, 6))
     cert = fpt_by_independent(sd, k)
     assert (cert and cert.vertices) == fpt_by_independent_by_bfs(sd, k)
     assert min_dominating_set(d) == first_by_size(n, lambda cand: dominating_by_scan(d, cand))
+
+
+def exact_answers(d, sd, k):
+    qk = min_quasi_kernel(d).certificate
+    split_qk = min_quasi_kernel(sd).certificate
+    fpt = fpt_by_independent(sd, k)
+    return (
+        qk.sorted_vertices(),
+        min_dominating_set(d),
+        split_qk.sorted_vertices(),
+        fpt and fpt.sorted_vertices(),
+    )
+
+
+@given(twinned_digraphs(), twinned_split_digraphs(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_search_core_matches_reference_on_twins(d, sd, k):
+    # the packing bound and the twin rule change how many sets the core
+    # decides, never which set it returns
+    def reference(k, tables, banned, cover, full):
+        conflict, reach, covers = tables.conflict, tables.reach, tables.covers
+        return first_cover_reference(k, conflict, reach, covers, banned, cover, full)
+
+    with mock.patch.object(exact, "_first_cover", reference):
+        expected = exact_answers(d, sd, k)
+    assert exact_answers(d, sd, k) == expected

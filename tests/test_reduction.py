@@ -5,6 +5,7 @@ import pytest
 
 from quasikernel import (
     Digraph,
+    GenerationError,
     PreconditionError,
     has_qk_of_size_at_most,
     lift_domset,
@@ -13,6 +14,7 @@ from quasikernel import (
     project_qk,
     reduce_dds_to_qk,
 )
+from quasikernel import instances
 
 SINGLE_ARC = Digraph(2, [(0, 1)])
 
@@ -66,6 +68,24 @@ def test_labels_cover_all_host_vertices():
 def test_reduce_rejects_bad_q():
     with pytest.raises(ValueError):
         reduce_dds_to_qk(SINGLE_ARC, 0)
+
+
+def test_reduce_checks_the_instance_caps_before_building(monkeypatch):
+    # SINGLE_ARC at q=1 needs 14 vertices and 28 arcs
+    def never(*args):
+        raise AssertionError("the host was built")
+
+    monkeypatch.setattr(instances, "Digraph", never)
+    monkeypatch.setattr(instances, "MAX_ARCS", 27)
+    with pytest.raises(GenerationError, match="28 arcs, over the cap MAX_ARCS=27"):
+        reduce_dds_to_qk(SINGLE_ARC, 1)
+    monkeypatch.setattr(instances, "MAX_ARCS", 28)
+    monkeypatch.setattr(instances, "MAX_VERTICES", 13)
+    with pytest.raises(GenerationError, match="14 vertices, over the cap MAX_VERTICES=13"):
+        reduce_dds_to_qk(SINGLE_ARC, 1)
+    monkeypatch.setattr(instances, "MAX_VERTICES", 14)
+    with pytest.raises(AssertionError, match="the host was built"):
+        reduce_dds_to_qk(SINGLE_ARC, 1)
 
 
 def test_lift_single_arc():
