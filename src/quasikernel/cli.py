@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 semantic failure (not a quasi-kernel, no solution
 within the requested size, algorithm precondition or cap refusal), 2 input
-error (unparsable file or invalid parameters).
+error (unreadable or unparsable file, or invalid parameters).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,14 +21,8 @@ from .digraph import (
     SplitDigraph,
     VerificationError,
 )
-from .exact import (
-    CapExceededError,
-    fpt_by_clique,
-    fpt_by_independent,
-    min_quasi_kernel,
-)
+from .exact import fpt_by_clique, fpt_by_independent, min_quasi_kernel
 from .files import (
-    CertificateParseError,
     InstanceParseError,
     certificate_document,
     parse_instance,
@@ -156,37 +151,27 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
     algo = args.algo
     if algo == "auto":
         algo = _auto_algorithm(inst)
-    try:
-        cert, minimum = _solve_with(inst, algo, args.k)
-    except (PreconditionError, CapExceededError, NotQuasiKernelError, VerificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cert, minimum = _solve_with(inst, algo, args.k)
     if cert is None:
         print(f"no quasi-kernel of size <= {args.k}")
         return 1
-    graph = inst.graph if isinstance(inst, SplitDigraph) else inst
-    cert.check(graph)
-    _print_certificate_report(cert, minimum)
+    # the document is checked as it is built; the report follows the write,
+    # so a failed write prints no report
     if args.out:
         doc = certificate_document(cert, inst)
         Path(args.out).write_text(serialize_certificate(doc), encoding="utf-8")
+    else:
+        cert.check(inst.graph if isinstance(inst, SplitDigraph) else inst)
+    _print_certificate_report(cert, minimum)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
     literal = args.set.strip()
     try:
         vertices = [int(f) for f in literal.split(",")] if literal else []
@@ -208,11 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
     if args.q < 1:
         print("error: --q must be a positive integer", file=sys.stderr)
         return 2
@@ -225,11 +206,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
     rows: list[tuple[str, QkCertificate]] = []
     rows.append(("cl", graph.certify(quasi_kernel_cl(graph), "cl")))
@@ -254,16 +231,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
     _emit(to_dot(inst), args.out)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="qkdg", description="Small quasi-kernels in (split) digraphs"
     )
@@ -341,10 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InstanceParseError, CertificateParseError) as exc:
+    except (OSError, InstanceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, VerificationError) as exc:

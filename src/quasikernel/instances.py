@@ -223,7 +223,11 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     host has a quasi-kernel of size <= q+1.
 
     The host is an orientation of a split graph with n+m+2b+1 vertices and
-    C(m+b,2)+3m+2b arcs, b = 2q+3; both counts are asserted, not trusted.
+    C(m+b,2)+3m+2b arcs, b = 2q+3.  The arc count is asserted, not
+    trusted; the vertex count is enforced by SplitDigraph's partition
+    check, since clique and independent part together must cover the host.
+    The label table ``names`` (one entry per host vertex) is pinned by a
+    test, not checked here.
     A host that parse_instance would refuse, over MAX_VERTICES or MAX_ARCS,
     raises GenerationError before anything is built.
     """
@@ -275,8 +279,6 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     indep = [s] + sorted(s1.values()) + sorted(s2.values())
     host = SplitDigraph(Digraph(total, arcs), clique, indep)
 
-    if host.graph.n != total:
-        raise VerificationError("gadget vertex count formula violated")
     if len(host.graph.arcs) != total_arcs:
         raise VerificationError("gadget arc count formula violated")
     if not host.classify().orientation:

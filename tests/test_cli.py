@@ -4,8 +4,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import distinct_class_split
+from conftest import digraphs, distinct_class_split, split_digraphs
 
 import quasikernel
 from quasikernel import (
@@ -184,6 +186,15 @@ def test_exit_code_2_on_malformed_inputs(tmp_path, capsys):
         assert main(["verify", str(path), "0"]) == 2
     assert "error: line 3: not UTF-8: byte 0xff" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.qkdg")]) == 2
+    # unreadable paths: a directory as the instance or as the --out target
+    for argv in (["solve"], ["verify", "0"], ["reduce", "--q", "1"], ["bounds"], ["dot"]):
+        assert main([argv[0], str(tmp_path), *argv[1:]]) == 2
+    good = write_dn1(tmp_path)
+    assert main(["solve", str(good), "--out", str(tmp_path)]) == 2
+    assert main(["dot", str(good), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: [Errno") == 8  # missing file and 7 directories
+    assert captured.out == ""  # no solve report for a certificate not written
     assert main(["solve"]) == 2  # argparse usage error
 
 
@@ -272,3 +283,65 @@ def test_dot_subcommand(tmp_path, capsys):
     code, out = run(capsys, "dot", str(path))
     assert code == 0
     assert out.startswith("digraph") and out.count("->") == 6
+
+
+# --- fuzz of main(argv) ----------------------------------------------------
+
+ALGOS = ["auto", "cl", "one-way", "two-thirds", "peel", "complete-split", "fpt-k", "fpt-i", "exact"]
+LINES = ["qkdg 1", "qkdg 2", "n 0", "n 3", "n -1", "k 0", "k 0 1", "k 5", "a 0 1", "a 1 0",
+         "a 1 2", "a 0 0", "a 9 1", "a 0", "# c", "", "x"]
+
+instance_bytes = st.one_of(
+    st.one_of(digraphs(max_n=6), split_digraphs(max_k=3, max_i=4)).map(
+        lambda g: serialize_instance(g).encode()
+    ),
+    st.lists(st.sampled_from(LINES), max_size=6).map(lambda ls: "\n".join(ls).encode()),
+    st.binary(max_size=16).map(lambda tail: b"qkdg 1\nn 2\n" + tail),
+)
+small = st.integers(-1, 3).map(str)
+prob = st.one_of(st.floats(-0.5, 1.5).map(str), st.sampled_from(["nan", "inf", "x"]))
+
+
+@st.composite
+def argvs(draw, paths: dict[str, str]) -> list[str]:
+    path = draw(st.sampled_from([paths["instance"], paths["dir"], paths["missing"]]))
+    out = draw(st.sampled_from([[], ["--out", paths["out"]], ["--out", paths["dir"]]]))
+    command = draw(st.sampled_from(["gen", "solve", "verify", "reduce", "bounds", "dot", "raw"]))
+    if command == "gen":
+        family = draw(st.sampled_from(["dn", "dpn", "random-split", "random-complete-split"]))
+        if family in ("dn", "dpn"):
+            return ["gen", family, "--n", draw(small), *out]
+        argv = ["gen", family, "--seed", draw(small), "--nk", draw(small), "--ni", draw(small)]
+        flags = ["--p-digon", "--sink-free"]
+        if family == "random-split":
+            flags += ["--p-ki", "--p-ik", "--one-way"]
+        for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
+            argv += [flag] if flag in ("--sink-free", "--one-way") else [flag, draw(prob)]
+        return argv + out
+    if command == "solve":
+        k = draw(st.sampled_from([[], ["--k", draw(small)]]))
+        return ["solve", path, "--algo", draw(st.sampled_from(ALGOS)), *k, *out]
+    if command == "verify":
+        return ["verify", path, draw(st.text("0123,- x", max_size=6)), *out]
+    if command == "reduce":
+        return ["reduce", path, "--q", draw(small), *out]
+    if command == "bounds":
+        return ["bounds", path]
+    if command == "dot":
+        return ["dot", path, *out]
+    tokens = ["gen", "solve", "verify", "dn", "--n", "--k", "--algo", "exact", "1", "-1", path]
+    return draw(st.lists(st.sampled_from(tokens), max_size=5))
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("fuzz")
+    names = {"instance": "drawn.qkdg", "missing": "missing.qkdg", "out": "out.txt"}
+    return {"dir": str(root), **{key: str(root / name) for key, name in names.items()}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), content=instance_bytes)
+def test_main_returns_an_exit_code_on_any_argv(fuzz_paths, data, content):
+    Path(fuzz_paths["instance"]).write_bytes(content)
+    assert main(data.draw(argvs(fuzz_paths))) in (0, 1, 2)

@@ -21,8 +21,13 @@ def biorientations(pairs):
 
 
 def test_every_small_complete_split_biorientation_matches_oracle():
+    # complete_split_min_qk has no fallback: an input on which its direct
+    # pair fails raises.  Up to n = 4 every answer is compared with the
+    # oracle; at n = 5 only the pairs are, since a sink set or a 2-serf is
+    # a minimum by definition.
     checked = 0
-    for nk, ni in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+    parts = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (1, 4), (2, 3), (3, 2), (4, 1)]
+    for nk, ni in parts:
         n = nk + ni
         pairs = [(a, b) for a in range(nk) for b in range(a + 1, nk)]
         pairs += [(k, s) for k in range(nk) for s in range(nk, n)]
@@ -30,12 +35,13 @@ def test_every_small_complete_split_biorientation_matches_oracle():
             sd = SplitDigraph(Digraph(n, arcs), range(nk), range(nk, n))
             cert = complete_split_min_qk(sd)
             cert.check(sd.graph)
-            assert cert.size == min_quasi_kernel(sd).certificate.size
             sinks = sd.graph.sinks()
             if sinks:
                 assert cert.vertices == sinks
+            if n < 5 or (not sinks and cert.size == 2):
+                assert cert.size == min_quasi_kernel(sd).certificate.size
             checked += 1
-    assert checked == 1038
+    assert checked == 1038 + 81000
 
 
 def test_every_small_sink_free_one_way_split_digraph_meets_bound():
