@@ -200,6 +200,18 @@ class Digraph:
                 raise ValueError(f"arc ({t},{h}) endpoint out of range for n={n}")
             out[t] |= 1 << h
             inn[h] |= 1 << t
+        self._store(n, out, inn)
+
+    @classmethod
+    def _from_masks(cls, n: int, out: list[int], inn: list[int]) -> "Digraph":
+        """A digraph from mask rows that its caller has already checked:
+        bit h of out[t] set iff bit t of inn[h] is, no loops, no bit at n
+        or above."""
+        graph = cls.__new__(cls)
+        graph._store(n, out, inn)
+        return graph
+
+    def _store(self, n: int, out: list[int], inn: list[int]) -> None:
         self.n = n
         self._out = tuple(out)
         self._in = tuple(inn)

@@ -13,14 +13,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from typing import Mapping, Sequence
 
-from .digraph import Digraph, QkCertificate, SplitDigraph, SplitError, VerificationError
+from .digraph import Digraph, QkCertificate, SplitDigraph, SplitError, VerificationError, members
 
 INSTANCE_MAGIC = "qkdg 1"
 CERTIFICATE_MAGIC = "qkcert 1"
-# adjacency masks take up to 2 * n**2 / 8 bytes, 100 MB at 20,000 vertices
+# a mask row is as long as its highest member, so the masks take up to
+# 2 * n**2 / 8 bytes.  At n = 20,000 the 40k arcs (v, 19999) and (19999, v)
+# reach that: one parse peaks at 108 MiB under tracemalloc, 103 MiB of masks
 MAX_VERTICES = 20_000
 MAX_ARCS = 2_000_000
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -51,8 +53,13 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     names = [str(v) for v in range(graph.n)]
     for t, row in enumerate(graph.out_masks):
         if row:
-            # bin(row) reversed, as bytes 0/1, selects the heads in ascending order
-            heads = compress(names, bin(row)[:1:-1].encode().translate(_BIT_BYTES))
+            # both list the heads ascending: bin(row) walks every bit
+            # position and members(row) only the set ones, so a sparse row
+            # with a high head takes members and stays linear in its arcs
+            if row.bit_count() * 8 >= row.bit_length():
+                heads = compress(names, bin(row)[:1:-1].encode().translate(_BIT_BYTES))
+            else:
+                heads = [names[h] for h in members(row)]
             prefix = f"a {names[t]} "
             lines.append(prefix + ("\n" + prefix).join(heads))
     return "\n".join(lines) + "\n"
@@ -62,7 +69,10 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     header_seen = False
     n: int | None = None
     clique: list[int] | None = None
-    arc_keys: set[int] = set()  # t * n + h of every arc so far
+    out: list[int] = []  # out[t] bit h and inn[h] bit t set for every arc (t, h)
+    inn: list[int] = []
+    arc_count = 0
+    index: dict[str, int] = {}  # canonical spelling of each vertex -> vertex
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -72,23 +82,29 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
         # nearly every line is an arc, so test for one first; n is set only
         # after the header
         if tag == "a" and n is not None:
-            if len(arc_keys) == MAX_ARCS:
+            if arc_count == MAX_ARCS:
                 raise InstanceParseError(f"arc count over the cap MAX_ARCS={MAX_ARCS}", lineno)
             if len(fields) != 3:
                 raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno)
-            try:
-                t = int(fields[1])
-                h = int(fields[2])
-            except ValueError:
-                raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno) from None
-            if not (0 <= t < n and 0 <= h < n):
-                raise InstanceParseError(f"arc ({t},{h}) endpoint out of range", lineno)
+            t = index.get(fields[1])
+            h = index.get(fields[2])
+            if t is None or h is None:
+                # a spelling outside the table ('+1', '01', '1_0') reads as int() reads it
+                try:
+                    t = int(fields[1])
+                    h = int(fields[2])
+                except ValueError:
+                    raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno) from None
+                if not (0 <= t < n and 0 <= h < n):
+                    raise InstanceParseError(f"arc ({t},{h}) endpoint out of range", lineno)
             if t == h:
                 raise InstanceParseError(f"loop arc ({t},{t}) not allowed", lineno)
-            key = t * n + h
-            if key in arc_keys:
+            row = out[t]
+            if row >> h & 1:
                 raise InstanceParseError(f"duplicate arc ({t},{h})", lineno)
-            arc_keys.add(key)
+            out[t] = row | 1 << h
+            inn[h] |= 1 << t
+            arc_count += 1
         elif tag[0] == "#":
             continue
         elif not header_seen:
@@ -110,12 +126,15 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
                     f"vertex count over the cap MAX_VERTICES={MAX_VERTICES}", lineno
                 )
             n = int(digits)
+            out = [0] * n
+            inn = [0] * n
+            index = {str(v): v for v in range(n)}
         elif tag == "k":
             if n is None:
                 raise InstanceParseError("k line before n line", lineno)
             if clique is not None:
                 raise InstanceParseError("duplicate k line", lineno)
-            if arc_keys:
+            if arc_count:
                 raise InstanceParseError("k line must precede arc lines", lineno)
             try:
                 clique = [int(f) for f in fields[1:]]
@@ -136,8 +155,8 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
         raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
     if n is None:
         raise InstanceParseError("missing n line", last)
-    # divmod(t * n + h, n) is the arc (t, h)
-    graph = Digraph(n, map(divmod, arc_keys, repeat(n)))
+    # every arc was checked above, so the masks need no second pass
+    graph = Digraph._from_masks(n, out, inn)
     if clique is None:
         return graph
     independent = sorted(set(range(n)) - set(clique))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .digraph import Arc, Digraph, PreconditionError, SplitDigraph, VerificationError
 from .exact import is_dominating
@@ -19,6 +19,29 @@ from .files import MAX_ARCS, MAX_VERTICES
 
 class GenerationError(ValueError):
     """Requested generator options cannot be satisfied."""
+
+
+def _check_caps(what: str, vertices: int, arcs: int) -> None:
+    """Refuse, before building, what parse_instance would refuse to read back."""
+    if arcs > MAX_ARCS:
+        raise GenerationError(f"{what} needs {arcs} arcs, over the cap MAX_ARCS={MAX_ARCS}")
+    if vertices > MAX_VERTICES:
+        raise GenerationError(
+            f"{what} needs {vertices} vertices, over the cap MAX_VERTICES={MAX_VERTICES}"
+        )
+
+
+def _check_arc_set(what: str, arcs: Collection[Arc]) -> None:
+    """Stop a random model once its arc set passes the MAX_ARCS cap."""
+    if len(arcs) > MAX_ARCS:
+        raise GenerationError(f"{what}: arc count over the cap MAX_ARCS={MAX_ARCS}")
+
+
+def _check_probabilities(**named: float) -> None:
+    for name, p in named.items():
+        # also false for nan
+        if not 0 <= p <= 1:
+            raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +69,11 @@ def gen_dn(n: int) -> SplitDigraph:
     Clique vertex k_i points to the next n clique vertices (indices modulo
     2n+1); each of the n independent vertices s_i1..s_in points only to
     k_i.  The smallest quasi-kernel has n^2+1 vertices, asymptotically
-    half of the total.
+    half of the total.  Past MAX_VERTICES or MAX_ARCS it raises
+    GenerationError before building.
     """
     kc, _ = _family_sizes(n)
+    _check_caps(f"gen_dn({n})", kc * (n + 1), 2 * kc * n)
 
     def s_index(i: int, j: int) -> int:
         return kc + i * n + (j - 1)
@@ -65,8 +90,9 @@ def gen_dn(n: int) -> SplitDigraph:
 def gen_dpn(n: int) -> SplitDigraph:
     """Strongly connected variant of gen_dn: k_0 additionally points to
     every independent vertex s_ij with i >= 1.  Not one-way."""
-    base = gen_dn(n)
     kc, _ = _family_sizes(n)
+    _check_caps(f"gen_dpn({n})", kc * (n + 1), 2 * kc * n + (kc - 1) * n)
+    base = gen_dn(n)
     extra = [(0, kc + i * n + (j - 1)) for i in range(1, kc) for j in range(1, n + 1)]
     g = Digraph(base.graph.n, base.graph.arcs | frozenset(extra))
     return SplitDigraph(g, base.clique, base.independent)
@@ -99,10 +125,13 @@ def gen_random_split(
     a digon (nk == 2) or a forced arc into the independent part (nk == 1,
     requires ni >= 1 and not one_way), and every independent vertex gets a
     forced out-arc into the clique.  one_way suppresses clique-to-independent
-    arcs.  Raises GenerationError on unsatisfiable combinations.
+    arcs.  Raises GenerationError on unsatisfiable combinations, and once
+    the vertices or the arcs pass MAX_VERTICES or MAX_ARCS.
     """
     if nk < 0 or ni < 0:
         raise ValueError("part sizes must be nonnegative")
+    _check_probabilities(p_k_to_i=p_k_to_i, p_i_to_k=p_i_to_k, p_digon_k=p_digon_k)
+    _check_caps("random split", nk + ni, 0)
     if sink_free:
         if nk == 0 and ni > 0:
             raise GenerationError("sink-free impossible: an isolated independent vertex is a sink")
@@ -128,6 +157,7 @@ def gen_random_split(
             if frozenset((a, b)) in forced_cycle:
                 continue
             arcs.update(_orient_pair(rng, a, b, p_digon_k))
+        _check_arc_set("random split", arcs)
     if sink_free and nk == 1:
         arcs.add((0, nk))
     if sink_free:
@@ -139,6 +169,7 @@ def gen_random_split(
                 arcs.add((k, s))
             if rng.random() < p_i_to_k:
                 arcs.add((s, k))
+        _check_arc_set("random split", arcs)
 
     sd = SplitDigraph(Digraph(nk + ni, arcs), range(nk), indep)
     flags = sd.classify()
@@ -161,12 +192,16 @@ def gen_random_complete_split(
     Every clique pair and every clique-independent pair is adjacent; each
     adjacency gets a random orientation plus a digon with probability
     p_digon.  sink_free resamples the incident orientations of offending
-    vertices, up to 100 passes, then raises GenerationError.
+    vertices, up to 100 passes, then raises GenerationError.  So does a
+    digraph over MAX_VERTICES or MAX_ARCS.
     """
     if nk < 0 or ni < 0:
         raise ValueError("part sizes must be nonnegative")
-    rng = random.Random(seed)
+    _check_probabilities(p_digon=p_digon)
     n = nk + ni
+    # every adjacent pair takes at least one arc
+    _check_caps("random complete split", n, math.comb(nk, 2) + nk * ni)
+    rng = random.Random(seed)
     pairs = [(a, b) for a in range(nk) for b in range(a + 1, nk)]
     pairs += [(k, s) for k in range(nk) for s in range(nk, n)]
     oriented: dict[tuple[int, int], tuple[Arc, ...]] = {
@@ -175,6 +210,7 @@ def gen_random_complete_split(
 
     def build() -> SplitDigraph:
         arcs = [a for arcset in oriented.values() for a in arcset]
+        _check_arc_set("random complete split", arcs)
         return SplitDigraph(Digraph(n, arcs), range(nk), range(nk, n))
 
     sd = build()
@@ -237,12 +273,7 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     b = 2 * q + 3
     total = n + m + 2 * b + 1
     total_arcs = math.comb(m + b, 2) + 3 * m + 2 * b
-    if total_arcs > MAX_ARCS:
-        raise GenerationError(f"gadget needs {total_arcs} arcs, over the cap MAX_ARCS={MAX_ARCS}")
-    if total > MAX_VERTICES:
-        raise GenerationError(
-            f"gadget needs {total} vertices, over the cap MAX_VERTICES={MAX_VERTICES}"
-        )
+    _check_caps("gadget", total, total_arcs)
     arc_order = tuple(d.arcs)
 
     s = 0

@@ -51,6 +51,31 @@ def test_gen_rejects_bad_n(capsys):
     assert main(["gen", "dn", "--n", "0"]) == 2
 
 
+def test_gen_exit_code_2_on_bad_probabilities_and_sizes(monkeypatch, capsys):
+    cases = [
+        (["random-split", "--p-ki", "nan"], "p_k_to_i"),
+        (["random-split", "--p-ki", "-0.5"], "p_k_to_i"),
+        (["random-split", "--p-ki", "1.5"], "p_k_to_i"),
+        (["random-split", "--p-ik", "2"], "p_i_to_k"),
+        (["random-split", "--p-digon", "-1"], "p_digon_k"),
+        (["random-complete-split", "--p-digon", "7"], "p_digon"),
+    ]
+    for argv, name in cases:
+        family, *flags = argv
+        assert main(["gen", family, "--seed", "1", "--nk", "2", "--ni", "2", *flags]) == 2
+        assert f"error: {name} must be a probability" in capsys.readouterr().err
+    monkeypatch.setattr(quasikernel.instances, "MAX_VERTICES", 10)
+    argvs = [
+        ["dn", "--n", "2"],
+        ["dpn", "--n", "2"],
+        ["random-split", "--seed", "1", "--nk", "4", "--ni", "7"],
+        ["random-complete-split", "--seed", "1", "--nk", "4", "--ni", "7"],
+    ]
+    for argv in argvs:
+        assert main(["gen", *argv]) == 2
+        assert "over the cap MAX_VERTICES=10" in capsys.readouterr().err
+
+
 def test_gen_random_round_trip(tmp_path, capsys):
     code, out = run(
         capsys, "gen", "random-split", "--seed", "3", "--nk", "4", "--ni", "6", "--sink-free"

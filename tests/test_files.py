@@ -2,7 +2,7 @@ from unittest.mock import patch
 
 import conftest
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasikernel import (
@@ -216,10 +216,21 @@ def test_parsers_raise_only_their_own_errors(text):
             pass
 
 
+# spellings of an endpoint v that are not str(v) but that int() reads;
+# int("1_0") is 10, out of range for every n that instance_texts draws
+RESPELLINGS = {
+    "plus": lambda v: f"+{v}",
+    "zero": lambda v: f"0{v}",
+    "arabic-indic": lambda v: "".join(chr(0x660 + int(d)) for d in str(v)),
+    "underscore": lambda v: "1_0",
+}
+
+
 @st.composite
 def instance_texts(draw):
     """(text, n, arcs, arc cap) for a random instance in a random layout,
-    with at most one bad line that trips one check of the parser."""
+    with at most one bad line that trips one check of the parser, and
+    sometimes some arc endpoints in one of RESPELLINGS."""
     n = draw(st.integers(0, 7))
     pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
@@ -236,17 +247,24 @@ def instance_texts(draw):
     sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
     pad = draw(st.sampled_from(["", " ", "\t"]))
 
+    respell = draw(st.sampled_from([None, *RESPELLINGS.values()]))
+
     def line(*fields):
         return pad + sep.join(str(f) for f in fields) + draw(st.sampled_from(["", pad]))
+
+    def arc_line(t, h):
+        if respell is not None:
+            t, h = (respell(v) if draw(st.booleans()) else v for v in (t, h))
+        return line("a", t, h)
 
     # the header must equal "qkdg 1" once stripped, so it is only padded
     lines = [pad + "qkdg 1" + pad, line("n", n)]
     if clique is not None:
         lines.append(line("k", *clique))
-    lines += [line("a", t, h) for t, h in arcs]
+    lines += [arc_line(t, h) for t, h in arcs]
     bad_lines = {
-        "duplicate": lambda: line("a", *draw(st.sampled_from(arcs))) if arcs else None,
-        "loop": lambda: line("a", v := draw(st.integers(0, n)), v),
+        "duplicate": lambda: arc_line(*draw(st.sampled_from(arcs))) if arcs else None,
+        "loop": lambda: arc_line(v := draw(st.integers(0, n)), v),
         "range": lambda: line("a", *draw(st.sampled_from([(-1, 0), (0, -1), (n, 0), (0, n)]))),
         "fields": lambda: line(
             "a", *draw(st.lists(st.integers(0, n), max_size=3).filter(lambda f: len(f) != 2))
@@ -276,8 +294,15 @@ def parse_outcome(parse, text):
     return ("ok", type(obj), obj)
 
 
+# a few arcs among vertices near 19,999, so that some mask rows are far
+# sparser than they are long
+HIGH_ARCS = [(3, 19_998), (19_990, 19_997), (19_990, 19_999), (19_995, 3), (19_999, 19_990)]
+HIGH_TEXT = "qkdg 1\nn 20000\n" + "".join(f"a {t} {h}\n" for t, h in HIGH_ARCS)
+
+
 @settings(max_examples=300)
 @given(instance_texts())
+@example((HIGH_TEXT, 20_000, HIGH_ARCS, files.MAX_ARCS))
 def test_parser_matches_reference(case):
     text, n, arcs, cap = case
     with patch.object(files, "MAX_ARCS", cap), patch.object(conftest, "MAX_ARCS", cap):
@@ -286,8 +311,29 @@ def test_parser_matches_reference(case):
     assert got == expected
     if got[0] == "ok":
         obj = got[2]
+        graph = obj.graph if isinstance(obj, SplitDigraph) else obj
+        reference = expected[2].graph if isinstance(obj, SplitDigraph) else expected[2]
+        # Digraph equality compares only out_masks
+        assert graph.in_masks == reference.in_masks
         lines = ["qkdg 1", f"n {n}"]
         if isinstance(obj, SplitDigraph):
             lines.append(" ".join(["k", *map(str, sorted(obj.clique))]))
         lines += [f"a {t} {h}" for t, h in sorted(arcs)]
         assert serialize_instance(obj) == "\n".join(lines) + "\n"
+
+
+def test_parser_builds_no_digraph_through_init(monkeypatch):
+    # Digraph.__init__ re-checks every arc; the parser has checked them all
+    sd = gen_random_split(5, 200, 200)
+    text = serialize_instance(sd)
+    calls = []
+    init = Digraph.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Digraph, "__init__", counted)
+    parsed = parse_instance(text)
+    assert len(calls) == 0
+    assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks

@@ -10,6 +10,7 @@ from quasikernel import (
     gen_random_split,
     min_quasi_kernel,
 )
+from quasikernel import instances
 
 
 def test_dn1_exact_structure():
@@ -141,3 +142,79 @@ def test_random_generators_reject_negative_sizes():
         gen_random_split(0, -1, 2)
     with pytest.raises(ValueError):
         gen_random_complete_split(0, 2, -1)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda p: gen_random_split(0, 2, 2, p_k_to_i=p), "p_k_to_i"),
+        (lambda p: gen_random_split(0, 2, 2, p_i_to_k=p), "p_i_to_k"),
+        (lambda p: gen_random_split(0, 2, 2, p_digon_k=p), "p_digon_k"),
+        (lambda p: gen_random_complete_split(0, 2, 2, p_digon=p), "p_digon"),
+    ],
+)
+def test_random_generators_reject_non_probabilities(call, name):
+    for p in (float("nan"), -0.5, 1.5, 7.0, float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be a probability"):
+            call(p)
+    for p in (0.0, 1.0):
+        call(p)
+
+
+def never(*args):
+    raise AssertionError("the digraph was built")
+
+
+def test_families_check_the_instance_caps_before_building(monkeypatch):
+    # gen_dn(1) has 6 vertices and 6 arcs, gen_dpn(1) 6 vertices and 8 arcs
+    monkeypatch.setattr(instances, "Digraph", never)
+    monkeypatch.setattr(instances, "MAX_ARCS", 5)
+    with pytest.raises(GenerationError, match=r"gen_dn\(1\) needs 6 arcs, over the cap MAX_ARCS=5"):
+        gen_dn(1)
+    monkeypatch.setattr(instances, "MAX_ARCS", 7)
+    with pytest.raises(GenerationError, match=r"gen_dpn\(1\) needs 8 arcs, over the cap MAX_ARCS=7"):
+        gen_dpn(1)
+    monkeypatch.setattr(instances, "MAX_ARCS", 8)
+    monkeypatch.setattr(instances, "MAX_VERTICES", 5)
+    for gen in (gen_dn, gen_dpn):
+        with pytest.raises(GenerationError, match="6 vertices, over the cap MAX_VERTICES=5"):
+            gen(1)
+    monkeypatch.setattr(instances, "MAX_VERTICES", 6)
+    for gen in (gen_dn, gen_dpn):
+        with pytest.raises(AssertionError, match="the digraph was built"):
+            gen(1)
+    # the formulas hold up to n = 4
+    monkeypatch.undo()
+    for n in range(1, 5):
+        kc = 2 * n + 1
+        assert len(gen_dn(n).graph.arcs) == 2 * kc * n
+        assert len(gen_dpn(n).graph.arcs) == 2 * kc * n + (kc - 1) * n
+        assert gen_dpn(n).graph.n == kc * (n + 1)
+
+
+def test_random_models_check_the_instance_caps(monkeypatch):
+    split = gen_random_split(3, 4, 7, sink_free=True)
+    complete = gen_random_complete_split(4, 3, 5, p_digon=0.5)
+    m_split, m_complete = len(split.graph.arcs), len(complete.graph.arcs)
+    # 3 clique pairs and 15 clique-independent pairs take at least 18 arcs
+    assert m_complete > 18
+    monkeypatch.setattr(instances, "MAX_ARCS", m_split)
+    assert gen_random_split(3, 4, 7, sink_free=True) == split
+    monkeypatch.setattr(instances, "MAX_ARCS", m_complete)
+    assert gen_random_complete_split(4, 3, 5, p_digon=0.5) == complete
+
+    monkeypatch.setattr(instances, "Digraph", never)
+    monkeypatch.setattr(instances, "MAX_ARCS", m_split - 1)
+    with pytest.raises(GenerationError, match=f"arc count over the cap MAX_ARCS={m_split - 1}"):
+        gen_random_split(3, 4, 7, sink_free=True)
+    monkeypatch.setattr(instances, "MAX_ARCS", 17)
+    with pytest.raises(GenerationError, match="needs 18 arcs, over the cap MAX_ARCS=17"):
+        gen_random_complete_split(4, 3, 5, p_digon=0.5)
+    monkeypatch.setattr(instances, "MAX_ARCS", m_complete - 1)
+    with pytest.raises(GenerationError, match=f"arc count over the cap MAX_ARCS={m_complete - 1}"):
+        gen_random_complete_split(4, 3, 5, p_digon=0.5)
+    monkeypatch.setattr(instances, "MAX_ARCS", 100)
+    monkeypatch.setattr(instances, "MAX_VERTICES", 10)
+    for gen in (gen_random_split, gen_random_complete_split):
+        with pytest.raises(GenerationError, match="11 vertices, over the cap MAX_VERTICES=10"):
+            gen(0, 4, 7)
