@@ -2,8 +2,6 @@
 
 Run: python3 demos/bounds_tour.py
 """
-from fractions import Fraction
-
 import quasikernel as qk
 
 
@@ -29,7 +27,7 @@ def main() -> None:
     print("== same model, with sinks: peel then solve ==")
     sd = qk.gen_random_split(12, 5, 12, p_i_to_k=0.2, p_k_to_i=0.2)
     sinks = sd.graph.sinks()
-    cert = qk.peel_split(sd, alpha=Fraction(2, 3))
+    cert = qk.peel_split(sd)
     print(f"  sinks {sorted(sinks)} stay in the answer: {sinks <= cert.vertices}")
     show("peel_split", cert, sd.graph.n)
 

@@ -1,13 +1,14 @@
 """Command-line front end: generate, solve, verify, reduce, bounds, dot.
 
 Exit codes: 0 success, 1 semantic failure (not a quasi-kernel, no solution
-within the requested size, algorithm precondition or cap refusal), 2 input
-error (unreadable or unparsable file, or invalid parameters).
+within the requested size, precondition, cap or MAX_SEARCH_STEPS refusal),
+2 input error (unreadable, unparsable or oversized file, bad parameters).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from .digraph import (
 )
 from .exact import fpt_by_clique, fpt_by_independent, min_quasi_kernel
 from .files import (
+    MAX_INSTANCE_BYTES,
     InstanceParseError,
     certificate_document,
     parse_instance,
@@ -41,11 +43,21 @@ from .instances import (
 )
 from .split_qk import complete_split_min_qk, one_way_qk, peel_split, two_thirds_qk
 
+# the rows of bounds depend on n alone, never on how far a search gets
 EXACT_BOUNDS_LIMIT = 18
 
 
 def _read_instance(path: str) -> Digraph | SplitDigraph:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        # stat only sizes the first read, as a device or a FIFO reports size
+        # 0; a first read that fills up goes on to one byte past the cap
+        want = min(os.fstat(f.fileno()).st_size, MAX_INSTANCE_BYTES) + 1
+        data = f.read(want)
+        if len(data) == want:
+            data += f.read(MAX_INSTANCE_BYTES + 1 - want)
+    if len(data) > MAX_INSTANCE_BYTES:
+        line = data.count(b"\n", 0, MAX_INSTANCE_BYTES) + 1
+        raise InstanceParseError(f"file over the cap MAX_INSTANCE_BYTES={MAX_INSTANCE_BYTES}", line)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -108,17 +120,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _auto_algorithm(inst: Digraph | SplitDigraph) -> str:
+def _split_constructions(inst: Digraph | SplitDigraph) -> list[str]:
+    """The split-digraph constructions whose preconditions inst meets,
+    strongest first, as bounds prints them; none for a plain Digraph."""
     if not isinstance(inst, SplitDigraph):
-        return "cl"
+        return []
     flags = inst.classify()
-    if flags.complete_split:
-        return "complete-split"
+    algos = ["complete-split"] if flags.complete_split else []
     if flags.one_way and flags.sink_free:
-        return "one-way"
-    if flags.sink_free:
-        return "two-thirds"
-    return "peel"
+        algos.append("one-way")
+    algos.append("two-thirds" if flags.sink_free else "peel")
+    return algos
 
 
 def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple[QkCertificate | None, bool]:
@@ -126,6 +138,9 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
     if algo == "cl":
         return graph.certify(quasi_kernel_cl(graph), "cl"), False
+    if algo == "exact":
+        report = min_quasi_kernel(inst, budget=k)
+        return report.certificate, report.optimal
     if not isinstance(inst, SplitDigraph):
         raise PreconditionError(f"algorithm '{algo}' needs a split partition (k line)")
     if algo == "one-way":
@@ -136,17 +151,10 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
         return peel_split(inst), False
     if algo == "complete-split":
         return complete_split_min_qk(inst), True
-    if algo == "fpt-k":
+    if algo in ("fpt-k", "fpt-i"):
         if k is None:
             raise PreconditionError("--k is required for fpt algorithms")
-        return fpt_by_clique(inst, k), False
-    if algo == "fpt-i":
-        if k is None:
-            raise PreconditionError("--k is required for fpt algorithms")
-        return fpt_by_independent(inst, k), False
-    if algo == "exact":
-        report = min_quasi_kernel(inst, budget=k)
-        return report.certificate, report.optimal
+        return (fpt_by_clique if algo == "fpt-k" else fpt_by_independent)(inst, k), False
     raise PreconditionError(f"unknown algorithm '{algo}'")
 
 
@@ -154,7 +162,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     algo = args.algo
     if algo == "auto":
-        algo = _auto_algorithm(inst)
+        algo = (_split_constructions(inst) or ["cl"])[0]
     cert, minimum = _solve_with(inst, algo, args.k)
     if cert is None:
         print(f"no quasi-kernel of size <= {args.k}")
@@ -208,22 +216,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
-    rows: list[tuple[str, QkCertificate]] = []
-    rows.append(("cl", graph.certify(quasi_kernel_cl(graph), "cl")))
-    if isinstance(inst, SplitDigraph):
-        flags = inst.classify()
-        if flags.complete_split:
-            rows.append(("complete-split", complete_split_min_qk(inst)))
-        if flags.one_way and flags.sink_free:
-            rows.append(("one-way", one_way_qk(inst)))
-        if flags.sink_free:
-            rows.append(("two-thirds", two_thirds_qk(inst)))
-        else:
-            rows.append(("peel", peel_split(inst)))
+    algos = ["cl", *_split_constructions(inst)]
     if graph.n <= EXACT_BOUNDS_LIMIT:
-        report = min_quasi_kernel(inst)
-        if report.certificate is not None:
-            rows.append(("exact", report.certificate))
+        algos.append("exact")
+    rows = [(algo, _solve_with(inst, algo, None)[0]) for algo in algos]
     for name, cert in rows:
         cert.check(graph)
         print(f"{name} bound={_fmt_bound(cert.bound)} achieved={cert.size} verified=yes")

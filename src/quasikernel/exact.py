@@ -10,8 +10,8 @@ bound (uncovered vertices with disjoint coverers need a member each) and
 on twins (vertices with equal in- and out-neighbourhoods are taken lowest
 first).  No prune ever skips the first hit, so the answers are those of an
 unpruned scan.  Bitmask arithmetic keeps the per-candidate cost at a few
-integer operations; practical size caps turn hopeless instances into a
-refusal instead of a silent slow run.
+integer operations; a call refuses on the work it does past
+MAX_SEARCH_STEPS, never on the input's size.
 """
 from __future__ import annotations
 
@@ -20,12 +20,21 @@ from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, QkCertificate, SplitDigraph, members
 
-GENERAL_VERTEX_CAP = 24
-SPLIT_INDEPENDENT_CAP = 24
+# The steps one exact search may take: iterations of _first_cover's loop,
+# bits its scans take off a mask, and stack pops of fpt_by_clique, each a
+# bounded number of mask operations at any n.  gen_dpn(10) takes 1.9M
+# (0.8 s).  On a 2-vCPU VM the limit stops min_quasi_kernel on G(2000,
+# 0.002) after about 5.5 s, and fpt_by_clique at k = 3 on 12 clique and
+# 1,500 distinct independent classes after about 4 s.
+MAX_SEARCH_STEPS = 10_000_000
 
 
 class CapExceededError(ValueError):
-    """The instance exceeds the practical exhaustive-search limits."""
+    """An exact search ran past MAX_SEARCH_STEPS steps."""
+
+
+def _over_limit() -> CapExceededError:
+    return CapExceededError(f"exact search over the step limit MAX_SEARCH_STEPS={MAX_SEARCH_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -75,12 +84,12 @@ def _tables(d: Digraph, conflict: list[int], reach: list[int], covers: list[int]
 
 
 def _first_cover(
-    k: int, tables: _Tables, banned: int, cover: int, full: int
-) -> tuple[tuple[int, ...] | None, int]:
+    k: int, tables: _Tables, banned: int, cover: int, full: int, steps: int
+) -> tuple[tuple[int, ...] | None, int, int]:
     """The lexicographically first k-set S of vertices outside ``banned``,
     with no v in S inside ``conflict[u]`` of another member u, such that
-    ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; and the number
-    of k-sets whose cover was decided.
+    ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; the number
+    of k-sets whose cover was decided; and what is left of ``steps``.
 
     This is the package's one exhaustive enumeration.  It walks the sets in
     lexicographic order without recursion, keeping one entry per chosen
@@ -108,9 +117,11 @@ def _first_cover(
     At the last depth the hits are the choices that cover every uncovered
     vertex, found by AND'ing their ``covers`` masks; each choice there up
     to the first hit counts as one decided k-set.
+    Each loop iteration and each bit a scan takes off its mask is a step;
+    an iteration that finds ``steps`` spent raises CapExceededError.
     """
     if k == 0:
-        return (() if cover == full else None), 1
+        return (() if cover == full else None), 1, steps
     conflict, reach, covers, twins, paired = tables
     last = k - 1
     tested = 0
@@ -123,26 +134,32 @@ def _first_cover(
     cov_at[0] = cover
     depth = 0
     while depth >= 0:
+        steps -= 1
+        if steps < 0:
+            raise _over_limit()
         free = free_at[depth]
         missing = full & ~cov_at[depth]
         if depth == last:
             # the lowest free vertex of each twin class is its only choice
             rest = free & paired
+            steps -= rest.bit_count()
             while rest:
                 low = rest & -rest
                 others = twins[low.bit_length() - 1]
                 free &= ~others
                 rest &= ~(others | low)
             cand = free
+            todo = missing
             while missing and cand:
                 low = missing & -missing
                 cand &= covers[low.bit_length() - 1]
                 missing ^= low
+            steps -= (todo ^ missing).bit_count()
             if cand:
                 hit = cand & -cand
                 tested += (free & (hit << 1) - 1).bit_count()
                 chosen[last] = hit.bit_length() - 1
-                return tuple(chosen), tested
+                return tuple(chosen), tested, steps
             tested += free.bit_count()
             depth -= 1
         elif free.bit_count() < k - depth:
@@ -161,7 +178,7 @@ def _first_cover(
             if after.bit_count() >= need:
                 # the packing bound of the child: need ends below 0 to cut it
                 cov = cov_at[depth] | reach[v]
-                missing = full & ~cov
+                missing = todo = full & ~cov
                 claimed = 0
                 while missing and need >= 0:
                     low = missing & -missing
@@ -174,12 +191,13 @@ def _first_cover(
                         break
                     claimed |= coverers
                     need -= 1
+                steps -= (todo ^ missing).bit_count()
                 if need >= 0:
                     chosen[depth] = v
                     depth += 1
                     free_at[depth] = after
                     cov_at[depth] = cov
-    return None, tested
+    return None, tested, steps
 
 
 def _qk_tables(d: Digraph) -> _Tables:
@@ -206,27 +224,16 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
     least vertex set), or a none-within-budget report.
 
     Sizes are tried in ascending order, each by one pruned scan of the
-    independent sets of that size.  The input type only picks the cap: a
-    SplitDigraph is refused when |I| > SPLIT_INDEPENDENT_CAP (each of its
-    independent sets is a subset of I plus at most one clique vertex), a
-    plain Digraph when n > GENERAL_VERTEX_CAP.  Both give the same set.
+    independent sets of that size; all of them share MAX_SEARCH_STEPS.  A
+    SplitDigraph is searched as its plain graph.
     """
-    if isinstance(d, SplitDigraph):
-        if len(d.independent) > SPLIT_INDEPENDENT_CAP:
-            raise CapExceededError(
-                f"split-aware search refused for |I|={len(d.independent)} > {SPLIT_INDEPENDENT_CAP}"
-            )
-        d = d.graph
-    elif d.n > GENERAL_VERTEX_CAP:
-        raise CapExceededError(
-            f"general search refused for n={d.n} > {GENERAL_VERTEX_CAP};"
-            " supply a split partition or a budget-free smaller instance"
-        )
+    d = d.graph if isinstance(d, SplitDigraph) else d
     tables = _qk_tables(d)
     explored = 0
+    steps = MAX_SEARCH_STEPS
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, tested = _first_cover(k, tables, 0, 0, d.full_mask)
+        hit, tested, steps = _first_cover(k, tables, 0, 0, d.full_mask, steps)
         explored += tested
         if hit is not None:
             return SolveReport(d.certify(hit, "exact"), True, explored, "exact")
@@ -251,16 +258,15 @@ def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] 
     It runs the quasi-kernel search core with no adjacency conflicts, the
     closed in-neighbourhoods as reach masks and the closed
     out-neighbourhoods as their mirror, so the packing bound and the twin
-    rule apply as they do there.
+    rule apply as they do there, and so does MAX_SEARCH_STEPS.
     """
-    if d.n > GENERAL_VERTEX_CAP:
-        raise CapExceededError(f"dominating-set search refused for n={d.n} > {GENERAL_VERTEX_CAP}")
     closed_in = [row | 1 << v for v, row in enumerate(d.in_masks)]
     closed_out = [row | 1 << v for v, row in enumerate(d.out_masks)]
     tables = _tables(d, [0] * d.n, closed_in, closed_out)
+    steps = MAX_SEARCH_STEPS
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, _ = _first_cover(k, tables, 0, 0, d.full_mask)
+        hit, _, steps = _first_cover(k, tables, 0, 0, d.full_mask, steps)
         if hit is not None:
             return frozenset(hit)
     return None
@@ -287,11 +293,10 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
     combinations.  A state is a member mask with the OR of its members'
     reach-in-two masks, so a combination is a quasi-kernel iff its masks OR
     to full_mask: it is independent by construction, because the classes
-    adjacent to the clique vertex are always excluded.
+    adjacent to the clique vertex are always excluded.  Each stack pop is a
+    step, and the scans of all clique vertices share MAX_SEARCH_STEPS.
     """
     d = sd.graph
-    if k < 0:
-        return None
     full = d.full_mask
     classes = _independent_classes(sd)
     adj = [d.in_masks[rep] | d.out_masks[rep] for rep, _ in classes]
@@ -306,12 +311,16 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
         rep_only = (1 << rep, reach, 1)
         states.append(((0, 0, 0), whole, rep_only) if len(cls) > 1 else ((0, 0, 0), whole))
 
+    steps = MAX_SEARCH_STEPS
     for c in [None, *sorted(sd.clique)]:
         room = k - (0 if c is None else 1)
         if room < 0:
             continue
         stack = [(0, 0, 0, room) if c is None else (0, 1 << c, d.reach_in_two(c), room)]
         while stack:
+            steps -= 1
+            if steps < 0:
+                raise _over_limit()
             idx, mask, cov, left = stack.pop()
             # with no room left every remaining class can only be excluded
             if idx == len(classes) or left == 0:
@@ -334,21 +343,20 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     Candidates are tested in ascending total size, so the first hit is a
     minimum one; within a size, the subsets of I alone come first, then
     those with each clique vertex c in ascending order, each group in
-    lexicographic order.  There is no cap on |I|.
+    lexicographic order.  All the scans share MAX_SEARCH_STEPS.
     """
     d = sd.graph
-    if k < 0:
-        return None
     tables = _qk_tables(d)
     full = d.full_mask
     clique = sorted(sd.clique)
     k_mask = d.mask_of(clique)
+    steps = MAX_SEARCH_STEPS
     for size in range(min(k, d.n) + 1):
-        hit, _ = _first_cover(size, tables, k_mask, 0, full)
+        hit, _, steps = _first_cover(size, tables, k_mask, 0, full, steps)
         if hit is None and size >= 1:
             for c in clique:
-                hit, _ = _first_cover(
-                    size - 1, tables, k_mask | tables.conflict[c], tables.reach[c], full
+                hit, _, steps = _first_cover(
+                    size - 1, tables, k_mask | tables.conflict[c], tables.reach[c], full, steps
                 )
                 if hit is not None:
                     hit = (*hit, c)

@@ -25,6 +25,9 @@ CERTIFICATE_MAGIC = "qkcert 1"
 # reach that: one parse peaks at 108 MiB under tracemalloc, 103 MiB of masks
 MAX_VERTICES = 20_000
 MAX_ARCS = 2_000_000
+# room for MAX_ARCS arc lines of at most 14 bytes ("a 19999 19999\n") and a
+# label comment per vertex; a file over it is refused before it is decoded
+MAX_INSTANCE_BYTES = 16 * (MAX_ARCS + MAX_VERTICES)
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 

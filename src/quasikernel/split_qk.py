@@ -328,24 +328,16 @@ def _run_oracle(d: Digraph, oracle: SinkFreeOracle, subset: int) -> int:
     return d.mask_of(q)
 
 
-def split_subset_oracle(
-    sd: SplitDigraph,
-    solver: Callable[[SplitDigraph], QkCertificate] = two_thirds_qk,
-) -> SinkFreeOracle:
-    """Adapt a split-digraph solver to the subset-oracle protocol of peel_sinks."""
+def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
+    """Adapt two_thirds_qk to the subset-oracle protocol of peel_sinks."""
 
     def oracle(d: Digraph, subset: frozenset[int]) -> frozenset[int]:
         sub, old_of_new, _ = sd.induced_split(subset)
-        cert = solver(sub)
-        return frozenset(old_of_new[v] for v in cert.vertices)
+        return frozenset(old_of_new[v] for v in two_thirds_qk(sub).vertices)
 
     return oracle
 
 
-def peel_split(
-    sd: SplitDigraph,
-    alpha: Fraction = Fraction(2, 3),
-    solver: Callable[[SplitDigraph], QkCertificate] = two_thirds_qk,
-) -> QkCertificate:
-    """peel_sinks wired to a split-digraph sink-free solver (two-thirds by default)."""
-    return peel_sinks(sd.graph, split_subset_oracle(sd, solver), alpha)
+def peel_split(sd: SplitDigraph) -> QkCertificate:
+    """peel_sinks over two_thirds_qk, so alpha = 2/3."""
+    return peel_sinks(sd.graph, split_subset_oracle(sd), Fraction(2, 3))

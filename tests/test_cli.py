@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from quasikernel import (
     parse_instance,
     serialize_instance,
 )
+from quasikernel import files
 from quasikernel.cli import main
 
 
@@ -170,10 +172,26 @@ def test_solve_precondition_failures_exit_1(tmp_path, capsys):
     assert main(["solve", str(plain), "--algo", "fpt-k"]) == 1
 
 
-def test_solve_exact_cap_exit_1(tmp_path):
-    path = tmp_path / "big.qkdg"
-    path.write_text("qkdg 1\nn 30\n" + "".join(f"a {v} {v+1}\n" for v in range(29)))
+def test_solve_exact_cap_exit_1(tmp_path, monkeypatch, capsys):
+    # gen_dpn(6) takes about 86k steps
+    path = tmp_path / "dpn6.qkdg"
+    assert main(["gen", "dpn", "--n", "6", "--out", str(path)]) == 0
+    monkeypatch.setattr(quasikernel.exact, "MAX_SEARCH_STEPS", 1_000)
     assert main(["solve", str(path), "--algo", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert "over the step limit MAX_SEARCH_STEPS=1000" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_exact_on_45_vertices(tmp_path, capsys):
+    # |I| = 36; the plain digraph needs no split partition
+    split, plain = tmp_path / "dn4.qkdg", tmp_path / "dn4-plain.qkdg"
+    assert main(["gen", "dn", "--n", "4", "--out", str(split)]) == 0
+    plain.write_text(serialize_instance(gen_dn(4).graph))
+    for path in (split, plain):
+        code, out = run(capsys, "solve", str(path), "--algo", "exact")
+        assert code == 0
+        assert "size: 17\n" in out and "minimum: true\n" in out
 
 
 def test_verify_good_and_bad_sets(tmp_path, capsys):
@@ -221,6 +239,60 @@ def test_exit_code_2_on_malformed_inputs(tmp_path, capsys):
     assert captured.err.count("error: [Errno") == 8  # missing file and 7 directories
     assert captured.out == ""  # no solve report for a certificate not written
     assert main(["solve"]) == 2  # argparse usage error
+
+
+def test_instance_files_over_the_byte_cap_exit_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "comments.qkdg"
+    text = "qkdg 1\n" + "# c\n" * 10 + "n 1\n"
+    path.write_text(text)
+    monkeypatch.setattr(quasikernel.cli, "MAX_INSTANCE_BYTES", len(text))
+    assert main(["solve", str(path)]) == 0
+    monkeypatch.setattr(quasikernel.cli, "MAX_INSTANCE_BYTES", len(text) - 1)
+    assert main(["solve", str(path)]) == 2
+    assert main(["verify", str(path), "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: line 12: file over the cap MAX_INSTANCE_BYTES={len(text) - 1}") == 2
+
+
+def test_instance_from_a_fifo(tmp_path, capsys):
+    # a FIFO reports size 0 to stat, and its instance is still read whole
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs")
+    path = tmp_path / "dn1.fifo"
+    os.mkfifo(path)
+    text = serialize_instance(gen_dn(1))
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        code, out = run(capsys, "solve", str(path))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 0 and "size: 2\n" in out
+
+
+def test_endless_instance_file_exit_2():
+    # /dev/zero never ends.  The command runs in a child process whose
+    # address space is capped at 512 MiB, so an uncapped read fails fast
+    # instead of filling the memory.
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    limit = 1 << 29
+    script = "import sys; from quasikernel.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "/dev/zero"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2
+    assert f"over the cap MAX_INSTANCE_BYTES={files.MAX_INSTANCE_BYTES}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_reduce_counts_and_labels(tmp_path, capsys):

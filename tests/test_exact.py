@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import distinct_class_split, qk_by_bfs, random_digraph
+from quasikernel import exact
 from quasikernel import (
     CapExceededError,
     Digraph,
@@ -50,12 +51,55 @@ def test_min_qk_budget_refusal_reports_none():
     assert rep.explored > 0
 
 
-def test_min_qk_caps():
-    with pytest.raises(CapExceededError):
-        min_quasi_kernel(Digraph(25))
-    big_i = SplitDigraph(Digraph(26, [(s, 0) for s in range(1, 26)]), [0], range(1, 26))
-    with pytest.raises(CapExceededError):
-        min_quasi_kernel(big_i)
+def test_min_qk_caps(monkeypatch):
+    # gen_dpn(6) takes about 86k steps, as a Digraph and as a SplitDigraph
+    monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
+    sd = gen_dpn(6)
+    for inst in (sd, sd.graph):
+        with pytest.raises(CapExceededError, match="MAX_SEARCH_STEPS=1000"):
+            min_quasi_kernel(inst)
+
+
+def test_min_qk_on_45_vertices():
+    # |I| = 36; the search takes about 1.6k of MAX_SEARCH_STEPS
+    for inst in (gen_dn(4), gen_dn(4).graph):
+        rep = min_quasi_kernel(inst)
+        assert rep.optimal
+        assert rep.certificate.size == 17
+
+
+def test_search_steps_are_shared_by_the_scans_of_one_call(monkeypatch):
+    used = []
+    core = exact._first_cover
+
+    def recording(k, tables, banned, cover, full, steps):
+        hit, tested, left = core(k, tables, banned, cover, full, steps)
+        used.append(steps - left)
+        return hit, tested, left
+
+    monkeypatch.setattr(exact, "_first_cover", recording)
+    assert min_quasi_kernel(gen_dpn(3)).certificate.size == 7
+    # every scan fits in the limit on its own, and all of them do not
+    assert 2 * max(used) < sum(used)
+    monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 2 * max(used))
+    with pytest.raises(CapExceededError, match="MAX_SEARCH_STEPS"):
+        min_quasi_kernel(gen_dpn(3))
+
+
+def test_fpt_and_dominating_set_searches_stop_at_the_step_limit(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
+    message = "MAX_SEARCH_STEPS=1000"
+    # about 5.6e8 combinations at k = 3; k = 1 alone takes 3k pops
+    with pytest.raises(CapExceededError, match=message):
+        fpt_by_clique(distinct_class_split(), 3)
+    with pytest.raises(CapExceededError, match=message):
+        fpt_by_independent(gen_dpn(4), 13)
+    with pytest.raises(CapExceededError, match=message):
+        min_dominating_set(gen_dpn(6).graph)
+    # the same searches within the limit
+    assert fpt_by_clique(gen_dn(1), 2).size == 2
+    assert fpt_by_independent(gen_dn(1), 2).size == 2
+    assert min_dominating_set(gen_dn(1).graph) == {0, 1, 2}
 
 
 def test_split_and_general_modes_agree():
@@ -187,7 +231,7 @@ def test_packing_bound_and_twins_bound_the_exact_search():
 
 
 def test_fpt_by_independent_past_the_exact_caps():
-    # |I| = 36 is past SPLIT_INDEPENDENT_CAP; fpt_by_independent has no cap
+    # |I| = 36; each search takes under 10^4 of MAX_SEARCH_STEPS
     dn4, dpn4 = gen_dn(4), gen_dpn(4)
     assert fpt_by_independent(dn4, 16) is None
     assert fpt_by_independent(dn4, 17).size == 17

@@ -287,9 +287,9 @@ def exact_answers(d, sd, k):
 def test_search_core_matches_reference_on_twins(d, sd, k):
     # the packing bound and the twin rule change how many sets the core
     # decides, never which set it returns
-    def reference(k, tables, banned, cover, full):
+    def reference(k, tables, banned, cover, full, steps):
         conflict, reach, covers = tables.conflict, tables.reach, tables.covers
-        return first_cover_reference(k, conflict, reach, covers, banned, cover, full)
+        return (*first_cover_reference(k, conflict, reach, covers, banned, cover, full), steps)
 
     with mock.patch.object(exact, "_first_cover", reference):
         expected = exact_answers(d, sd, k)

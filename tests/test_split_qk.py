@@ -16,6 +16,7 @@ from quasikernel import (
     one_way_qk,
     peel_sinks,
     peel_split,
+    split_subset_oracle,
     two_thirds_qk,
 )
 
@@ -277,7 +278,7 @@ def test_peel_two_layer_example():
 def test_peel_rejects_small_alpha():
     sd = SplitDigraph(Digraph(2, [(0, 1)]), [0, 1], [])
     with pytest.raises(PreconditionError, match="alpha"):
-        peel_split(sd, alpha=Fraction(1, 3))
+        peel_sinks(sd.graph, split_subset_oracle(sd), Fraction(1, 3))
 
 
 def test_peel_structural_properties_campaign():
