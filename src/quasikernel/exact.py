@@ -21,7 +21,8 @@ from typing import Iterable, NamedTuple
 from .digraph import Digraph, QkCertificate, SplitDigraph, members
 
 # The steps one exact search may take: iterations of _first_cover's loop,
-# bits its scans take off a mask, and stack pops of fpt_by_clique, each a
+# bits its scans take off a mask, stack pops of fpt_by_clique, and two per
+# arc for the tables of min_quasi_kernel and fpt_by_independent, each a
 # bounded number of mask operations at any n.  gen_dpn(10) takes 1.9M
 # (0.8 s).  On a 2-vCPU VM the limit stops min_quasi_kernel on G(2000,
 # 0.002) after about 5.5 s, and fpt_by_clique at k = 3 on 12 clique and
@@ -200,10 +201,21 @@ def _first_cover(
     return None, tested, steps
 
 
+def _steps_after_tables(d: Digraph) -> int:
+    """MAX_SEARCH_STEPS less the two per-arc scans of _qk_tables(d), a step
+    per arc each, taken before they run: a digraph too large for the
+    limit is refused before its tables are built."""
+    steps = MAX_SEARCH_STEPS - 2 * sum(row.bit_count() for row in d.out_masks)
+    if steps < 0:
+        raise _over_limit()
+    return steps
+
+
 def _qk_tables(d: Digraph) -> _Tables:
     """Per-vertex conflict masks (out | in), reach-in-two masks and their
     mirror (the vertices each vertex reaches in at most two arcs): an
-    independent set is a quasi-kernel iff its reach masks OR to full_mask."""
+    independent set is a quasi-kernel iff its reach masks OR to full_mask.
+    The mirror and the reach masks take one scan of the arcs each."""
     out = d.out_masks
     covers = []
     for u, near in enumerate(out):
@@ -224,13 +236,14 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
     least vertex set), or a none-within-budget report.
 
     Sizes are tried in ascending order, each by one pruned scan of the
-    independent sets of that size; all of them share MAX_SEARCH_STEPS.  A
-    SplitDigraph is searched as its plain graph.
+    independent sets of that size; all of them share MAX_SEARCH_STEPS with
+    the building of the search's tables.  A SplitDigraph is searched as its
+    plain graph.
     """
     d = d.graph if isinstance(d, SplitDigraph) else d
+    steps = _steps_after_tables(d)
     tables = _qk_tables(d)
     explored = 0
-    steps = MAX_SEARCH_STEPS
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
         hit, tested, steps = _first_cover(k, tables, 0, 0, d.full_mask, steps)
@@ -343,14 +356,15 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     Candidates are tested in ascending total size, so the first hit is a
     minimum one; within a size, the subsets of I alone come first, then
     those with each clique vertex c in ascending order, each group in
-    lexicographic order.  All the scans share MAX_SEARCH_STEPS.
+    lexicographic order.  All the scans share MAX_SEARCH_STEPS with the
+    building of the search's tables.
     """
     d = sd.graph
+    steps = _steps_after_tables(d)
     tables = _qk_tables(d)
     full = d.full_mask
     clique = sorted(sd.clique)
     k_mask = d.mask_of(clique)
-    steps = MAX_SEARCH_STEPS
     for size in range(min(k, d.n) + 1):
         hit, _, steps = _first_cover(size, tables, k_mask, 0, full, steps)
         if hit is None and size >= 1:

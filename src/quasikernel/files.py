@@ -2,19 +2,22 @@
 
 Instance files ("qkdg 1"): a vertex-count line, an optional clique-part
 line turning the file into a split digraph, and one line per arc, in any
-order when read and ascending when written.  Certificate files
-("qkcert 1") carry the algorithm label, the vertex set, per-vertex
-witness paths, the bound in force, and a digest of the instance they
-certify.  Both formats are line-based and human-diffable; they are
-written LF-terminated and read with any line ending.
+order when read and ascending when written.  The arc lines of a dense
+file written so are read in bulk, chunk by chunk; any other text line by
+line.  Certificate files ("qkcert 1") carry the algorithm label, the
+vertex set, per-vertex witness paths, the bound in force, and a digest of
+the instance they certify.  Both formats are line-based and
+human-diffable; they are written LF-terminated and read with any line
+ending.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from typing import Mapping, Sequence
+from itertools import compress, groupby, islice, repeat
+from operator import lshift
+from typing import Iterable, Mapping, Sequence
 
 from .digraph import Digraph, QkCertificate, SplitDigraph, SplitError, VerificationError, members
 
@@ -29,6 +32,12 @@ MAX_ARCS = 2_000_000
 # label comment per vertex; a file over it is refused before it is decoded
 MAX_INSTANCE_BYTES = 16 * (MAX_ARCS + MAX_VERTICES)
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# the most characters of whole arc lines that parse_instance reads in bulk at
+# once: it bounds the chunk's token lists, which peak at about 30 times that
+BULK_CHUNK = 8192
+_ARC_CHARS = b"0123456789a \n"
+# the columns c of one byte with bit s of c set, for s = 1, 2, 4
+_LOW_COLUMNS = {1: 0xAA, 2: 0xCC, 4: 0xF0}
 
 
 class InstanceParseError(ValueError):
@@ -68,16 +77,70 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str) -> Digraph | SplitDigraph:
-    header_seen = False
+@dataclass
+class _Reading:
+    """What the instance lines read so far have set."""
+
+    lines: int = 0
+    header_seen: bool = False
     n: int | None = None
     clique: list[int] | None = None
-    out: list[int] = []  # out[t] bit h and inn[h] bit t set for every arc (t, h)
-    inn: list[int] = []
-    arc_count = 0
-    index: dict[str, int] = {}  # canonical spelling of each vertex -> vertex
+    # out[t] bit h and inn[h] bit t set for every arc (t, h)
+    out: list[int] = field(default_factory=list)
+    inn: list[int] = field(default_factory=list)
+    arc_count: int = 0
+    # canonical spelling of each vertex -> vertex
+    index: dict[str, int] = field(default_factory=dict)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+def parse_instance(text: str) -> Digraph | SplitDigraph:
+    """The digraph, or split digraph, of an instance text.
+
+    Lines are read one by one up to the first line that starts 'a ' after
+    an LF.  When the rest is longer than BULK_CHUNK, it is read in bulk
+    (``_read_dense``) if it is dense enough for the transpose to pay;
+    otherwise, or when any of the bulk reader's checks fails, it is read
+    line by line too, so every error, message and line number is the line
+    reader's.
+    """
+    reading = _Reading()
+    start = text.find("\na ") + 1
+    if len(text) - start <= BULK_CHUNK:
+        start = 0
+    _read_lines(reading, (text[:start] if start else text).splitlines())
+    if start:
+        out = _read_dense(text, start, reading)
+        if out is None:
+            _read_lines(reading, islice(text.splitlines(), reading.lines, None))
+        else:
+            reading.out = out
+            reading.inn = _transpose(out, reading.n)
+
+    last = text.count("\n") + 1
+    if not reading.header_seen:
+        raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
+    n = reading.n
+    if n is None:
+        raise InstanceParseError("missing n line", last)
+    # every arc was checked on its way in, so the masks need no second pass
+    graph = Digraph._from_masks(n, reading.out, reading.inn)
+    clique = reading.clique
+    if clique is None:
+        return graph
+    independent = sorted(set(range(n)) - set(clique))
+    try:
+        return SplitDigraph(graph, clique, independent)
+    except SplitError as exc:
+        raise InstanceParseError(f"invalid split partition: {exc}", last) from exc
+
+
+def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
+    """Read the next lines of an instance text into ``reading``, checking
+    each one and setting both mask bits of each arc."""
+    header_seen, n, clique = reading.header_seen, reading.n, reading.clique
+    out, inn, arc_count, index = reading.out, reading.inn, reading.arc_count, reading.index
+    lineno = reading.lines
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         fields = raw.split()
         if not fields:
             continue
@@ -152,21 +215,104 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
             raise InstanceParseError("arc line before n line", lineno)
         else:
             raise InstanceParseError(f"unknown directive '{tag}'", lineno)
+    reading.lines = lineno
+    reading.header_seen, reading.n, reading.clique = header_seen, n, clique
+    reading.out, reading.inn, reading.arc_count, reading.index = out, inn, arc_count, index
 
-    last = text.count("\n") + 1
-    if not header_seen:
-        raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
-    if n is None:
-        raise InstanceParseError("missing n line", last)
-    # every arc was checked above, so the masks need no second pass
-    graph = Digraph._from_masks(n, out, inn)
-    if clique is None:
-        return graph
-    independent = sorted(set(range(n)) - set(clique))
+
+def _read_dense(text: str, start: int, reading: _Reading) -> list[int] | None:
+    """The out-mask rows of the arc lines text[start:], read in bulk, or
+    None when the line reader must read them.
+
+    The text is taken when no arc was read before it, n >= 64 and n**2 <=
+    16 * len / 6 (an arc line is at least 6 characters), so that one
+    transpose for the in-masks costs less than setting their bits arc by
+    arc.  It is read in chunks of at most BULK_CHUNK characters of whole
+    lines, which bounds the token lists.  A chunk must hold only '0'-'9',
+    'a', space and LF, start every line with 'a ' and split into 3 tokens
+    per line, and every tail and head token must be a spelling of the
+    table.  'a' spells no vertex, so a line of other than 3 tokens would
+    put the 'a' of a later line among the tails or the heads: every line
+    is 'a <tail> <head>', as the line reader splits it.
+
+    The tails must ascend, each tail's arcs in one run.  A run's heads
+    become one row; a popcount below the run's length (a duplicate in the
+    run), bit t of row t (a loop), or a bit shared with the same tail's
+    run in the previous chunk (a duplicate across the chunk edge) hands
+    the text back, and so does passing MAX_ARCS.
+    """
+    n = reading.n
+    if n is None or reading.arc_count or n < 64 or n * n * 6 > 16 * (len(text) - start):
+        return None
+    spelled = reading.index.__getitem__
+    out = [0] * n
+    arcs = 0
+    prev = -1
+    pos = start
+    stop = len(text)
     try:
-        return SplitDigraph(graph, clique, independent)
-    except SplitError as exc:
-        raise InstanceParseError(f"invalid split partition: {exc}", last) from exc
+        while pos < stop:
+            # an end of 0 (no LF within a chunk) makes an empty chunk, refused below
+            end = stop if stop - pos <= BULK_CHUNK else text.rfind("\n", pos, pos + BULK_CHUNK) + 1
+            chunk = text[pos:end]
+            lines = chunk.count("\n")
+            if not (chunk.startswith("a ") and chunk.count("\na ") == lines - 1
+                    and chunk.isascii() and not chunk.encode().translate(None, _ARC_CHARS)):
+                return None
+            tokens = chunk.split()
+            arcs += lines
+            if len(tokens) != 3 * lines or arcs > MAX_ARCS:
+                return None
+            heads = list(map(spelled, tokens[2::3]))
+            at = 0
+            for tail, run in groupby(tokens[1::3]):
+                t = spelled(tail)
+                count = len(list(run))
+                row = sum(map(lshift, repeat(1), heads[at:at + count]))
+                at += count
+                if row.bit_count() != count or row >> t & 1:
+                    return None
+                if t <= prev:
+                    # the run goes on from the previous chunk
+                    if t < prev or row & out[t]:
+                        return None
+                    row |= out[t]
+                out[t] = row
+                prev = t
+            pos = end
+    except KeyError:
+        return None
+    return out
+
+
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """The columns of the n x n bit matrix with the given rows: bit t of
+    column h is bit h of rows[t].
+
+    The rows are packed into one int of width x width bits, width the
+    power of two >= max(n, 8), row t at bit t * width.  The transpose then
+    swaps bit s of the row with bit s of the column for s = width / 2, ...,
+    1: one delta swap of the whole int each, moving the bits (r, c) with s
+    clear in r and set in c to (r + s, c - s), s * (width - 1) positions
+    up.
+    """
+    width = max(8, 1 << (n - 1).bit_length())
+    size = width // 8
+    matrix = int.from_bytes(b"".join(row.to_bytes(size, "little") for row in rows), "little")
+    s = width // 2
+    while s:
+        # the columns with bit s set, in one row, then the rows with bit s clear
+        if s < 8:
+            cols = bytes([_LOW_COLUMNS[s]]) * size
+        else:
+            cols = (bytes(s // 8) + b"\xff" * (s // 8)) * (width // (2 * s))
+        mask = int.from_bytes((cols * s + bytes(size * s)) * (width // (2 * s)), "little")
+        delta = s * (width - 1)
+        swap = (matrix >> delta ^ matrix) & mask
+        matrix ^= swap ^ swap << delta
+        s //= 2
+    data = matrix.to_bytes(size * width, "little")
+    return [int.from_bytes(data[h * size:(h + 1) * size], "little") for h in range(n)]
 
 
 def instance_digest(obj: Digraph | SplitDigraph) -> str:

@@ -102,6 +102,25 @@ def test_fpt_and_dominating_set_searches_stop_at_the_step_limit(monkeypatch):
     assert min_dominating_set(gen_dn(1).graph) == {0, 1, 2}
 
 
+def test_tables_are_charged_to_the_step_limit_before_they_are_built(monkeypatch):
+    # two steps per arc: 80k for the digraph and about 20k for the split one
+    rng = random.Random(7)
+    arcs = set()
+    while len(arcs) < 40_000:
+        t, h = rng.randrange(2_000), rng.randrange(2_000)
+        if t != h:
+            arcs.add((t, h))
+    big = Digraph(2_000, arcs)
+    built = []
+    monkeypatch.setattr(exact, "_qk_tables", lambda d: built.append(d))
+    monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
+    with pytest.raises(CapExceededError, match="MAX_SEARCH_STEPS=1000"):
+        min_quasi_kernel(big)
+    with pytest.raises(CapExceededError, match="MAX_SEARCH_STEPS=1000"):
+        fpt_by_independent(gen_random_split(1, 100, 100), 1)
+    assert built == []
+
+
 def test_split_and_general_modes_agree():
     for seed in range(50):
         rng = random.Random(seed * 31 + 2)

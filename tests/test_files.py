@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import conftest
@@ -337,3 +338,95 @@ def test_parser_builds_no_digraph_through_init(monkeypatch):
     parsed = parse_instance(text)
     assert len(calls) == 0
     assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks
+
+
+def _respell_tail(line, spelling):
+    _, t, h = line.split()
+    return f"a {spelling(int(t))} {h}"
+
+
+def _tail(line):
+    return line.split()[1]
+
+
+# Defects of the arc lines of a canonical dense text, at arc line i or at
+# j, a line of i's tail run or the line just after it.  Each of them, a
+# missing final LF and a MAX_ARCS one below the arc count send the text
+# back to the line reader, which reads it as the reference does.  'ragged'
+# spaces a line out, and the bulk reader splits it as the line reader does.
+DENSE_DEFECTS = {
+    "duplicate": lambda lines, i, j, n: lines.insert(j, lines[i]),
+    "loop": lambda lines, i, j, n: lines.insert(j, f"a {_tail(lines[i])} {_tail(lines[i])}"),
+    "range": lambda lines, i, j, n: lines.insert(j, f"a {_tail(lines[i])} {n}"),
+    "plus": lambda lines, i, j, n: lines.__setitem__(i, _respell_tail(lines[i], lambda v: f"+{v}")),
+    "zero": lambda lines, i, j, n: lines.__setitem__(i, _respell_tail(lines[i], lambda v: f"0{v}")),
+    "fourth field": lambda lines, i, j, n: lines.__setitem__(i, lines[i] + " 1"),
+    "two fields": lambda lines, i, j, n: lines.__setitem__(i, lines[i].rsplit(" ", 1)[0]),
+    # splitlines ends a line at VT, and split() splits at it
+    "line break": lambda lines, i, j, n: lines.__setitem__(i, "\x0b".join(lines[i].rsplit(" ", 1))),
+    "directive": lambda lines, i, j, n: lines.__setitem__(i, "a" + lines[i]),
+    # the first arc line is no longer the first line to start 'a ' after an LF
+    "indented": lambda lines, i, j, n: lines.__setitem__(0, " " + lines[0]),
+    "ragged": lambda lines, i, j, n: lines.__setitem__(i, lines[i].replace(" ", "  ") + " "),
+    "blank": lambda lines, i, j, n: lines.insert(j, ""),
+    "comment": lambda lines, i, j, n: lines.insert(j, "# c"),
+    "descending": lambda lines, i, j, n: lines.sort(key=lambda line: -int(_tail(line))),
+    "no LF": None,
+    "arc cap": None,
+    None: None,
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data(), chunk=st.integers(10, 80))
+@pytest.mark.parametrize("kind", DENSE_DEFECTS)
+def test_dense_reader_matches_reference(kind, seed, data, chunk):
+    # 64 vertices and about 1k arcs, so dense; a chunk shorter than a line
+    # and its LF sends the text back too
+    sd = gen_random_split(seed, 32, 32)
+    head, arcs = serialize_instance(sd).split("\na ", 1)
+    lines = ("a " + arcs).splitlines()
+    if DENSE_DEFECTS[kind] is not None:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tail = _tail(lines[i])
+        run_end = next((k for k in range(i, len(lines)) if _tail(lines[k]) != tail), len(lines))
+        DENSE_DEFECTS[kind](lines, i, data.draw(st.integers(i + 1, run_end)), sd.graph.n)
+    text = head + "\n" + "\n".join(lines) + ("" if kind == "no LF" else "\n")
+    transposed = []
+    transpose = files._transpose
+
+    def counted(rows, n):
+        transposed.append(n)
+        return transpose(rows, n)
+
+    cap = len(lines) - 1 if kind == "arc cap" else files.MAX_ARCS
+    with patch.object(files, "MAX_ARCS", cap), patch.object(conftest, "MAX_ARCS", cap):
+        with patch.object(files, "BULK_CHUNK", chunk), patch.object(files, "_transpose", counted):
+            got = parse_outcome(parse_instance, text)
+        expected = parse_outcome(conftest.parse_instance_reference, text)
+    assert got == expected
+    if got[0] == "ok":
+        assert got[2].graph.in_masks == expected[2].graph.in_masks
+    assert bool(transposed) == (kind in (None, "ragged") and chunk > max(map(len, lines)))
+
+
+def test_transpose_is_the_arc_reversal():
+    for n in (1, 7, 8, 9, 64, 65, 200):
+        arcs = [(t, h) for t in range(n) for h in range(n) if t != h and (t * 7 + h * 3) % 5 < 2]
+        d = Digraph(n, arcs)
+        assert files._transpose(list(d.out_masks), n) == list(d.in_masks)
+
+
+def test_dense_parse_peaks_below_its_text():
+    # the chunks bound the token lists; one list of the text's lines peaks
+    # at about 7 times the text
+    sd = gen_random_split(3, 200, 200, sink_free=True)
+    text = serialize_instance(sd)
+    tracemalloc.start()
+    try:
+        parsed = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks
+    assert peak < len(text)
