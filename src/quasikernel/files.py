@@ -2,20 +2,20 @@
 
 Instance files ("qkdg 1"): a vertex-count line, an optional clique-part
 line turning the file into a split digraph, and one line per arc, in any
-order when read and ascending when written.  The arc lines of a dense
-file written so are read in bulk, chunk by chunk; any other text line by
-line.  Certificate files ("qkcert 1") carry the algorithm label, the
-vertex set, per-vertex witness paths, the bound in force, and a digest of
-the instance they certify.  Both formats are line-based and
-human-diffable; they are written LF-terminated and read with any line
-ending.
+order when read and ascending when written.  The text is read once, in
+chunks of whole lines: the arc lines of a dense file written so in bulk,
+any other text line by line.  Certificate files ("qkcert 1") carry the
+algorithm label, the vertex set, per-vertex witness paths, the bound in
+force, and a digest of the instance they certify.  Both formats are
+line-based and human-diffable; they are written LF-terminated and read
+with any line ending.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, groupby, islice, repeat
+from itertools import compress, groupby, repeat
 from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
@@ -32,8 +32,8 @@ MAX_ARCS = 2_000_000
 # label comment per vertex; a file over it is refused before it is decoded
 MAX_INSTANCE_BYTES = 16 * (MAX_ARCS + MAX_VERTICES)
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-# the most characters of whole arc lines that parse_instance reads in bulk at
-# once: it bounds the chunk's token lists, which peak at about 30 times that
+# the most characters of whole lines that parse_instance reads at once, unless
+# one line is longer: it bounds the line and token lists, about 30 times that
 BULK_CHUNK = 8192
 _ARC_CHARS = b"0123456789a \n"
 # the columns c of one byte with bit s of c set, for s = 1, 2, 4
@@ -96,25 +96,35 @@ class _Reading:
 def parse_instance(text: str) -> Digraph | SplitDigraph:
     """The digraph, or split digraph, of an instance text.
 
-    Lines are read one by one up to the first line that starts 'a ' after
-    an LF.  When the rest is longer than BULK_CHUNK, it is read in bulk
-    (``_read_dense``) if it is dense enough for the transpose to pay;
-    otherwise, or when any of the bulk reader's checks fails, it is read
-    line by line too, so every error, message and line number is the line
-    reader's.
+    The text is read once, in chunks of whole lines: the lines before the
+    first line that starts 'a ' after an LF, then the rest, each chunk at
+    most BULK_CHUNK characters or one longer line.  From the first arc
+    line on, while the text is dense enough for the transpose to pay,
+    each chunk is read in bulk (``_read_dense``), all or nothing; the
+    first chunk it refuses, and every chunk after it, is read line by
+    line, so every error, message and line number is the line reader's.
     """
     reading = _Reading()
-    start = text.find("\na ") + 1
-    if len(text) - start <= BULK_CHUNK:
-        start = 0
-    _read_lines(reading, (text[:start] if start else text).splitlines())
-    if start:
-        out = _read_dense(text, start, reading)
-        if out is None:
-            _read_lines(reading, islice(text.splitlines(), reading.lines, None))
+    arcs = text.find("\na ") + 1
+    dense = transposed = False
+    pos = 0
+    while pos < len(text):
+        limit = min(arcs if pos < arcs else len(text), pos + BULK_CHUNK)
+        end = text.rfind("\n", pos, limit) + 1 or text.find("\n", pos) + 1 or len(text)
+        if pos == arcs:
+            n = reading.n
+            # the rest holds up to len / 6 arc lines; at n**2 <= 16 * that,
+            # one transpose costs less than setting in-mask bits arc by arc
+            dense = (n is not None and n >= 64 and not reading.arc_count
+                     and n * n * 6 <= 16 * (len(text) - arcs))
+        if dense and _read_dense(text[pos:end], reading):
+            transposed = True
         else:
-            reading.out = out
-            reading.inn = _transpose(out, reading.n)
+            dense = False
+            _read_lines(reading, text[pos:end].splitlines())
+        pos = end
+    if transposed:
+        reading.inn = _transpose(reading.out, reading.n)
 
     last = text.count("\n") + 1
     if not reading.header_seen:
@@ -141,7 +151,8 @@ def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
     out, inn, arc_count, index = reading.out, reading.inn, reading.arc_count, reading.index
     lineno = reading.lines
     for lineno, raw in enumerate(lines, start=lineno + 1):
-        fields = raw.split()
+        # at most 4 fields, so a long comment is not split into a long list
+        fields = raw.split(None, 3)
         if not fields:
             continue
         tag = fields[0]
@@ -203,7 +214,7 @@ def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
             if arc_count:
                 raise InstanceParseError("k line must precede arc lines", lineno)
             try:
-                clique = [int(f) for f in fields[1:]]
+                clique = [int(f) for f in raw.split()[1:]]
             except ValueError:
                 raise InstanceParseError("k line indices must be integers", lineno) from None
             if len(set(clique)) != len(clique):
@@ -220,69 +231,55 @@ def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
     reading.out, reading.inn, reading.arc_count, reading.index = out, inn, arc_count, index
 
 
-def _read_dense(text: str, start: int, reading: _Reading) -> list[int] | None:
-    """The out-mask rows of the arc lines text[start:], read in bulk, or
-    None when the line reader must read them.
+def _read_dense(chunk: str, reading: _Reading) -> bool:
+    """Read a chunk of arc lines into ``reading.out`` in bulk, all or
+    nothing: False, with ``reading`` untouched, when the line reader must.
 
-    The text is taken when no arc was read before it, n >= 64 and n**2 <=
-    16 * len / 6 (an arc line is at least 6 characters), so that one
-    transpose for the in-masks costs less than setting their bits arc by
-    arc.  It is read in chunks of at most BULK_CHUNK characters of whole
-    lines, which bounds the token lists.  A chunk must hold only '0'-'9',
-    'a', space and LF, start every line with 'a ' and split into 3 tokens
-    per line, and every tail and head token must be a spelling of the
-    table.  'a' spells no vertex, so a line of other than 3 tokens would
-    put the 'a' of a later line among the tails or the heads: every line
-    is 'a <tail> <head>', as the line reader splits it.
+    The chunk must be at most BULK_CHUNK characters, which bounds its
+    token list, hold only '0'-'9', 'a', space and LF, end in an LF, start
+    every line with 'a ' and split into 3 tokens per line, and every tail
+    and head token must be a spelling of the table.  'a' spells no vertex,
+    so a line of other than 3 tokens would put the 'a' of a later line
+    among the tails or the heads: every line is 'a <tail> <head>', as the
+    line reader splits it.
 
-    The tails must ascend, each tail's arcs in one run.  A run's heads
-    become one row; a popcount below the run's length (a duplicate in the
-    run), bit t of row t (a loop), or a bit shared with the same tail's
-    run in the previous chunk (a duplicate across the chunk edge) hands
-    the text back, and so does passing MAX_ARCS.
+    The chunk's tails must ascend, each tail's arcs in one run.  A run's
+    heads become one row; a popcount below the run's length (a duplicate in the
+    run), bit t of row t (a loop), a bit shared with out[t] (a duplicate
+    of an earlier chunk's arc), or passing MAX_ARCS refuses the chunk.
     """
-    n = reading.n
-    if n is None or reading.arc_count or n < 64 or n * n * 6 > 16 * (len(text) - start):
-        return None
+    lines = chunk.count("\n")
+    arc_count = reading.arc_count + lines
+    if not (len(chunk) <= BULK_CHUNK and chunk.startswith("a ")
+            and chunk.count("\na ") == lines - 1 and arc_count <= MAX_ARCS
+            and chunk.isascii() and not chunk.encode().translate(None, _ARC_CHARS)):
+        return False
+    tokens = chunk.split()
+    if len(tokens) != 3 * lines:
+        return False
     spelled = reading.index.__getitem__
-    out = [0] * n
-    arcs = 0
+    out = reading.out
+    rows = []
     prev = -1
-    pos = start
-    stop = len(text)
     try:
-        while pos < stop:
-            # an end of 0 (no LF within a chunk) makes an empty chunk, refused below
-            end = stop if stop - pos <= BULK_CHUNK else text.rfind("\n", pos, pos + BULK_CHUNK) + 1
-            chunk = text[pos:end]
-            lines = chunk.count("\n")
-            if not (chunk.startswith("a ") and chunk.count("\na ") == lines - 1
-                    and chunk.isascii() and not chunk.encode().translate(None, _ARC_CHARS)):
-                return None
-            tokens = chunk.split()
-            arcs += lines
-            if len(tokens) != 3 * lines or arcs > MAX_ARCS:
-                return None
-            heads = list(map(spelled, tokens[2::3]))
-            at = 0
-            for tail, run in groupby(tokens[1::3]):
-                t = spelled(tail)
-                count = len(list(run))
-                row = sum(map(lshift, repeat(1), heads[at:at + count]))
-                at += count
-                if row.bit_count() != count or row >> t & 1:
-                    return None
-                if t <= prev:
-                    # the run goes on from the previous chunk
-                    if t < prev or row & out[t]:
-                        return None
-                    row |= out[t]
-                out[t] = row
-                prev = t
-            pos = end
+        heads = list(map(spelled, tokens[2::3]))
+        at = 0
+        for tail, run in groupby(tokens[1::3]):
+            t = spelled(tail)
+            count = len(list(run))
+            row = sum(map(lshift, repeat(1), heads[at:at + count]))
+            at += count
+            if t <= prev or row.bit_count() != count or row >> t & 1 or row & out[t]:
+                return False
+            rows.append((t, row))
+            prev = t
     except KeyError:
-        return None
-    return out
+        return False
+    for t, row in rows:
+        out[t] |= row
+    reading.arc_count = arc_count
+    reading.lines += lines
+    return True
 
 
 def _transpose(rows: list[int], n: int) -> list[int]:
@@ -400,6 +397,8 @@ def parse_certificate(text: str) -> CertificateDocument:
         vertices = tuple(int(f) for f in fields.get("set", "").split())
     except ValueError:
         raise CertificateParseError("set entries must be integers", field_lines["set"]) from None
+    if any(u >= v for u, v in zip(vertices, vertices[1:])):
+        raise CertificateParseError("set entries must be strictly ascending", field_lines["set"])
     bound_text = fields["bound"]
     if bound_text == "null":
         bound: Fraction | None = None

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from unittest.mock import patch
 
@@ -153,6 +154,8 @@ def test_certificate_bound_formats():
     "old,new,line,pattern",
     [
         ("set 0 4", "set 0 x", 5, "set entries"),
+        ("set 0 4", "set 4 0", 5, "strictly ascending"),
+        ("set 0 4", "set 0 0 4", 5, "strictly ascending"),
         ("bound null", "bound 1/0", 6, "bound must be"),
         ("verified true", "verified false", 7, "verified line must be"),
         ("verified true", "verified", 7, "verified line must be"),
@@ -349,13 +352,21 @@ def _tail(line):
     return line.split()[1]
 
 
+def _run_end(lines, i):
+    """The index just past the run of arc lines with line i's tail."""
+    return next((k for k in range(i, len(lines)) if _tail(lines[k]) != _tail(lines[i])), len(lines))
+
+
 # Defects of the arc lines of a canonical dense text, at arc line i or at
 # j, a line of i's tail run or the line just after it.  Each of them, a
-# missing final LF and a MAX_ARCS one below the arc count send the text
-# back to the line reader, which reads it as the reference does.  'ragged'
-# spaces a line out, and the bulk reader splits it as the line reader does.
+# missing final LF and a MAX_ARCS one below the arc count send their chunk
+# and the rest of the text to the line reader, which reads them as the
+# reference does.  'ragged' spaces a line out, and the bulk reader splits
+# it as the line reader does.
 DENSE_DEFECTS = {
     "duplicate": lambda lines, i, j, n: lines.insert(j, lines[i]),
+    # the run's last arc again after the next tail's first: one tail, two runs
+    "split run": lambda lines, i, j, n: lines.insert(_run_end(lines, i) + 1, lines[_run_end(lines, i) - 1]),
     "loop": lambda lines, i, j, n: lines.insert(j, f"a {_tail(lines[i])} {_tail(lines[i])}"),
     "range": lambda lines, i, j, n: lines.insert(j, f"a {_tail(lines[i])} {n}"),
     "plus": lambda lines, i, j, n: lines.__setitem__(i, _respell_tail(lines[i], lambda v: f"+{v}")),
@@ -364,6 +375,8 @@ DENSE_DEFECTS = {
     "two fields": lambda lines, i, j, n: lines.__setitem__(i, lines[i].rsplit(" ", 1)[0]),
     # splitlines ends a line at VT, and split() splits at it
     "line break": lambda lines, i, j, n: lines.__setitem__(i, "\x0b".join(lines[i].rsplit(" ", 1))),
+    # a lone surrogate cannot be encoded
+    "surrogate": lambda lines, i, j, n: lines.__setitem__(i, lines[i] + "\ud800"),
     "directive": lambda lines, i, j, n: lines.__setitem__(i, "a" + lines[i]),
     # the first arc line is no longer the first line to start 'a ' after an LF
     "indented": lambda lines, i, j, n: lines.__setitem__(0, " " + lines[0]),
@@ -381,33 +394,58 @@ DENSE_DEFECTS = {
 @given(seed=st.integers(0, 10_000), data=st.data(), chunk=st.integers(10, 80))
 @pytest.mark.parametrize("kind", DENSE_DEFECTS)
 def test_dense_reader_matches_reference(kind, seed, data, chunk):
-    # 64 vertices and about 1k arcs, so dense; a chunk shorter than a line
-    # and its LF sends the text back too
+    # 64 vertices and about 1k arcs, so dense; a line longer than a chunk
+    # is refused too
     sd = gen_random_split(seed, 32, 32)
     head, arcs = serialize_instance(sd).split("\na ", 1)
-    lines = ("a " + arcs).splitlines()
+    clean = ("a " + arcs).splitlines()
+    lines = list(clean)
     if DENSE_DEFECTS[kind] is not None:
         i = data.draw(st.integers(0, len(lines) - 1))
-        tail = _tail(lines[i])
-        run_end = next((k for k in range(i, len(lines)) if _tail(lines[k]) != tail), len(lines))
-        DENSE_DEFECTS[kind](lines, i, data.draw(st.integers(i + 1, run_end)), sd.graph.n)
+        DENSE_DEFECTS[kind](lines, i, data.draw(st.integers(i + 1, _run_end(lines, i))), sd.graph.n)
     text = head + "\n" + "\n".join(lines) + ("" if kind == "no LF" else "\n")
     transposed = []
     transpose = files._transpose
+    # (lines read before, line count) of each call of the line reader
+    read = []
+    read_lines = files._read_lines
 
     def counted(rows, n):
         transposed.append(n)
         return transpose(rows, n)
 
+    def counted_lines(reading, chunk_lines):
+        chunk_lines = list(chunk_lines)
+        read.append((reading.lines, len(chunk_lines)))
+        read_lines(reading, chunk_lines)
+
     cap = len(lines) - 1 if kind == "arc cap" else files.MAX_ARCS
     with patch.object(files, "MAX_ARCS", cap), patch.object(conftest, "MAX_ARCS", cap):
-        with patch.object(files, "BULK_CHUNK", chunk), patch.object(files, "_transpose", counted):
+        with patch.object(files, "BULK_CHUNK", chunk), patch.object(files, "_transpose", counted), \
+                patch.object(files, "_read_lines", counted_lines):
             got = parse_outcome(parse_instance, text)
         expected = parse_outcome(conftest.parse_instance_reference, text)
     assert got == expected
     if got[0] == "ok":
         assert got[2].graph.in_masks == expected[2].graph.in_masks
-    assert bool(transposed) == (kind in (None, "ragged") and chunk > max(map(len, lines)))
+    if chunk <= max(map(len, lines)):
+        return
+    # each line is read once: the line reader takes the lines before the
+    # first arc line, then no arc line before the chunk of the first defect
+    # and every line from that chunk on
+    header = len(text[:text.find("\na ") + 1].splitlines())
+    arc_reads = [(start, count) for start, count in read if start >= header]
+    assert all(start + count == after for (start, count), (after, _) in zip(arc_reads, arc_reads[1:]))
+    if kind in (None, "ragged"):
+        assert transposed and not arc_reads
+        return
+    # the first line that differs from the clean text, or the last line
+    defect = next((k for k, (a, b) in enumerate(zip(lines, clean)) if a != b), len(lines) - 1)
+    ends = []
+    for line in lines:
+        ends.append((ends[-1] if ends else len(head) + 1) + len(line) + 1)
+    before = sum(end <= min(ends[defect], len(text)) - chunk for end in ends[:defect])
+    assert all(start >= header + before for start, _ in arc_reads)
 
 
 def test_transpose_is_the_arc_reversal():
@@ -417,16 +455,41 @@ def test_transpose_is_the_arc_reversal():
         assert files._transpose(list(d.out_masks), n) == list(d.in_masks)
 
 
-def test_dense_parse_peaks_below_its_text():
-    # the chunks bound the token lists; one list of the text's lines peaks
-    # at about 7 times the text
-    sd = gen_random_split(3, 200, 200, sink_free=True)
-    text = serialize_instance(sd)
+def _parse_peak(text):
     tracemalloc.start()
     try:
-        parsed = parse_instance(text)
+        outcome = parse_outcome(parse_instance, text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks
-    assert peak < len(text)
+    return outcome, peak
+
+
+def test_dense_parse_peaks_below_its_text():
+    # the chunks bound the token and line lists; one list of the text's
+    # lines peaks at about 7 times the text.  With its arcs shuffled the
+    # text is read line by line
+    sd = gen_random_split(3, 200, 200, sink_free=True)
+    text = serialize_instance(sd)
+    head, arcs = text.split("\na ", 1)
+    shuffled = ("a " + arcs).splitlines()
+    random.Random(3).shuffle(shuffled)
+    for text in (text, head + "\n" + "\n".join(shuffled) + "\n"):
+        (_, _, parsed), peak = _parse_peak(text)
+        assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks
+        assert peak < len(text)
+
+
+def test_long_line_parse_peaks_below_three_times_its_text():
+    # a line is split into at most 4 fields, so a 1 MB line of 333k words
+    # allocates no list of 333k strings.  With 64 vertices the arc line is
+    # dense enough for the bulk reader, which refuses it for its length
+    words = " 10" * 333_333
+    comment = "qkdg 1\nn 64\n#" + words + "\na 0 1\n"
+    (_, _, parsed), peak = _parse_peak(comment)
+    assert parsed == Digraph(64, [(0, 1)])
+    assert peak < 3 * len(comment)
+    arc = "qkdg 1\nn 64\na 1 2" + words + "\n"
+    outcome, peak = _parse_peak(arc)
+    assert outcome == ("error", "line 3: arc line must be 'a <tail> <head>'", 3)
+    assert peak < 3 * len(arc)
