@@ -46,8 +46,8 @@ def quasi_kernel_cl(d: Digraph) -> frozenset[int]:
     return quasi_kernel_rooted(d, 0)
 
 
-def _require_semicomplete(t: Digraph) -> None:
-    pair = t.semicomplete_violation()
+def _require_semicomplete(t: Digraph, within: int | None = None) -> None:
+    pair = t.semicomplete_violation(within)
     if pair is not None:
         raise PreconditionError(f"not semicomplete: vertices {pair[0]} and {pair[1]} are non-adjacent")
 
@@ -84,15 +84,29 @@ def dominate_two_serf(t: Digraph, v: int) -> int:
     _require_semicomplete(t)
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range for n={t.n}")
-    rest = t.full_mask & ~t.reach_in_two(v)
+    u = _dominate(t, v, t.full_mask, t.reach_in_two(v))
+    if not t.is_two_serf(u):
+        raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
+    return u
+
+
+def _dominate(t: Digraph, v: int, within: int, reach_v: int) -> int:
+    """dominate_two_serf in the subdigraph that mask ``within`` induces,
+    in t's own indices, without building that subdigraph.
+
+    ``reach_v`` must be ``t.reach_in_two(v, within)``.  The caller checks,
+    once for all its calls, that t is semicomplete inside ``within``, and
+    that u reaches all of ``within`` in two arcs.  That the rest is
+    nonempty, that u is a 2-serf of the rest, and that N-[v] within
+    ``within`` lies in N-(u) are re-verified here.
+    """
+    rest = within & ~reach_v
     if not rest:
         raise PreconditionError(f"vertex {v} is already a 2-serf")
     inn = t.in_masks
     u = _max_in_degree(t, rest)
     if t.reach_in_two(u, rest) != rest:
         raise VerificationError(f"max in-degree vertex {u} is not a 2-serf of the rest")
-    if not t.is_two_serf(u):
-        raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
-    if (inn[v] | 1 << v) & ~inn[u]:
+    if (inn[v] | 1 << v) & within & ~inn[u]:
         raise VerificationError(f"closed in-neighborhood of {v} not dominated by {u}")
     return u

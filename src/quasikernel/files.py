@@ -13,6 +13,7 @@ with any line ending.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, groupby, repeat
@@ -36,6 +37,11 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # one line is longer: it bounds the line and token lists, about 30 times that
 BULK_CHUNK = 8192
 _ARC_CHARS = b"0123456789a \n"
+# the characters that end a line for str.splitlines, a CR with an LF after
+# it ending one line
+_LINE_ENDS = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+_LINE_END = re.compile(_LINE_ENDS)
+_THROUGH_LAST_LINE_END = re.compile(".*" + _LINE_ENDS, re.S)
 # the columns c of one byte with bit s of c set, for s = 1, 2, 4
 _LOW_COLUMNS = {1: 0xAA, 2: 0xCC, 4: 0xF0}
 
@@ -98,7 +104,10 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
 
     The text is read once, in chunks of whole lines: the lines before the
     first line that starts 'a ' after an LF, then the rest, each chunk at
-    most BULK_CHUNK characters or one longer line.  From the first arc
+    most BULK_CHUNK characters or one longer line.  A chunk ends at a line
+    boundary of ``str.splitlines`` (LF, CR, CRLF, VT, U+2028 and the
+    others), never between a CR and its LF, so the chunks' lines are the
+    text's lines, whatever ends them.  From the first arc
     line on, while the text is dense enough for the transpose to pay,
     each chunk is read in bulk (``_read_dense``), all or nothing; the
     first chunk it refuses, and every chunk after it, is read line by
@@ -110,7 +119,7 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     pos = 0
     while pos < len(text):
         limit = min(arcs if pos < arcs else len(text), pos + BULK_CHUNK)
-        end = text.rfind("\n", pos, limit) + 1 or text.find("\n", pos) + 1 or len(text)
+        end = _chunk_end(text, pos, limit)
         if pos == arcs:
             n = reading.n
             # the rest holds up to len / 6 arc lines; at n**2 <= 16 * that,
@@ -142,6 +151,17 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
         return SplitDigraph(graph, clique, independent)
     except SplitError as exc:
         raise InstanceParseError(f"invalid split partition: {exc}", last) from exc
+
+
+def _chunk_end(text: str, pos: int, limit: int) -> int:
+    """Where the chunk of whole lines from pos ends: after the last line
+    end before limit, else after the first one from pos, else at the end
+    of the text.  A CR takes the LF after it along."""
+    found = _THROUGH_LAST_LINE_END.match(text, pos, limit) or _LINE_END.search(text, pos)
+    if not found:
+        return len(text)
+    end = found.end()
+    return end + 1 if text[end - 1] == "\r" and text.startswith("\n", end) else end
 
 
 def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Callable, Mapping
 
-from .construct import dominate_two_serf
+from .construct import _dominate, _require_semicomplete
 from .digraph import (
     Digraph,
     PreconditionError,
@@ -31,6 +31,7 @@ from .digraph import (
     VerificationError,
     lowest,
     members,
+    or_rows,
 )
 
 # Oracle protocol for peel_sinks: given the host digraph and a vertex
@@ -94,27 +95,29 @@ def _check_one_way_bound(n: int, size: int) -> None:
 
 
 def _spanning_tournament(d: Digraph, clique: frozenset[int]) -> tuple[Digraph, tuple[int, ...]]:
-    """Tournament on the clique: each digon keeps only its lower->higher arc."""
+    """Tournament on the clique: each digon keeps only its lower->higher arc.
+
+    Built from the clique's out-rows, renumbered bit by bit, with no arc list.
+    """
     order = tuple(sorted(clique))
     pos = {k: idx for idx, k in enumerate(order)}
     out, inn = d.out_masks, d.in_masks
     k_mask = d.mask_of(order)
-    arcs = [
-        (pos[u], pos[w])
-        for u in order
-        for w in members(out[u] & k_mask & ~(inn[u] & ((1 << u) - 1)))
-    ]
-    return Digraph(len(order), arcs), order
+    rows = (out[u] & k_mask & ~(inn[u] & ((1 << u) - 1)) for u in order)
+    return Digraph._renumbered(rows, pos), order
 
 
 def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     """Quasi-kernel of size <= (n+3)/2 - sqrt(n) in a sink-free one-way split digraph.
 
-    Works on a spanning tournament of the clique.  A tournament sink is a
-    2-serf outright; otherwise one candidate is built per clique vertex
-    (its class plus the classes of its tournament out-neighbors, minus its
-    in-neighborhood, steered through a dominating 2-serf when the vertex
-    itself is not one) and the smallest candidate wins.
+    Works on a spanning tournament of the clique, built from masks.  A
+    tournament sink is a 2-serf outright; otherwise one candidate is built
+    per clique vertex (its class plus the classes of its tournament
+    out-neighbors, minus its in-neighborhood, steered through a dominating
+    2-serf when the vertex itself is not one) and the smallest candidate
+    wins.  The tournament is checked for semicompleteness once, and every
+    vertex's reach-in-two mask and class union come from one bulk row-OR
+    each (``or_rows``), not from a scan per vertex.
     """
     flags = sd.classify()
     if not flags.one_way:
@@ -130,27 +133,31 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     if t_sinks:
         v = order[min(t_sinks)]
         return d.certify((v,), "one-way", bound=Fraction(_one_way_size_cap(n)))
+    _require_semicomplete(t)
     asg = assign_one_way(sd)
     classes = [d.mask_of(c) for c in asg.classes]
-    t_out = t.out_masks
+    t_in = t.in_masks
     d_in = d.in_masks
-    nk = len(order)
+    full = t.full_mask
     # reached[i]: the classes of i's tournament out-neighbors, which are disjoint
-    reached = []
-    for i in range(nk):
-        union = 0
-        for j in members(t_out[i]):
-            union |= classes[j]
-        reached.append(union)
-    prelim = [(reached[i] | 1 << order[i]) & ~d_in[order[i]] for i in range(nk)]
+    reached = or_rows(classes, t.out_masks)
+    # reach[i]: the tournament vertices that reach i within two arcs
+    reach = [
+        row | second | 1 << i for i, (row, second) in enumerate(zip(t_in, or_rows(t_in, t_in)))
+    ]
     candidates: list[int] = []
-    for i in range(nk):
-        src = i if t.is_two_serf(i) else dominate_two_serf(t, i)
-        q = prelim[src]
-        limit = reached[i].bit_count() + 1
-        _require(q.bit_count() <= limit, f"per-vertex size inequality violated at clique index {i}")
+    for i, union in enumerate(reached):
+        src = i
+        if reach[i] != full:
+            src = _dominate(t, i, full, reach[i])
+            _require(reach[src] == full, f"candidate {src} is not a 2-serf of the tournament")
+        q = (reached[src] | 1 << order[src]) & ~d_in[order[src]]
+        _require(
+            q.bit_count() <= union.bit_count() + 1,
+            f"per-vertex size inequality violated at clique index {i}",
+        )
         candidates.append(q)
-    best = min(range(nk), key=lambda i: (candidates[i].bit_count(), i))
+    best = min(range(len(order)), key=lambda i: (candidates[i].bit_count(), i))
     cert = d.certify(members(candidates[best]), "one-way", bound=Fraction(_one_way_size_cap(n)))
     _check_one_way_bound(n, cert.size)
     return cert
@@ -162,7 +169,9 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     A greedy maximal matching of clique-to-independent arcs splits the
     vertices into a matched region A and a remainder B with no arcs from
     B's clique side into the independent part; the better of two
-    candidates built around the matching and around B wins.
+    candidates built around the matching and around B wins.  Only B is
+    copied, for the one-way construction; the 2-serf step in the clique
+    works on the digraph's own masks.
     """
     flags = sd.classify()
     if not flags.sink_free:
@@ -222,10 +231,11 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
             not n_im & ~(inn[v] & ~out[v]),
             "matched in-neighborhood not dominated by the chosen vertex",
         )
-        kt, k_order = d.induced(sd.clique)[:2]
-        pos = {k: idx for idx, k in enumerate(k_order)}
-        if not kt.is_two_serf(pos[v]):
-            v = k_order[dominate_two_serf(kt, pos[v])]
+        reach_v = d.reach_in_two(v, clique)
+        if reach_v != clique:
+            _require_semicomplete(d, clique)
+            v = _dominate(d, v, clique, reach_v)
+            _require(d.reach_in_two(v, clique) == clique, f"{v} is not a 2-serf of the clique")
             _require(bk >> v & 1 == 1, "dominating 2-serf left the remainder clique side")
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))
 

@@ -12,8 +12,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from quasikernel import Digraph, SplitDigraph
-from quasikernel.digraph import SplitError
+from quasikernel import Digraph, SplitDigraph, assign_one_way, dominate_two_serf
+from quasikernel.digraph import SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
 
@@ -332,6 +332,85 @@ def first_cover_reference(
                 free_at[depth] = after
                 cov_at[depth] = cov_at[depth - 1] | reach[v]
     return None, tested
+
+
+# one_way_qk and two_thirds_qk as they were before the tournament, the
+# induced digraphs and the reach masks were built from mask rows: the
+# tournament through an arc list, one dominate_two_serf call per non-2-serf
+# clique vertex, and a copy of the clique.  Kept as the references that
+# test_split_qk compares the constructions' vertex sets against.
+def one_way_reference(sd: SplitDigraph) -> frozenset[int]:
+    d = sd.graph
+    if d.n == 0:
+        return frozenset()
+    order = tuple(sorted(sd.clique))
+    pos = {k: idx for idx, k in enumerate(order)}
+    out, inn = d.out_masks, d.in_masks
+    k_mask = d.mask_of(order)
+    arcs = [
+        (pos[u], pos[w])
+        for u in order
+        for w in members(out[u] & k_mask & ~(inn[u] & ((1 << u) - 1)))
+    ]
+    t = Digraph(len(order), arcs)
+    t_sinks = t.sinks()
+    if t_sinks:
+        return frozenset({order[min(t_sinks)]})
+    classes = [d.mask_of(c) for c in assign_one_way(sd).classes]
+    t_out = t.out_masks
+    nk = len(order)
+    reached = []
+    for i in range(nk):
+        union = 0
+        for j in members(t_out[i]):
+            union |= classes[j]
+        reached.append(union)
+    prelim = [(reached[i] | 1 << order[i]) & ~inn[order[i]] for i in range(nk)]
+    candidates = [prelim[i if t.is_two_serf(i) else dominate_two_serf(t, i)] for i in range(nk)]
+    best = min(range(nk), key=lambda i: (candidates[i].bit_count(), i))
+    return frozenset(members(candidates[best]))
+
+
+def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
+    d = sd.graph
+    if d.n == 0:
+        return frozenset()
+    out, inn = d.out_masks, d.in_masks
+    clique, indep = d.mask_of(sd.clique), d.mask_of(sd.independent)
+    k_m = i_m = 0
+    for u in members(clique):
+        free = out[u] & indep & ~i_m
+        if free:
+            k_m |= 1 << u
+            i_m |= 1 << lowest(free)
+    n_im = d.in_set_mask(i_m)
+    nii = d.second_in_set_mask(i_m) & indep
+    region_b = d.full_mask & ~(i_m | n_im | nii)
+    if region_b.bit_count() <= 1:
+        return frozenset(members(i_m))
+    bk = region_b & clique
+    bi = region_b & indep
+    b_sinks = 0
+    for v in members(region_b):
+        if not out[v] & region_b:
+            b_sinks |= 1 << v
+    if b_sinks:
+        q1 = b_sinks & -b_sinks
+    else:
+        sub, old_of_new, _ = sd.induced_split(members(region_b))
+        q1 = d.mask_of(old_of_new[v] for v in one_way_reference(sub))
+    cand_q = (q1 | i_m | nii) & ~d.in_set_mask(q1)
+    v = next((u for u in members(bk) if not out[u] & n_im), None)
+    if v is None:
+        cand_qp = i_m | bi
+    else:
+        kt, k_order = d.induced(sd.clique)[:2]
+        pos = {k: idx for idx, k in enumerate(k_order)}
+        if not kt.is_two_serf(pos[v]):
+            v = k_order[dominate_two_serf(kt, pos[v])]
+        cand_qp = 1 << v | (indep & ~(nii | inn[v]))
+    chosen = cand_q if cand_q.bit_count() <= cand_qp.bit_count() else cand_qp
+    return frozenset(members(chosen))
 
 
 # A plain instance parser with the checks, messages and line numbers of

@@ -326,6 +326,24 @@ def test_parser_matches_reference(case):
         assert serialize_instance(obj) == "\n".join(lines) + "\n"
 
 
+@settings(max_examples=150)
+@given(instance_texts(), st.data(), st.integers(4, 48))
+def test_chunks_keep_the_lines_of_any_line_end(case, data, chunk):
+    # with short chunks, a chunk boundary falls next to each kind of line
+    # end, also between a CR and its LF; the lines, errors and line numbers
+    # are those of the whole text's splitlines
+    text, _, _, _ = case
+    lines = text.splitlines()
+    ends = data.draw(st.lists(
+        st.sampled_from(["\n", "\r", "\r\n", "\v", "\x1c", "\x85", "\u2028"]),
+        min_size=len(lines), max_size=len(lines),
+    ))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    with patch.object(files, "BULK_CHUNK", chunk):
+        got = parse_outcome(parse_instance, text)
+    assert got == parse_outcome(conftest.parse_instance_reference, text)
+
+
 def test_parser_builds_no_digraph_through_init(monkeypatch):
     # Digraph.__init__ re-checks every arc; the parser has checked them all
     sd = gen_random_split(5, 200, 200)
@@ -467,14 +485,21 @@ def _parse_peak(text):
 
 def test_dense_parse_peaks_below_its_text():
     # the chunks bound the token and line lists; one list of the text's
-    # lines peaks at about 7 times the text.  With its arcs shuffled the
-    # text is read line by line
+    # lines peaks at about 7 times the text.  With its arcs shuffled, or
+    # its lines ended by CR or U+2028, the text is read line by line, in
+    # chunks cut at those line ends
     sd = gen_random_split(3, 200, 200, sink_free=True)
     text = serialize_instance(sd)
     head, arcs = text.split("\na ", 1)
     shuffled = ("a " + arcs).splitlines()
     random.Random(3).shuffle(shuffled)
-    for text in (text, head + "\n" + "\n".join(shuffled) + "\n"):
+    forms = (
+        text,
+        head + "\n" + "\n".join(shuffled) + "\n",
+        text.replace("\n", "\r"),
+        text.replace("\n", "\u2028"),
+    )
+    for text in forms:
         (_, _, parsed), peak = _parse_peak(text)
         assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks
         assert peak < len(text)

@@ -40,6 +40,8 @@ from quasikernel import (
     two_serf_semicomplete,
 )
 from quasikernel import exact
+from quasikernel.construct import _dominate
+from quasikernel.digraph import members, or_rows
 
 
 @given(digraphs_with_subsets())
@@ -120,9 +122,9 @@ def test_split_minimum_agrees_across_modes(sd):
         assert r_split.certificate.size == r_general.certificate.size
 
 
-@given(semicomplete_arc_lists(min_n=1, max_n=12))
+@given(semicomplete_arc_lists(min_n=1, max_n=12), st.data())
 @settings(max_examples=60)
-def test_dominate_two_serf_matches_scan_reference(case):
+def test_dominate_two_serf_matches_scan_reference(case, data):
     n, arcs = case
     t = Digraph(n, arcs)
     for v in range(n):
@@ -134,6 +136,52 @@ def test_dominate_two_serf_matches_scan_reference(case):
         assert u == dominating_two_serf_by_scan(n, arcs, v)
         in_u = {a for a, b in arcs if b == u}
         assert {v} | {a for a, b in arcs if b == v} <= in_u
+    # inside a vertex subset, _dominate answers as dominate_two_serf does on
+    # the induced copy, mapped back
+    within = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    sub, old_of_new, new_of_old = t.induced(within)
+    mask = t.mask_of(within)
+    for v in sorted(within):
+        reach_v = t.reach_in_two(v, mask)
+        if reach_v == mask:
+            with pytest.raises(PreconditionError):
+                _dominate(t, v, mask, reach_v)
+            continue
+        assert _dominate(t, v, mask, reach_v) == old_of_new[dominate_two_serf(sub, new_of_old[v])]
+
+
+@given(digraphs_with_subsets())
+def test_semicomplete_violation_is_the_first_open_pair(case):
+    d, s = case
+    arcs = set(d.arcs)
+    for within, vertices in ((None, range(d.n)), (d.mask_of(s), sorted(s))):
+        open_pairs = [
+            (u, v) for u, v in combinations(vertices, 2) if (u, v) not in arcs and (v, u) not in arcs
+        ]
+        assert d.semicomplete_violation(within) == (open_pairs[0] if open_pairs else None)
+
+
+@given(
+    st.lists(st.integers(0, 2**40), max_size=13).flatmap(
+        lambda rows: st.tuples(
+            st.just(rows), st.lists(st.integers(0, (1 << len(rows)) - 1), max_size=6)
+        )
+    )
+)
+@example(([], [0]))
+@example(([0, 0, 5, 0, 0], [0, 31, 4]))
+@example(([1, 2, 4, 8, 16, 32, 64, 128, 256], [0, 511, 256, 1]))
+def test_or_rows_matches_a_member_loop(case):
+    rows, selectors = case
+    expected = []
+    for sel in selectors:
+        acc = 0
+        for j in members(sel):
+            acc |= rows[j]
+        expected.append(acc)
+    assert or_rows(rows, selectors) == expected
+    with pytest.raises(ValueError):
+        or_rows(rows, [1 << len(rows)])
 
 
 @given(arc_lists(max_n=12))

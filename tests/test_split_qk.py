@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import one_way_reference, relabel_split, two_thirds_reference
 from quasikernel import (
     Digraph,
     PreconditionError,
@@ -37,27 +38,57 @@ def near_transitive_ladder(k: int) -> SplitDigraph:
     return SplitDigraph(Digraph(2 * k, arcs), range(k), range(k, 2 * k))
 
 
+def count_calls(monkeypatch, cls, *names) -> dict[str, list]:
+    """Wrap the named methods of cls to record the arguments of each call."""
+    calls: dict[str, list] = {}
+    for name in names:
+        original = getattr(cls, name)
+        calls[name] = []
+
+        def wrapper(*args, _original=original, _seen=calls[name], **kwargs):
+            _seen.append(args[1:])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
 def test_one_way_builds_only_the_spanning_tournament(monkeypatch):
-    # every non-2-serf clique vertex goes through dominate_two_serf; none of
-    # those calls may copy the tournament
+    # all clique vertices but the last three are no 2-serfs of the
+    # tournament; it is built from masks and checked once, and each of those
+    # vertices costs at most one reach_in_two scan, for its 2-serf of the rest
     sd = near_transitive_ladder(60)
-    calls = {"__init__": 0, "induced": 0}
-
-    def counted(name):
-        original = getattr(Digraph, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(Digraph, name, wrapper)
-
-    counted("__init__")
-    counted("induced")
+    calls = count_calls(
+        monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
+    )
     cert = one_way_qk(sd)
     assert one_way_bound_holds(sd.graph.n, cert.size)
-    assert calls["induced"] == 0
-    assert calls["__init__"] <= 1
+    assert not calls["induced"]
+    assert not calls["__init__"]
+    assert len(calls["semicomplete_violation"]) == 1
+    assert len(calls["reach_in_two"]) <= 60
+
+
+def test_two_thirds_copies_only_the_remainder(monkeypatch):
+    # a one-way ladder has no clique-to-independent arc, so the remainder B
+    # is the whole digraph, and clique vertex 0, a source, is no 2-serf of
+    # the clique: both the one-way construction on B and the domination in
+    # the clique run, and only B is copied, through induced_split
+    sd = near_transitive_ladder(60)
+    calls = count_calls(
+        monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
+    )
+    splits = count_calls(monkeypatch, SplitDigraph, "induced_split")
+    cert = two_thirds_qk(sd)
+    assert 3 * cert.size <= 2 * sd.graph.n
+    everything = frozenset(range(sd.graph.n))
+    assert [frozenset(s) for (s,) in splits["induced_split"]] == [everything]
+    assert [frozenset(s) for (s,) in calls["induced"]] == [everything]
+    assert not calls["__init__"]
+    # once for the clique part of B's SplitDigraph, once in one_way_qk on B,
+    # once within the clique before the domination
+    assert len(calls["semicomplete_violation"]) == 3
+    assert len(calls["reach_in_two"]) <= 60 + 2
 
 
 def test_one_way_dn1():
@@ -190,6 +221,34 @@ def test_two_thirds_campaign():
         cert = two_thirds_qk(sd)
         cert.check(sd.graph)
         assert 3 * cert.size <= 2 * sd.graph.n
+
+
+def test_constructions_match_their_references_off_a_prefix():
+    # sink-free splits with clique digons, relabelled so the clique is not
+    # a vertex prefix: the vertex sets are the arc-list references' sets
+    for seed in range(150):
+        rng = random.Random(seed * 7 + 3)
+        one_way = seed % 2 == 0
+        sd = gen_random_split(
+            seed,
+            rng.randint(2, 12),
+            rng.randint(1, 20),
+            p_k_to_i=0 if one_way else rng.uniform(0.02, 0.4),
+            p_i_to_k=rng.uniform(0.05, 0.6),
+            p_digon_k=rng.uniform(0.1, 0.6),
+            one_way=one_way,
+            sink_free=True,
+        )
+        prefix = frozenset(range(len(sd.clique)))
+        perm = list(range(sd.graph.n))
+        relabelled = sd
+        while relabelled.clique == prefix:
+            rng.shuffle(perm)
+            relabelled = relabel_split(sd, perm)
+        sd = relabelled
+        if one_way:
+            assert one_way_qk(sd).vertices == one_way_reference(sd)
+        assert two_thirds_qk(sd).vertices == two_thirds_reference(sd)
 
 
 # -- complete_split_min_qk ----------------------------------------------------
