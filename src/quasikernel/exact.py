@@ -2,15 +2,16 @@
 two fixed-parameter algorithms for split digraphs.
 
 The minimum quasi-kernel, the minimum dominating set and fpt_by_independent
-share one enumeration, ``_first_cover``: candidate sets by ascending
-cardinality and then lexicographically, so the first verified hit is
-provably minimum and deterministic.  It prunes on adjacency, on cover
-(some member must cover the lowest vertex still uncovered), on a packing
-bound (uncovered vertices with disjoint coverers need a member each) and
-on twins (vertices with equal in- and out-neighbourhoods are taken lowest
-first).  No prune ever skips the first hit, so the answers are those of an
-unpruned scan.  Bitmask arithmetic keeps the per-candidate cost at a few
-integer operations; a call refuses on the work it does past
+share one search, ``_decide``: is there a set of at most ``need`` vertices,
+pairwise outside each other's conflict masks, whose reach masks cover every
+vertex?  It branches on the uncovered vertex with the fewest free coverers,
+one branch per coverer with the earlier ones excluded, and cuts a node on a
+greedy packing bound.  Sizes are decided in ascending order, so the first
+"yes" is a minimum; ``_least_cover`` then fixes the members one position at
+a time, lowest vertex first, to return the lexicographically least minimum
+set, which is the answer of an unpruned scan by (size, lexicographic) order.
+Bitmask arithmetic keeps a node's cost at a few integer operations per
+uncovered vertex; a call refuses on the work it does past
 MAX_SEARCH_STEPS, never on the input's size.
 """
 from __future__ import annotations
@@ -20,13 +21,14 @@ from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, QkCertificate, SplitDigraph, members
 
-# The steps one exact search may take: iterations of _first_cover's loop,
-# bits its scans take off a mask, stack pops of fpt_by_clique, and two per
-# arc for the tables of min_quasi_kernel and fpt_by_independent, each a
-# bounded number of mask operations at any n.  gen_dpn(10) takes 1.9M
-# (0.8 s).  On a 2-vCPU VM the limit stops min_quasi_kernel on G(2000,
-# 0.002) after about 5.5 s, and fpt_by_clique at k = 3 on 12 clique and
-# 1,500 distinct independent classes after about 4 s.
+# The steps one exact search may take: nodes of _decide, bits their scans
+# take off the uncovered mask, stack pops of fpt_by_clique, and two per arc
+# for the tables of min_quasi_kernel and fpt_by_independent, each a bounded
+# number of mask operations at any n.  On a 2-vCPU VM, gen_dpn(10) (231
+# vertices) takes about 0.76M steps (0.3 s) and G(120, 0.03) about 0.12M
+# (0.05 s).  The limit stops min_quasi_kernel on G(200, 0.02) after about
+# 4.5 s and on G(2000, 0.002) after about 8 s, and fpt_by_clique at k = 3
+# on 12 clique and 1,500 distinct independent classes after about 4 s.
 MAX_SEARCH_STEPS = 10_000_000
 
 
@@ -42,12 +44,11 @@ def _over_limit() -> CapExceededError:
 class SolveReport:
     """Outcome of an exact search.
 
-    ``optimal`` is True only when the enumeration order proves no smaller
-    quasi-kernel exists; ``explored`` counts the independent candidate
-    sets whose cover was decided: at the last member, each choice the twin
-    rule allows up to the first hit.  Subtrees skipped by the cover prune,
-    children cut by the packing bound and sets the twin rule excludes add
-    nothing.
+    ``optimal`` is True only when the search proves no smaller
+    quasi-kernel exists; ``explored`` counts the nodes of every decision
+    search of the call, the size-by-size ones and the prefix-fixing ones:
+    each node is one candidate set whose cover the search decided or
+    branched on.
     """
 
     certificate: QkCertificate | None
@@ -61,144 +62,140 @@ class _Tables(NamedTuple):
 
     ``conflict[u]``: the vertices that may not join a set holding u.
     ``reach[v]``: the vertices that v covers.  ``covers[u]``: the mirror,
-    the vertices v with u in ``reach[v]``.  ``twins[v]``: the other vertices
-    with v's in- and out-neighbourhoods; ``paired``: the vertices that have
-    one.
+    the vertices v with u in ``reach[v]``.
     """
 
     conflict: list[int]
     reach: list[int]
     covers: list[int]
-    twins: list[int]
-    paired: int
 
 
-def _tables(d: Digraph, conflict: list[int], reach: list[int], covers: list[int]) -> _Tables:
-    """Bundle a search's masks with the twin classes of d."""
-    keys = list(zip(d.out_masks, d.in_masks))
-    classes: dict[tuple[int, int], int] = {}
-    for v, key in enumerate(keys):
-        classes[key] = classes.get(key, 0) | 1 << v
-    twins = [classes[key] ^ 1 << v for v, key in enumerate(keys)]
-    paired = sum(1 << v for v, mask in enumerate(twins) if mask)
-    return _Tables(conflict, reach, covers, twins, paired)
+def _scan(covers: list[int], free: int, missing: int, need: int) -> tuple[int, int]:
+    """One node's ascending scan of its uncovered vertices ``missing``: the
+    free coverers of the vertex with the fewest of them (the lowest such
+    vertex on ties), or 0 when the node is cut or nothing is uncovered; and
+    the bits scanned.
 
-
-def _first_cover(
-    k: int, tables: _Tables, banned: int, cover: int, full: int, steps: int
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """The lexicographically first k-set S of vertices outside ``banned``,
-    with no v in S inside ``conflict[u]`` of another member u, such that
-    ``cover`` OR'ed with ``reach[v]`` over S equals ``full``; the number
-    of k-sets whose cover was decided; and what is left of ``steps``.
-
-    This is the package's one exhaustive enumeration.  It walks the sets in
-    lexicographic order without recursion, keeping one entry per chosen
-    member, so its memory and depth never depend on the number of vertices.
-    Its prunes never skip the first hit, so it is the same as an unpruned
-    scan's:
-
-    - a depth backtracks when fewer free vertices are left than still
-      needed, or when no free vertex covers u, the lowest vertex its prefix
-      leaves uncovered;
-    - a child depth is not entered when its packing bound rules it out:
-      scanning its uncovered vertices in ascending order, it keeps each one
-      whose free coverers (``covers[u]`` within the child's free set) are
-      disjoint from those of the vertices already kept.  Each kept vertex
-      needs a member of its own among its free coverers, so the child is
-      cut when more vertices are kept than members are still to choose, or
-      when a kept vertex has no free coverer;
-    - two twins outside ``banned`` are swapped by an automorphism of the
-      digraph that fixes every caller's ``banned`` and ``cover``, so the
-      first hit holds such a twin only with all of its lower ones: once a
-      vertex is passed over at a depth, its twins leave that depth's free
-      set, and at the last depth only the lowest free vertex of each twin
-      class is a choice.
-
-    At the last depth the hits are the choices that cover every uncovered
-    vertex, found by AND'ing their ``covers`` masks; each choice there up
-    to the first hit counts as one decided k-set.
-    Each loop iteration and each bit a scan takes off its mask is a step;
-    an iteration that finds ``steps`` spent raises CapExceededError.
+    The scan keeps each vertex whose free coverers are disjoint from those
+    of the vertices already kept.  Each kept vertex needs a member of its
+    own, so the node is cut when more than ``need`` are kept, or at a
+    vertex with no free coverer.
     """
-    if k == 0:
-        return (() if cover == full else None), 1, steps
-    conflict, reach, covers, twins, paired = tables
-    last = k - 1
-    tested = 0
-    chosen = [0] * k
-    # at each depth: the vertices still free to choose there, and the cover
-    # of the vertices chosen above it
-    free_at = [0] * k
-    cov_at = [0] * k
-    free_at[0] = ~banned & (1 << len(reach)) - 1
-    cov_at[0] = cover
-    depth = 0
+    claimed = kept = best = 0
+    fewest = free.bit_count() + 1
+    rest = missing
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        coverers = covers[low.bit_length() - 1] & free
+        if not coverers & claimed:
+            if not coverers or kept == need:
+                return 0, (missing ^ rest).bit_count()
+            claimed |= coverers
+            kept += 1
+        count = coverers.bit_count()
+        if count < fewest:
+            fewest, best = count, coverers
+    return best, missing.bit_count()
+
+
+def _decide(
+    need: int, tables: _Tables, free: int, cover: int, full: int, steps: int
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """A set of at most ``need`` vertices from ``free``, no member inside
+    ``conflict[u]`` of another member u, such that ``cover`` OR'ed with
+    ``reach[v]`` over the set equals ``full``, or None; the number of
+    search nodes; and what is left of ``steps``.
+
+    This is the package's one exhaustive search.  At a node, _scan picks
+    the uncovered vertex u with the fewest free coverers, or cuts the node
+    on its packing bound.  The node branches over u's coverers in ascending
+    order; branch i excludes the earlier ones, so no set is reached twice.
+    The first set found in that order is returned.  An explicit stack holds
+    one frame per depth (the free mask, the cover and u's untried
+    coverers), so memory and depth never depend on the number of vertices.
+    Each node and each bit its scan takes off the uncovered mask is a step;
+    a node that takes ``steps`` below zero raises CapExceededError.
+    """
+    conflict, reach, covers = tables
+    missing = full & ~cover
+    todo, scanned = _scan(covers, free, missing, need)
+    steps -= 1 + scanned
+    if steps < 0:
+        raise _over_limit()
+    if not missing:
+        return (), 1, steps
+    nodes = 1
+    chosen = [0] * need
+    # at each depth: the vertices still free there, the cover of the members
+    # above it, and the coverers of its branching vertex not yet tried
+    free_at = [free] + [0] * (need - 1)
+    cov_at = [cover] + [0] * (need - 1)
+    todo_at = [todo] + [0] * (need - 1)
+    depth = 0 if todo else -1
     while depth >= 0:
-        steps -= 1
+        todo = todo_at[depth]
+        if not todo:
+            depth -= 1
+            continue
+        low = todo & -todo
+        todo_at[depth] = todo ^ low
+        free = free_at[depth] = free_at[depth] ^ low
+        v = low.bit_length() - 1
+        chosen[depth] = v
+        nodes += 1
+        cover = cov_at[depth] | reach[v]
+        missing = full & ~cover
+        free &= ~conflict[v]
+        todo, scanned = _scan(covers, free, missing, need - depth - 1)
+        steps -= 1 + scanned
         if steps < 0:
             raise _over_limit()
-        free = free_at[depth]
-        missing = full & ~cov_at[depth]
-        if depth == last:
-            # the lowest free vertex of each twin class is its only choice
-            rest = free & paired
-            steps -= rest.bit_count()
-            while rest:
-                low = rest & -rest
-                others = twins[low.bit_length() - 1]
-                free &= ~others
-                rest &= ~(others | low)
-            cand = free
-            todo = missing
-            while missing and cand:
-                low = missing & -missing
-                cand &= covers[low.bit_length() - 1]
-                missing ^= low
-            steps -= (todo ^ missing).bit_count()
-            if cand:
-                hit = cand & -cand
-                tested += (free & (hit << 1) - 1).bit_count()
-                chosen[last] = hit.bit_length() - 1
-                return tuple(chosen), tested, steps
-            tested += free.bit_count()
-            depth -= 1
-        elif free.bit_count() < k - depth:
-            depth -= 1
-        elif missing and not free & covers[(missing & -missing).bit_length() - 1]:
-            # every completion needs a member that covers the lowest uncovered vertex
-            depth -= 1
-        else:
-            low = free & -free
-            free ^= low
+        if not missing:
+            return tuple(chosen[: depth + 1]), nodes, steps
+        if todo:
+            depth += 1
+            free_at[depth] = free
+            cov_at[depth] = cover
+            todo_at[depth] = todo
+    return None, nodes, steps
+
+
+def _least_cover(
+    k: int, tables: _Tables, free: int, cover: int, full: int, steps: int
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """The lexicographically least k-set that _decide(k, ...) accepts, or
+    None when it accepts none; the nodes of all the decisions; and what is
+    left of ``steps``.  Callers ask ascending k, so a set found has exactly
+    k members.
+
+    Prefix fixing: with W the last set found, position j tries the free
+    vertices v above the fixed prefix in ascending order, and asks whether
+    a set holds the prefix, v and k - j - 1 vertices above v.  W answers
+    "yes" with no search once v is its j-th member; each set a search finds
+    becomes W.
+    """
+    conflict, reach, _ = tables
+    hit, explored, steps = _decide(k, tables, free, cover, full, steps)
+    if hit is None:
+        return None, explored, steps
+    witness = sorted(hit)
+    for j in range(k):
+        cand = free & (1 << witness[j]) - 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
             v = low.bit_length() - 1
-            # the siblings after v skip its twins; the child under v keeps them
-            free_at[depth] = free & ~twins[v]
-            after = free & ~conflict[v]
-            need = last - depth
-            if after.bit_count() >= need:
-                # the packing bound of the child: need ends below 0 to cut it
-                cov = cov_at[depth] | reach[v]
-                missing = todo = full & ~cov
-                claimed = 0
-                while missing and need >= 0:
-                    low = missing & -missing
-                    missing ^= low
-                    coverers = covers[low.bit_length() - 1] & after
-                    if coverers & claimed:
-                        continue
-                    if not coverers:
-                        need = -1
-                        break
-                    claimed |= coverers
-                    need -= 1
-                steps -= (todo ^ missing).bit_count()
-                if need >= 0:
-                    chosen[depth] = v
-                    depth += 1
-                    free_at[depth] = after
-                    cov_at[depth] = cov
-    return None, tested, steps
+            above = free & ~conflict[v] & -(low << 1)
+            hit, nodes, steps = _decide(k - j - 1, tables, above, cover | reach[v], full, steps)
+            explored += nodes
+            if hit is not None:
+                witness[j:] = sorted((v, *hit))
+                break
+        v = witness[j]
+        free &= ~conflict[v] & -(2 << v)
+        cover |= reach[v]
+    return tuple(witness), explored, steps
 
 
 def _steps_after_tables(d: Digraph) -> int:
@@ -223,8 +220,7 @@ def _qk_tables(d: Digraph) -> _Tables:
         for w in members(near):
             mask |= out[w]
         covers.append(mask)
-    return _tables(
-        d,
+    return _Tables(
         [o | i for o, i in zip(out, d.in_masks)],
         [d.reach_in_two(v) for v in range(d.n)],
         covers,
@@ -235,10 +231,10 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
     """Minimum-cardinality quasi-kernel (ties broken to the lexicographically
     least vertex set), or a none-within-budget report.
 
-    Sizes are tried in ascending order, each by one pruned scan of the
-    independent sets of that size; all of them share MAX_SEARCH_STEPS with
-    the building of the search's tables.  A SplitDigraph is searched as its
-    plain graph.
+    Sizes are decided in ascending order, and the first size with a
+    quasi-kernel is fixed to its least set by prefix fixing; all the
+    searches share MAX_SEARCH_STEPS with the building of their tables.  A
+    SplitDigraph is searched as its plain graph.
     """
     d = d.graph if isinstance(d, SplitDigraph) else d
     steps = _steps_after_tables(d)
@@ -246,16 +242,25 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
     explored = 0
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, tested, steps = _first_cover(k, tables, 0, 0, d.full_mask, steps)
-        explored += tested
+        hit, nodes, steps = _least_cover(k, tables, d.full_mask, 0, d.full_mask, steps)
+        explored += nodes
         if hit is not None:
             return SolveReport(d.certify(hit, "exact"), True, explored, "exact")
     return SolveReport(None, False, explored, "exact")
 
 
 def has_qk_of_size_at_most(d: Digraph | SplitDigraph, q: int) -> bool:
-    """Decision wrapper: does a quasi-kernel of size <= q exist?"""
-    return min_quasi_kernel(d, budget=q).certificate is not None
+    """Does a quasi-kernel of size <= q exist?  One decision search, whose
+    witness is certified."""
+    d = d.graph if isinstance(d, SplitDigraph) else d
+    if q < 0:
+        return False
+    steps = _steps_after_tables(d)
+    hit, _, _ = _decide(min(q, d.n), _qk_tables(d), d.full_mask, 0, d.full_mask, steps)
+    if hit is None:
+        return False
+    d.certify(hit, "exact")
+    return True
 
 
 def is_dominating(d: Digraph, s: Iterable[int]) -> bool:
@@ -270,16 +275,16 @@ def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] 
 
     It runs the quasi-kernel search core with no adjacency conflicts, the
     closed in-neighbourhoods as reach masks and the closed
-    out-neighbourhoods as their mirror, so the packing bound and the twin
-    rule apply as they do there, and so does MAX_SEARCH_STEPS.
+    out-neighbourhoods as their mirror, and MAX_SEARCH_STEPS applies as it
+    does there.
     """
     closed_in = [row | 1 << v for v, row in enumerate(d.in_masks)]
     closed_out = [row | 1 << v for v, row in enumerate(d.out_masks)]
-    tables = _tables(d, [0] * d.n, closed_in, closed_out)
+    tables = _Tables([0] * d.n, closed_in, closed_out)
     steps = MAX_SEARCH_STEPS
     max_k = d.n if budget is None else min(budget, d.n)
     for k in range(max_k + 1):
-        hit, _, steps = _first_cover(k, tables, 0, 0, d.full_mask, steps)
+        hit, _, steps = _least_cover(k, tables, d.full_mask, 0, d.full_mask, steps)
         if hit is not None:
             return frozenset(hit)
     return None
@@ -353,24 +358,24 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     """Quasi-kernel of size <= k, or None, by independent-part subset enumeration.
 
     At most one clique vertex joins a subset of the independent part.
-    Candidates are tested in ascending total size, so the first hit is a
+    Sizes are decided in ascending total size, so the first hit is a
     minimum one; within a size, the subsets of I alone come first, then
-    those with each clique vertex c in ascending order, each group in
-    lexicographic order.  All the scans share MAX_SEARCH_STEPS with the
-    building of the search's tables.
+    those with each clique vertex c in ascending order, and the first group
+    with a hit is fixed to its lexicographically least subset.  All the
+    searches share MAX_SEARCH_STEPS with the building of their tables.
     """
     d = sd.graph
     steps = _steps_after_tables(d)
     tables = _qk_tables(d)
     full = d.full_mask
     clique = sorted(sd.clique)
-    k_mask = d.mask_of(clique)
+    indep = full & ~d.mask_of(clique)
     for size in range(min(k, d.n) + 1):
-        hit, _, steps = _first_cover(size, tables, k_mask, 0, full, steps)
+        hit, _, steps = _least_cover(size, tables, indep, 0, full, steps)
         if hit is None and size >= 1:
             for c in clique:
-                hit, _, steps = _first_cover(
-                    size - 1, tables, k_mask | tables.conflict[c], tables.reach[c], full, steps
+                hit, _, steps = _least_cover(
+                    size - 1, tables, indep & ~tables.conflict[c], tables.reach[c], full, steps
                 )
                 if hit is not None:
                     hit = (*hit, c)

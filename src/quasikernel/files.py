@@ -135,7 +135,8 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     if transposed:
         reading.inn = _transpose(reading.out, reading.n)
 
-    last = text.count("\n") + 1
+    # the line after the last line end, counted as splitlines counts lines
+    last = reading.lines + 1 if _LINE_END.match(text[-1:]) else max(reading.lines, 1)
     if not reading.header_seen:
         raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
     n = reading.n

@@ -169,9 +169,9 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     A greedy maximal matching of clique-to-independent arcs splits the
     vertices into a matched region A and a remainder B with no arcs from
     B's clique side into the independent part; the better of two
-    candidates built around the matching and around B wins.  Only B is
-    copied, for the one-way construction; the 2-serf step in the clique
-    works on the digraph's own masks.
+    candidates built around the matching and around B wins.  Only a proper
+    B is copied, for the one-way construction; the 2-serf step in the
+    clique works on the digraph's own masks.
     """
     flags = sd.classify()
     if not flags.sink_free:
@@ -212,11 +212,14 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     )
 
     # candidate around B: a 2-serf of D[B] if its clique side has a sink
-    # there, else the one-way construction on D[B]
+    # there, else the one-way construction on D[B], which is sd itself when
+    # the matching is empty
     b_sinks = _sinks_within(d, region_b)
     if b_sinks:
         _require(not b_sinks & ~bk, "remainder sink outside the clique side")
         q1 = b_sinks & -b_sinks
+    elif region_b == d.full_mask:
+        q1 = d.mask_of(one_way_qk(sd).vertices)
     else:
         sub, old_of_new, _ = sd.induced_split(members(region_b))
         q1 = d.mask_of(old_of_new[v] for v in one_way_qk(sub).vertices)

@@ -75,6 +75,13 @@ def random_digraph(seed: int, max_n: int = 12) -> Digraph:
     return Digraph(n, arcs)
 
 
+def gnp(n: int, p: float, seed: int) -> Digraph:
+    """G(n, p): each arc (u, v), u != v, in row order, drawn when
+    random.Random(seed).random() < p."""
+    rng = random.Random(seed)
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
 def random_semicomplete(seed: int, max_n: int = 10) -> Digraph:
     rng = random.Random(seed)
     n = rng.randint(1, max_n)
@@ -259,8 +266,9 @@ def twinned_split_digraphs(draw, max_n: int = 20) -> SplitDigraph:
     return relabel_split(twinned, draw(st.permutations(range(d.n))))
 
 
-# The exhaustive-search core before the packing bound and the twin rule,
-# kept unchanged as the reference that test_properties compares it against.
+# The lexicographic exhaustive-search core from before the packing bound,
+# the twin rule and cover branching, kept unchanged as the answer oracle
+# that test_properties compares the exact solvers against.
 def first_cover_reference(
     k: int,
     conflict: list[int],
@@ -276,7 +284,7 @@ def first_cover_reference(
     of k-sets whose cover was decided.
 
     ``covers`` mirrors ``reach``: ``covers[u]`` is the mask of the vertices
-    v with u in ``reach[v]``.  This is the package's one exhaustive
+    v with u in ``reach[v]``.  This was the package's exhaustive
     enumeration.  It walks the sets in lexicographic order without
     recursion, keeping one entry per chosen member, so its memory and depth
     never depend on the number of vertices.  Two prunes skip only subtrees
@@ -486,7 +494,7 @@ def parse_instance_reference(text: str) -> Digraph | SplitDigraph:
         else:
             raise InstanceParseError(f"unknown directive '{tag}'", lineno)
 
-    last = text.count("\n") + 1
+    last = len((text + ".").splitlines())
     if not header_seen:
         raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
     if n is None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digraphs, distinct_class_split, split_digraphs
+from conftest import digraphs, distinct_class_split, gnp, split_digraphs
 
 import quasikernel
 from quasikernel import (
@@ -192,6 +192,16 @@ def test_solve_exact_on_45_vertices(tmp_path, capsys):
         code, out = run(capsys, "solve", str(path), "--algo", "exact")
         assert code == 0
         assert "size: 17\n" in out and "minimum: true\n" in out
+
+
+def test_solve_exact_on_a_sparse_120_vertex_digraph(tmp_path, capsys):
+    # G(120, 0.03), seed 0: proving that no quasi-kernel of size 10 exists
+    # took the lexicographic search past MAX_SEARCH_STEPS
+    path = tmp_path / "g120.qkdg"
+    path.write_text(serialize_instance(gnp(120, 0.03, 0)))
+    code, out = run(capsys, "solve", str(path), "--algo", "exact")
+    assert code == 0
+    assert "size: 11\n" in out and "minimum: true\n" in out
 
 
 def test_verify_good_and_bad_sets(tmp_path, capsys):

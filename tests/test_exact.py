@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import distinct_class_split, qk_by_bfs, random_digraph
+from conftest import distinct_class_split, gnp, qk_by_bfs, random_digraph
 from quasikernel import exact
 from quasikernel import (
     CapExceededError,
@@ -52,7 +52,7 @@ def test_min_qk_budget_refusal_reports_none():
 
 
 def test_min_qk_caps(monkeypatch):
-    # gen_dpn(6) takes about 86k steps, as a Digraph and as a SplitDigraph
+    # gen_dpn(6) takes about 36k steps, as a Digraph and as a SplitDigraph
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
     sd = gen_dpn(6)
     for inst in (sd, sd.graph):
@@ -61,7 +61,7 @@ def test_min_qk_caps(monkeypatch):
 
 
 def test_min_qk_on_45_vertices():
-    # |I| = 36; the search takes about 1.6k of MAX_SEARCH_STEPS
+    # |I| = 36; the search takes about 6k of MAX_SEARCH_STEPS
     for inst in (gen_dn(4), gen_dn(4).graph):
         rep = min_quasi_kernel(inst)
         assert rep.optimal
@@ -70,14 +70,14 @@ def test_min_qk_on_45_vertices():
 
 def test_search_steps_are_shared_by_the_scans_of_one_call(monkeypatch):
     used = []
-    core = exact._first_cover
+    core = exact._decide
 
-    def recording(k, tables, banned, cover, full, steps):
-        hit, tested, left = core(k, tables, banned, cover, full, steps)
+    def recording(need, tables, free, cover, full, steps):
+        hit, nodes, left = core(need, tables, free, cover, full, steps)
         used.append(steps - left)
-        return hit, tested, left
+        return hit, nodes, left
 
-    monkeypatch.setattr(exact, "_first_cover", recording)
+    monkeypatch.setattr(exact, "_decide", recording)
     assert min_quasi_kernel(gen_dpn(3)).certificate.size == 7
     # every scan fits in the limit on its own, and all of them do not
     assert 2 * max(used) < sum(used)
@@ -236,14 +236,16 @@ def test_fpt_by_clique_depth_does_not_grow_with_classes():
 
 
 def test_cover_prune_bounds_the_exact_search():
-    # without the cover prune the scan tests 1,443,195 independent sets
+    # a lexicographic scan without the cover prune tests 1,443,195
+    # independent sets; the search visits 102 nodes
     rep = min_quasi_kernel(gen_dn(3))
     assert rep.certificate.size == 10
     assert rep.explored <= 30_000
 
 
 def test_packing_bound_and_twins_bound_the_exact_search():
-    # the cover prune alone decides 30,813 sets
+    # a lexicographic scan with the cover prune alone decides 30,813 sets;
+    # the search, with no twin rule, visits 84 nodes
     rep = min_quasi_kernel(gen_dpn(3))
     assert rep.certificate.size == 7
     assert rep.explored <= 2_000
@@ -260,7 +262,7 @@ def test_fpt_by_independent_past_the_exact_caps():
 
 def test_fpt_by_independent_clique_vertex_twin():
     # the clique vertex 0 and both independent vertices are isolated twins;
-    # the twin rule must not let the banned clique vertex block them
+    # leaving the banned clique vertex out must not block them
     sd = SplitDigraph(Digraph(3), [0], [1, 2])
     assert fpt_by_independent(sd, 2) is None
     assert fpt_by_independent(sd, 3).sorted_vertices() == (0, 1, 2)
@@ -279,3 +281,37 @@ def test_fpt_by_clique_tests_combinations_on_masks(monkeypatch):
     assert fpt_by_clique(gen_dn(3), 9) is None
     assert fpt_by_clique(gen_dn(3), 10).size == 10
     assert calls == 0
+
+
+@pytest.mark.parametrize("n, p, seed, size", [(80, 0.04, 0, 8), (80, 0.04, 1, 9), (120, 0.03, 0, 11)])
+def test_min_qk_size_matches_an_integer_program(n, p, seed, size):
+    # an independent method: HiGHS minimises the sum of x subject to
+    # x_u + x_v <= 1 per arc and, per vertex v, x_u >= 1 summed over the
+    # vertices u that v reaches within two arcs, itself included
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+
+    d = gnp(n, p, seed)
+    arcs = d.arcs
+    rows = []
+    for t, h in arcs:
+        row = np.zeros(n)
+        row[[t, h]] = 1
+        rows.append(row)
+    heads = [{h for t, h in arcs if t == v} for v in range(n)]
+    for v in range(n):
+        row = np.zeros(n)
+        row[list({v} | heads[v] | {w for u in heads[v] for w in heads[u]})] = 1
+        rows.append(row)
+    upper = [1] * len(arcs) + [np.inf] * n
+    lower = [-np.inf] * len(arcs) + [1] * n
+    result = scipy_optimize.milp(
+        np.ones(n),
+        constraints=scipy_optimize.LinearConstraint(np.array(rows), lower, upper),
+        integrality=np.ones(n),
+        bounds=scipy_optimize.Bounds(0, 1),
+    )
+    assert result.success
+    report = min_quasi_kernel(d)
+    assert report.optimal
+    assert round(result.fun) == report.certificate.size == size

@@ -87,6 +87,11 @@ def test_empty_clique_line_round_trips():
         ("qkdg 1\nn 2\nz 1\n", 3, "unknown directive"),
         ("qkdg 1\nn 2\na 0 1\nk 0\n", 4, "precede"),
         ("qkdg 1\n", 2, "missing n"),
+        # the errors at the end of the text count lines as splitlines does
+        ("qkdg 1\r# x\r# y\r", 4, "missing n"),
+        ("qkdg 1\v# x\v# y\v", 4, "missing n"),
+        ("qkdg 1\u2028# x\u2028# y\u2028", 4, "missing n"),
+        ("qkdg 1\u2028n 3\u2028k 0\u2028a 1 2", 4, "invalid split partition"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, pattern):

@@ -1,7 +1,6 @@
 """Property tests for the structural invariants."""
 import random
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +32,7 @@ from quasikernel import (
     fpt_by_independent,
     gen_dn,
     gen_dpn,
+    has_qk_of_size_at_most,
     min_dominating_set,
     min_quasi_kernel,
     quasi_kernel_cl,
@@ -210,91 +210,99 @@ def first_by_size(n: int, accept) -> frozenset[int] | None:
     return None
 
 
-def twins_by_scan(n: int, arcs) -> list[set[int]]:
-    """For each vertex, the other vertices with the same out- and
-    in-neighbours, read off the arc list."""
-    sides = [
-        ({h for t, h in arcs if t == v}, {t for t, h in arcs if h == v}) for v in range(n)
-    ]
-    return [{u for u in range(n) if u != v and sides[u] == sides[v]} for v in range(n)]
+def decided_by_prunes(n: int, arcs) -> tuple[frozenset[int], int]:
+    """The least minimum quasi-kernel and the number of nodes that the
+    exact search's decisions visit on the way to it, by a plain recursion
+    over vertex sets read off the arc list.
 
-
-def decided_by_prunes(n: int, arcs, cand) -> bool:
-    """Whether the pruned lexicographic scan decides the independent
-    candidate S = s_0 < ... < s_{k-1}.
-
-    A vertex w is open after a prefix P at a floor f when w >= f, w is not
-    adjacent to a member of P, and every twin of w below f is in P (a twin
-    passed over takes its higher twins out of the scan).  S is decided iff
-    every twin below a member is a member, and for every d <= k - 2:
-
-    - cover: if S[:d] leaves a vertex uncovered, the lowest such vertex
-      reaches within two arcs some w open after S[:d] at floor s_d;
-    - packing: going up the vertices that S[:d+1] leaves uncovered, keep
-      each one whose coverers (open after S[:d+1] at floor s_d + 1, and
-      reached from it within two arcs) avoid the coverers of every vertex
-      kept before it; no kept vertex lacks coverers, and at most k - d - 1
-      are kept.
+    A decision for "at most `need` more members from `free`" visits a
+    node, a set S of members: it stops with S when S covers every vertex.
+    Otherwise, going up the vertices S leaves uncovered, it keeps each one
+    whose coverers in `free` avoid the coverers of every vertex kept before
+    it, and it stops with nothing at a kept vertex with no coverer or at
+    more than `need` kept vertices.  Else u is the first uncovered vertex
+    with the fewest coverers in `free`, and the children are S + v for
+    each coverer v of u in ascending order, without the conflicts of v and
+    without u's earlier coverers.  Sizes are decided from 0 up; then each
+    position j of the witness W tries the open vertices v below W[j], each
+    with a decision on the vertices above v, and any set found becomes W.
+    Within one decision no node repeats, and every node is independent.
     """
-    twins = twins_by_scan(n, arcs)
-    if any(u not in cand for s in cand for u in twins[s] if u < s):
-        return False
+    reach = [reaching_within_two(arcs, v) for v in range(n)]
+    conflict = [{h for t, h in arcs if t == v} | {t for t, h in arcs if h == v} for v in range(n)]
+    nodes = 0
 
-    def open_after(prefix, floor):
-        return [
-            w
-            for w in range(floor, n)
-            if not any((w, s) in arcs or (s, w) in arcs for s in prefix)
-            and all(u in prefix for u in twins[w] if u < floor)
-        ]
+    def decide(need, free, covered):
+        seen = []
 
-    def uncovered(prefix):
-        covered = set().union(*(reaching_within_two(arcs, s) for s in prefix))
-        return [u for u in range(n) if u not in covered]
+        def visit(members, free, covered, need):
+            nonlocal nodes
+            nodes += 1
+            seen.append(frozenset(members))
+            assert not any(conflict[a] & set(members) for a in members)
+            missing = [u for u in range(n) if u not in covered]
+            if not missing:
+                return members
+            claimed, kept, fewest = set(), 0, None
+            for u in missing:
+                coverers = {w for w in free if u in reach[w]}
+                if not coverers & claimed:
+                    if not coverers or kept == need:
+                        return None
+                    claimed |= coverers
+                    kept += 1
+                if fewest is None or len(coverers) < len(fewest):
+                    fewest = coverers
+            for v in sorted(fewest):
+                free = free - {v}
+                found = visit(members + (v,), free - conflict[v], covered | reach[v], need - 1)
+                if found is not None:
+                    return found
+            return None
 
-    for d in range(len(cand) - 1):
-        left = uncovered(cand[:d])
-        if left and not any(
-            left[0] in reaching_within_two(arcs, w) for w in open_after(cand[:d], cand[d])
-        ):
-            return False
-        free = open_after(cand[: d + 1], cand[d] + 1)
-        kept: list[set[int]] = []
-        for u in uncovered(cand[: d + 1]):
-            coverers = {w for w in free if u in reaching_within_two(arcs, w)}
-            if all(coverers.isdisjoint(other) for other in kept):
-                if not coverers:
-                    return False
-                kept.append(coverers)
-        if len(kept) > len(cand) - d - 1:
-            return False
-    return True
+        found = visit((), free, covered, need)
+        assert len(set(seen)) == len(seen)
+        return found
+
+    everything = set(range(n))
+    for k in range(n + 1):
+        witness = decide(k, everything, set())
+        if witness is not None:
+            break
+    witness = sorted(witness)
+    free, covered = everything, set()
+    for j in range(k):
+        for v in sorted(w for w in free if w < witness[j]):
+            above = {w for w in free - conflict[v] if w > v}
+            found = decide(k - j - 1, above, covered | reach[v])
+            if found is not None:
+                witness[j:] = sorted((v, *found))
+                break
+        v = witness[j]
+        free = {w for w in free - conflict[v] if w > v}
+        covered |= reach[v]
+    return frozenset(witness), nodes
 
 
 def check_min_qk_by_brute_force(inst) -> None:
     """Both search modes return the least minimum quasi-kernel, and their
-    explored count is the number of candidates that the prunes leave."""
+    explored count is the number of nodes that the search's decisions
+    visit."""
     d = getattr(inst, "graph", inst)
     n = d.n
     arcs = set(d.arcs)
     least_qk = first_by_size(n, lambda cand: qk_by_bfs(d, cand))
-    # the independent sets up to the hit, in (size, lexicographic) order
-    last = tuple(sorted(least_qk))
-    independent = [
-        cand
-        for size in range(len(last) + 1)
-        for cand in combinations(range(n), size)
-        if (size < len(last) or cand <= last) and not any(t in cand and h in cand for t, h in arcs)
-    ]
-    decided = sum(1 for cand in independent if decided_by_prunes(n, arcs, cand))
+    least, nodes = decided_by_prunes(n, arcs)
+    assert least == least_qk
     for report in (min_quasi_kernel(inst), min_quasi_kernel(d)):
         assert report.certificate.vertices == least_qk
-        assert report.explored == decided <= len(independent)
+        assert report.explored == nodes
 
 
 @pytest.mark.parametrize("family, n", [(gen_dn, 1), (gen_dn, 2), (gen_dpn, 1), (gen_dpn, 2)])
 def test_family_searches_match_brute_force(family, n):
-    # each row of the families' independent part is a class of n twins
+    # each row of the families' independent part is a class of n twins,
+    # which the search does not tell apart
     check_min_qk_by_brute_force(family(n))
 
 
@@ -319,26 +327,74 @@ def test_exhaustive_searches_match_brute_force(sd, data):
 
 
 def exact_answers(d, sd, k):
-    qk = min_quasi_kernel(d).certificate
-    split_qk = min_quasi_kernel(sd).certificate
+    """The exact solvers' answers: minimum sets, optimality, budgets one
+    below and at the minimum, the decision there, the dominating set and
+    fpt_by_independent at k."""
+    report = min_quasi_kernel(d)
+    m = report.certificate.size
+    below, at = min_quasi_kernel(d, budget=m - 1), min_quasi_kernel(d, budget=m)
+    dominating = min_dominating_set(d)
     fpt = fpt_by_independent(sd, k)
     return (
-        qk.sorted_vertices(),
-        min_dominating_set(d),
-        split_qk.sorted_vertices(),
+        (report.certificate.sorted_vertices(), report.optimal),
+        (below.certificate, below.optimal, at.certificate.sorted_vertices()),
+        (has_qk_of_size_at_most(d, m - 1), has_qk_of_size_at_most(d, m)),
+        (dominating, min_dominating_set(d, budget=len(dominating) - 1)),
+        min_quasi_kernel(sd).certificate.sorted_vertices(),
         fpt and fpt.sorted_vertices(),
+    )
+
+
+def first_by_reference(tables, sizes, banned=0, cover=0):
+    """The first hit of first_cover_reference over the given sizes."""
+    full = (1 << len(tables.reach)) - 1
+    for size in sizes:
+        hit, _ = first_cover_reference(
+            size, tables.conflict, tables.reach, tables.covers, banned, cover, full
+        )
+        if hit is not None:
+            return tuple(sorted(hit))
+    return None
+
+
+def reference_answers(d, sd, k):
+    """exact_answers by the lexicographic reference core, run size by size
+    and, for fpt_by_independent, group by group."""
+    tables = exact._qk_tables(d)
+    least = first_by_reference(tables, range(d.n + 1))
+    m = len(least)
+    closed = exact._Tables(
+        [0] * d.n,
+        [row | 1 << v for v, row in enumerate(d.in_masks)],
+        [row | 1 << v for v, row in enumerate(d.out_masks)],
+    )
+    dominating = frozenset(first_by_reference(closed, range(d.n + 1)))
+    split_tables = exact._qk_tables(sd.graph)
+    k_mask = sd.graph.mask_of(sd.clique)
+    fpt = None
+    for size in range(min(k, sd.graph.n) + 1):
+        fpt = first_by_reference(split_tables, [size], k_mask)
+        for c in sorted(sd.clique) if fpt is None and size else ():
+            banned = k_mask | split_tables.conflict[c]
+            fpt = first_by_reference(split_tables, [size - 1], banned, split_tables.reach[c])
+            if fpt is not None:
+                fpt = tuple(sorted((*fpt, c)))
+                break
+        if fpt is not None:
+            break
+    return (
+        (least, True),
+        (None, False, least),
+        (False, True),
+        (dominating, None),
+        first_by_reference(split_tables, range(sd.graph.n + 1)),
+        fpt,
     )
 
 
 @given(twinned_digraphs(), twinned_split_digraphs(), st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
 def test_search_core_matches_reference_on_twins(d, sd, k):
-    # the packing bound and the twin rule change how many sets the core
-    # decides, never which set it returns
-    def reference(k, tables, banned, cover, full, steps):
-        conflict, reach, covers = tables.conflict, tables.reach, tables.covers
-        return (*first_cover_reference(k, conflict, reach, covers, banned, cover, full), steps)
-
-    with mock.patch.object(exact, "_first_cover", reference):
-        expected = exact_answers(d, sd, k)
-    assert exact_answers(d, sd, k) == expected
+    # cover branching, the packing bound and prefix fixing change how many
+    # sets the search visits, never which set it returns
+    assert exact_answers(d, sd, k) == reference_answers(d, sd, k)

@@ -73,22 +73,28 @@ def test_two_thirds_copies_only_the_remainder(monkeypatch):
     # a one-way ladder has no clique-to-independent arc, so the remainder B
     # is the whole digraph, and clique vertex 0, a source, is no 2-serf of
     # the clique: both the one-way construction on B and the domination in
-    # the clique run, and only B is copied, through induced_split
+    # the clique run, and nothing is copied
     sd = near_transitive_ladder(60)
+    # with the arc 0 -> 119 the matching takes it, and B, all but 0, 119
+    # and 60 (whose arc into 0 reaches 119 in two), is the one copy
+    matched = SplitDigraph(Digraph(120, [*sd.graph.arcs, (0, 119)]), range(60), range(60, 120))
+    expected = [two_thirds_reference(inst) for inst in (sd, matched)]
     calls = count_calls(
         monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
     )
     splits = count_calls(monkeypatch, SplitDigraph, "induced_split")
     cert = two_thirds_qk(sd)
     assert 3 * cert.size <= 2 * sd.graph.n
-    everything = frozenset(range(sd.graph.n))
-    assert [frozenset(s) for (s,) in splits["induced_split"]] == [everything]
-    assert [frozenset(s) for (s,) in calls["induced"]] == [everything]
+    assert cert.vertices == expected[0]
+    assert not splits["induced_split"]
+    assert not calls["induced"]
     assert not calls["__init__"]
-    # once for the clique part of B's SplitDigraph, once in one_way_qk on B,
-    # once within the clique before the domination
-    assert len(calls["semicomplete_violation"]) == 3
+    # once in one_way_qk on B, once within the clique before the domination
+    assert len(calls["semicomplete_violation"]) == 2
     assert len(calls["reach_in_two"]) <= 60 + 2
+    assert two_thirds_qk(matched).vertices == expected[1]
+    remainder = frozenset(range(120)) - {0, 60, 119}
+    assert [frozenset(s) for (s,) in splits["induced_split"]] == [remainder]
 
 
 def test_one_way_dn1():
