@@ -24,6 +24,7 @@ from .digraph import (
 )
 from .exact import fpt_by_clique, fpt_by_independent, min_quasi_kernel
 from .files import (
+    _LINE_END_CHARS,
     MAX_INSTANCE_BYTES,
     InstanceParseError,
     certificate_document,
@@ -47,6 +48,18 @@ from .split_qk import complete_split_min_qk, one_way_qk, peel_split, two_thirds_
 EXACT_BOUNDS_LIMIT = 18
 
 
+# the UTF-8 forms of the line ends that parse_instance counts, as
+# str.splitlines does: a CR with an LF after it ends one line
+_LINE_END_BYTES = tuple(end.encode() for end in _LINE_END_CHARS)
+
+
+def _line_at(data: bytes, pos: int) -> int:
+    """1-based number of the line that holds byte pos of data."""
+    ends = sum(data.count(end, 0, pos) for end in _LINE_END_BYTES)
+    # a CRLF that straddles pos ends the line that holds pos
+    return ends - data.count(b"\r\n", 0, pos + 1) + 1
+
+
 def _read_instance(path: str) -> Digraph | SplitDigraph:
     with open(path, "rb") as f:
         # stat only sizes the first read, as a device or a FIFO reports size
@@ -56,14 +69,15 @@ def _read_instance(path: str) -> Digraph | SplitDigraph:
         if len(data) == want:
             data += f.read(MAX_INSTANCE_BYTES + 1 - want)
     if len(data) > MAX_INSTANCE_BYTES:
-        line = data.count(b"\n", 0, MAX_INSTANCE_BYTES) + 1
-        raise InstanceParseError(f"file over the cap MAX_INSTANCE_BYTES={MAX_INSTANCE_BYTES}", line)
+        raise InstanceParseError(
+            f"file over the cap MAX_INSTANCE_BYTES={MAX_INSTANCE_BYTES}",
+            _line_at(data, MAX_INSTANCE_BYTES),
+        )
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
         raise InstanceParseError(
-            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line
+            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", _line_at(data, exc.start)
         ) from None
     # as a text-mode read would: CR and CRLF end lines as LF does
     return parse_instance(text.replace("\r\n", "\n").replace("\r", "\n"))

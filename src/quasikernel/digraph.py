@@ -10,9 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Arc = tuple[int, int]
+# bin() digits to the bytes 0 and 1, for itertools.compress
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SplitError(ValueError):
@@ -119,7 +122,18 @@ class QkCertificate:
 
 
 def members(mask: int) -> list[int]:
-    """Positions of the set bits of a vertex mask, ascending."""
+    """Positions of the set bits of a vertex mask, ascending.
+
+    A mask whose set bits are at least an eighth of its bit length is
+    listed in one C-level walk over its binary digits, as
+    ``files.serialize_instance`` lists dense rows; a sparser one pops its
+    low bits, so the cost stays linear in its members.  So does a mask of
+    fewer than 16 members: the walk has a fixed cost that popping up to
+    about 16 bits undercuts, and the exact search's rows are that short.
+    """
+    count = mask.bit_count()
+    if count >= 16 and count * 8 >= mask.bit_length():
+        return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
     found = []
     while mask:
         low = mask & -mask
@@ -351,11 +365,11 @@ class Digraph:
         inn = self._in
         near = inn[v] & within
         reach = near | 1 << v
-        # once all of within is in, the remaining in-neighbors add nothing
-        while near and reach != within:
-            low = near & -near
-            reach |= inn[low.bit_length() - 1] & within
-            near ^= low
+        for w in members(near):
+            # once all of within is in, the remaining in-neighbors add nothing
+            if reach == within:
+                break
+            reach |= inn[w] & within
         return reach
 
     # -- neighborhood operators -----------------------------------------
@@ -387,11 +401,15 @@ class Digraph:
         return self._independent_mask(self.mask_of(s))
 
     def is_quasi_kernel(self, s: Iterable[int]) -> bool:
-        mask = self.mask_of(s)
-        if not self._independent_mask(mask):
+        return self._quasi_kernel_mask(self.mask_of(s), self.full_mask)
+
+    def _quasi_kernel_mask(self, mask: int, within: int) -> bool:
+        """Whether mask is a quasi-kernel of the subdigraph that mask
+        ``within`` induces: only paths inside it count."""
+        if mask & ~within or not self._independent_mask(mask):
             return False
-        first = self.in_set_mask(mask)
-        return mask | first | self.in_set_mask(first) == self.full_mask
+        first = self.in_set_mask(mask) & within
+        return mask | first | self.in_set_mask(first) & within == within
 
     def is_kernel(self, s: Iterable[int]) -> bool:
         mask = self.mask_of(s)

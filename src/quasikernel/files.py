@@ -20,7 +20,15 @@ from itertools import compress, groupby, repeat
 from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
-from .digraph import Digraph, QkCertificate, SplitDigraph, SplitError, VerificationError, members
+from .digraph import (
+    _BIT_BYTES,
+    Digraph,
+    QkCertificate,
+    SplitDigraph,
+    SplitError,
+    VerificationError,
+    members,
+)
 
 INSTANCE_MAGIC = "qkdg 1"
 CERTIFICATE_MAGIC = "qkcert 1"
@@ -32,14 +40,14 @@ MAX_ARCS = 2_000_000
 # room for MAX_ARCS arc lines of at most 14 bytes ("a 19999 19999\n") and a
 # label comment per vertex; a file over it is refused before it is decoded
 MAX_INSTANCE_BYTES = 16 * (MAX_ARCS + MAX_VERTICES)
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # the most characters of whole lines that parse_instance reads at once, unless
 # one line is longer: it bounds the line and token lists, about 30 times that
 BULK_CHUNK = 8192
 _ARC_CHARS = b"0123456789a \n"
 # the characters that end a line for str.splitlines, a CR with an LF after
 # it ending one line
-_LINE_ENDS = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+_LINE_END_CHARS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_ENDS = f"[{_LINE_END_CHARS}]"
 _LINE_END = re.compile(_LINE_ENDS)
 _THROUGH_LAST_LINE_END = re.compile(".*" + _LINE_ENDS, re.S)
 # the columns c of one byte with bit s of c set, for s = 1, 2, 4

@@ -12,8 +12,13 @@ Four guarantees, each carried by a verified certificate:
 * ``peel_sinks``      — digraphs with sinks, reduced to a sink-free oracle,
                         size <= alpha * (n + |S| - |N-(S)|) for the sink set S.
 
-Every certificate is re-verified against the original digraph, never
-against a reduced or induced copy.
+The one-way and two-thirds constructions run on regions of the host
+digraph: a vertex mask, read through the host's own mask rows, stands for
+the subdigraph it induces.  So two-thirds hands its remainder to the
+one-way construction, and sink peeling its residues to two-thirds, with
+no induced copy; the only digraph built is the clique's spanning
+tournament.  Every certificate is re-verified against the original
+digraph, never against a reduced or induced copy.
 """
 from __future__ import annotations
 
@@ -64,19 +69,26 @@ def assign_one_way(sd: SplitDigraph) -> OneWayAssignment:
     """Assign each independent vertex to its smallest-index clique out-neighbor."""
     d = sd.graph
     order = tuple(sorted(sd.clique))
+    classes = _class_masks(d, order, d.mask_of(sd.independent), d.full_mask)
+    assigned = dict(sorted((s, y) for y, c in zip(order, classes) for s in members(c)))
+    return OneWayAssignment(order, tuple(frozenset(members(c)) for c in classes), assigned)
+
+
+def _class_masks(d: Digraph, order: tuple[int, ...], indep: int, region: int) -> list[int]:
+    """The one-way classes of D[region]: mask i holds the vertices of
+    ``indep`` whose smallest out-neighbor in the region is order[i]."""
     pos = {k: idx for idx, k in enumerate(order)}
-    buckets: list[set[int]] = [set() for _ in order]
-    assigned: dict[int, int] = {}
+    classes = [0] * len(order)
     out = d.out_masks
-    for s in sorted(sd.independent):
-        if not out[s]:
+    for s in members(indep):
+        row = out[s] & region
+        if not row:
             raise PreconditionError(f"independent vertex {s} is a sink")
-        y = lowest(out[s])
+        y = lowest(row)
         if y not in pos:
             raise PreconditionError(f"independent vertex {s} has an out-arc outside the clique")
-        assigned[s] = y
-        buckets[pos[y]].add(s)
-    return OneWayAssignment(order, tuple(frozenset(b) for b in buckets), assigned)
+        classes[pos[y]] |= 1 << s
+    return classes
 
 
 def _one_way_size_cap(n: int) -> int:
@@ -94,16 +106,15 @@ def _check_one_way_bound(n: int, size: int) -> None:
         _require(size <= n // 2, f"half bound violated: size {size} for n={n}")
 
 
-def _spanning_tournament(d: Digraph, clique: frozenset[int]) -> tuple[Digraph, tuple[int, ...]]:
-    """Tournament on the clique: each digon keeps only its lower->higher arc.
+def _spanning_tournament(d: Digraph, clique: int) -> tuple[Digraph, tuple[int, ...]]:
+    """Tournament on the clique mask: each digon keeps only its lower->higher arc.
 
     Built from the clique's out-rows, renumbered bit by bit, with no arc list.
     """
-    order = tuple(sorted(clique))
+    order = tuple(members(clique))
     pos = {k: idx for idx, k in enumerate(order)}
     out, inn = d.out_masks, d.in_masks
-    k_mask = d.mask_of(order)
-    rows = (out[u] & k_mask & ~(inn[u] & ((1 << u) - 1)) for u in order)
+    rows = (out[u] & clique & ~(inn[u] & ((1 << u) - 1)) for u in order)
     return Digraph._renumbered(rows, pos), order
 
 
@@ -119,25 +130,42 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     vertex's reach-in-two mask and class union come from one bulk row-OR
     each (``or_rows``), not from a scan per vertex.
     """
-    flags = sd.classify()
-    if not flags.one_way:
-        raise PreconditionError("not one-way: an independent vertex has an in-arc")
-    if not flags.sink_free:
-        raise PreconditionError("has a sink: use two-thirds via sink peeling")
     d = sd.graph
     n = d.n
-    if n == 0:
-        return d.certify((), "one-way", bound=Fraction(0))
-    t, order = _spanning_tournament(d, sd.clique)
+    q = _one_way(d, d.mask_of(sd.clique), d.full_mask)
+    bound = Fraction(_one_way_size_cap(n) if n else 0)
+    cert = d.certify(members(q), "one-way", bound=bound)
+    _check_one_way_bound(n, cert.size)
+    return cert
+
+
+def _one_way(d: Digraph, clique: int, region: int) -> int:
+    """one_way_qk's set for D[region], whose clique part is clique & region,
+    read from d's own rows and returned as a mask of d.
+
+    The set is the one one_way_qk finds on the induced subdigraph: that
+    numbers the region in ascending order, as d's indices do, so every
+    lowest-index choice and tie-break agrees.  The preconditions, the
+    per-vertex size inequality, the one-way bound and that the set is a
+    quasi-kernel of D[region] are checked on the region.
+    """
+    d_in = d.in_masks
+    indep = region & ~clique
+    if any(d_in[s] & region for s in members(indep)):
+        raise PreconditionError("not one-way: an independent vertex has an in-arc")
+    if _sinks_within(d, region):
+        raise PreconditionError("has a sink: use two-thirds via sink peeling")
+    if not region:
+        return 0
+    t, order = _spanning_tournament(d, clique & region)
     t_sinks = t.sinks()
     if t_sinks:
-        v = order[min(t_sinks)]
-        return d.certify((v,), "one-way", bound=Fraction(_one_way_size_cap(n)))
+        q = 1 << order[min(t_sinks)]
+        _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")
+        return q
     _require_semicomplete(t)
-    asg = assign_one_way(sd)
-    classes = [d.mask_of(c) for c in asg.classes]
+    classes = _class_masks(d, order, indep, region)
     t_in = t.in_masks
-    d_in = d.in_masks
     full = t.full_mask
     # reached[i]: the classes of i's tournament out-neighbors, which are disjoint
     reached = or_rows(classes, t.out_masks)
@@ -157,10 +185,10 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
             f"per-vertex size inequality violated at clique index {i}",
         )
         candidates.append(q)
-    best = min(range(len(order)), key=lambda i: (candidates[i].bit_count(), i))
-    cert = d.certify(members(candidates[best]), "one-way", bound=Fraction(_one_way_size_cap(n)))
-    _check_one_way_bound(n, cert.size)
-    return cert
+    q = min(candidates, key=int.bit_count)
+    _check_one_way_bound(region.bit_count(), q.bit_count())
+    _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")
+    return q
 
 
 def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
@@ -169,20 +197,32 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     A greedy maximal matching of clique-to-independent arcs splits the
     vertices into a matched region A and a remainder B with no arcs from
     B's clique side into the independent part; the better of two
-    candidates built around the matching and around B wins.  Only a proper
-    B is copied, for the one-way construction; the 2-serf step in the
-    clique works on the digraph's own masks.
+    candidates built around the matching and around B wins.  The one-way
+    construction runs on B, and the 2-serf step on the clique, as regions
+    of the digraph's own masks: nothing is copied.
     """
-    flags = sd.classify()
-    if not flags.sink_free:
-        raise PreconditionError("has a sink: use two-thirds via sink peeling")
     d = sd.graph
     n = d.n
-    bound = Fraction(2 * n, 3)
-    if n == 0:
-        return d.certify((), "two-thirds", bound=bound)
+    q = _two_thirds(d, d.mask_of(sd.clique), d.mask_of(sd.independent), d.full_mask)
+    cert = d.certify(members(q), "two-thirds", bound=Fraction(2 * n, 3))
+    _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
+    return cert
+
+
+def _two_thirds(d: Digraph, clique: int, indep: int, region: int) -> int:
+    """two_thirds_qk's set for D[region], whose parts are clique & region
+    and indep & region, read from d's own rows and returned as a mask of d.
+
+    As with ``_one_way``, the set is the one two_thirds_qk finds on the
+    induced subdigraph.  The sink-free precondition, the 2/3 bound and
+    that the set is a quasi-kernel of D[region] are checked on the region.
+    """
+    if _sinks_within(d, region):
+        raise PreconditionError("has a sink: use two-thirds via sink peeling")
+    n = region.bit_count()
     out, inn = d.out_masks, d.in_masks
-    clique, indep = d.mask_of(sd.clique), d.mask_of(sd.independent)
+    clique &= region
+    indep &= region
 
     # greedy matching over clique-to-independent arcs in ascending order
     k_m = i_m = 0
@@ -196,13 +236,13 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
         "matching not inclusion-maximal",
     )
 
-    n_im = d.in_set_mask(i_m)
-    nii = d.second_in_set_mask(i_m) & indep
-    region_b = d.full_mask & ~(i_m | n_im | nii)
+    n_im = d.in_set_mask(i_m) & region
+    nii = d.in_set_mask(n_im) & indep & ~i_m
+    region_b = region & ~(i_m | n_im | nii)
     if region_b.bit_count() <= 1:
-        cert = d.certify(members(i_m), "two-thirds", bound=bound)
-        _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
-        return cert
+        _require(3 * i_m.bit_count() <= 2 * n, "two-thirds bound violated")
+        _require(d._quasi_kernel_mask(i_m, region), "two-thirds set is not a quasi-kernel of its region")
+        return i_m
 
     bk = region_b & clique
     bi = region_b & indep
@@ -212,17 +252,13 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     )
 
     # candidate around B: a 2-serf of D[B] if its clique side has a sink
-    # there, else the one-way construction on D[B], which is sd itself when
-    # the matching is empty
+    # there, else the one-way construction on D[B]
     b_sinks = _sinks_within(d, region_b)
     if b_sinks:
         _require(not b_sinks & ~bk, "remainder sink outside the clique side")
         q1 = b_sinks & -b_sinks
-    elif region_b == d.full_mask:
-        q1 = d.mask_of(one_way_qk(sd).vertices)
     else:
-        sub, old_of_new, _ = sd.induced_split(members(region_b))
-        q1 = d.mask_of(old_of_new[v] for v in one_way_qk(sub).vertices)
+        q1 = _one_way(d, clique, region_b)
     cand_q = (q1 | i_m | nii) & ~d.in_set_mask(q1)
 
     # candidate around the matching
@@ -243,9 +279,9 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))
 
     chosen = cand_q if cand_q.bit_count() <= cand_qp.bit_count() else cand_qp
-    cert = d.certify(members(chosen), "two-thirds", bound=bound)
-    _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
-    return cert
+    _require(3 * chosen.bit_count() <= 2 * n, "two-thirds bound violated")
+    _require(d._quasi_kernel_mask(chosen, region), "two-thirds set is not a quasi-kernel of its region")
+    return chosen
 
 
 def complete_split_min_qk(sd: SplitDigraph) -> QkCertificate:
@@ -290,6 +326,8 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
     when the residue is sink-free the oracle takes over.  A residue whose
     new sink set outnumbers its in-neighborhood is peeled once more before
     recursing.  The accumulated sink layers join the oracle's result.
+    Each residue goes to the oracle as a vertex subset of d; the final set
+    is certified against d itself.
     """
     alpha = Fraction(alpha)
     if alpha < Fraction(1, 2):
@@ -342,11 +380,17 @@ def _run_oracle(d: Digraph, oracle: SinkFreeOracle, subset: int) -> int:
 
 
 def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
-    """Adapt two_thirds_qk to the subset-oracle protocol of peel_sinks."""
+    """Adapt two_thirds_qk to the subset-oracle protocol of peel_sinks.
 
-    def oracle(d: Digraph, subset: frozenset[int]) -> frozenset[int]:
-        sub, old_of_new, _ = sd.induced_split(subset)
-        return frozenset(old_of_new[v] for v in two_thirds_qk(sub).vertices)
+    The two-thirds construction runs on the subset as a region of sd's own
+    masks, with no induced copy; its set is checked to be a quasi-kernel of
+    the subdigraph there, and peel_sinks certifies the union on sd.
+    """
+    d = sd.graph
+    clique, indep = d.mask_of(sd.clique), d.mask_of(sd.independent)
+
+    def oracle(host: Digraph, subset: frozenset[int]) -> frozenset[int]:
+        return frozenset(members(_two_thirds(d, clique, indep, d.mask_of(subset))))
 
     return oracle
 

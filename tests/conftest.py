@@ -8,11 +8,12 @@ predicates.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from quasikernel import Digraph, SplitDigraph, assign_one_way, dominate_two_serf
+from quasikernel import Digraph, SplitDigraph, assign_one_way, dominate_two_serf, peel_sinks
 from quasikernel.digraph import SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
@@ -419,6 +420,19 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))
     chosen = cand_q if cand_q.bit_count() <= cand_qp.bit_count() else cand_qp
     return frozenset(members(chosen))
+
+
+# peel_split as it was before the two-thirds construction ran on regions of
+# the host: each sink-free residue was copied into a renumbered split
+# digraph (induced_split) and solved there.  The copy is solved here by
+# two_thirds_reference, so the reference shares no construction code with
+# the package; peel_sinks, which only peels, is the package's own.
+def peel_reference(sd: SplitDigraph) -> frozenset[int]:
+    def oracle(d: Digraph, subset: frozenset[int]) -> frozenset[int]:
+        sub, old_of_new, _ = sd.induced_split(subset)
+        return frozenset(old_of_new[v] for v in two_thirds_reference(sub))
+
+    return peel_sinks(sd.graph, oracle, Fraction(2, 3)).vertices
 
 
 # A plain instance parser with the checks, messages and line numbers of

@@ -264,6 +264,27 @@ def test_instance_files_over_the_byte_cap_exit_2(tmp_path, monkeypatch, capsys):
     assert err.count(f"error: line 12: file over the cap MAX_INSTANCE_BYTES={len(text) - 1}") == 2
 
 
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "\v", "\u2028"])
+def test_read_errors_count_lines_as_the_parser_does(tmp_path, monkeypatch, capsys, end):
+    # the byte errors of the file reader number lines as parse_instance
+    # does, for every line end that str.splitlines knows: line 3 each time
+    lines = ["qkdg 1", "n 2", "a 0 "]
+    path = tmp_path / "bad.qkdg"
+    path.write_bytes(end.join(lines).encode() + b"\xff" + end.encode())
+    assert main(["solve", str(path)]) == 2
+    path.write_text(end.join(lines) + "x" + end, encoding="utf-8", newline="")
+    assert main(["solve", str(path)]) == 2
+    text = end.join(lines) + "1" + end
+    path.write_text(text, encoding="utf-8", newline="")
+    # the cap falls on the last byte of line 3, then on its line end
+    for cap in (len(text.encode()) - len(end.encode()) - 1, len(text.encode()) - 1):
+        monkeypatch.setattr(quasikernel.cli, "MAX_INSTANCE_BYTES", cap)
+        assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    assert all(line.startswith("error: line 3: ") for line in err)
+
+
 def test_instance_from_a_fifo(tmp_path, capsys):
     # a FIFO reports size 0 to stat, and its instance is still read whole
     if not hasattr(os, "mkfifo"):

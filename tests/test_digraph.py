@@ -1,6 +1,9 @@
+import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasikernel import (
     Digraph,
@@ -10,8 +13,44 @@ from quasikernel import (
     gen_dn,
     gen_dpn,
 )
+from quasikernel.digraph import members
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+@st.composite
+def masks(draw, max_bits: int = 20_000) -> int:
+    """A mask of up to max_bits bits with any number of set bits, often
+    near an eighth of its length, where members switches method on masks
+    of at least 16 members."""
+    length = draw(st.integers(0, max_bits))
+    if length == 0:
+        return 0
+    near = length // 8
+    others = draw(
+        st.one_of(st.integers(0, length - 1), st.integers(max(0, near - 2), min(length - 1, near + 1)))
+    )
+    bits = random.Random(draw(st.integers(0, 2**32))).sample(range(length - 1), others)
+    return sum(1 << b for b in bits) | 1 << (length - 1)
+
+
+def members_by_scan(mask: int) -> list[int]:
+    found = []
+    for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        found += [8 * i + b for b in range(8) if byte >> b & 1]
+    return found
+
+
+@given(masks())
+@example(0)
+@example(1)
+@example((1 << 127) | (1 << 15) - 1)  # 16 members in 128 bits: listed from the digits
+@example((1 << 128) | (1 << 15) - 1)  # 16 members in 129 bits: popped
+@example((1 << 15) - 1)  # 15 members: popped
+@example((1 << 20_000) - 1)
+@settings(max_examples=200, deadline=None)
+def test_members_matches_a_scan(mask):
+    assert members(mask) == members_by_scan(mask)
 
 
 def test_construction_rejects_loops_and_bad_endpoints():

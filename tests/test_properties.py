@@ -50,6 +50,18 @@ def test_quasi_kernel_matches_bfs_oracle(case):
     assert d.is_quasi_kernel(s) == qk_by_bfs(d, s)
 
 
+@given(digraphs_with_subsets(), st.data())
+def test_quasi_kernel_of_a_region_matches_bfs_on_its_copy(case, data):
+    # the mask-level test the split constructions make on a region R: S is
+    # a quasi-kernel of D[R], judged on a renumbered copy from the arc list
+    d, s = case
+    region = data.draw(st.frozensets(st.sampled_from(range(d.n)))) if d.n else frozenset()
+    rank = {v: i for i, v in enumerate(sorted(region))}
+    copy = Digraph(len(region), induced_by_filter(d.arcs, region))
+    expected = s <= region and qk_by_bfs(copy, {rank[v] for v in s})
+    assert d._quasi_kernel_mask(d.mask_of(s), d.mask_of(region)) == expected
+
+
 @given(digraphs_with_subsets())
 def test_kernel_implies_quasi_kernel(case):
     d, s = case

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import one_way_reference, relabel_split, two_thirds_reference
+from conftest import one_way_reference, peel_reference, relabel_split, two_thirds_reference
 from quasikernel import (
     Digraph,
     PreconditionError,
@@ -75,26 +75,34 @@ def test_two_thirds_copies_only_the_remainder(monkeypatch):
     # the clique: both the one-way construction on B and the domination in
     # the clique run, and nothing is copied
     sd = near_transitive_ladder(60)
-    # with the arc 0 -> 119 the matching takes it, and B, all but 0, 119
-    # and 60 (whose arc into 0 reaches 119 in two), is the one copy
+    # with the arc 0 -> 119 the matching takes it, and B is all but 0, 119
+    # and 60 (whose arc into 0 reaches 119 in two): the one-way construction
+    # runs on B as a region, not on a copy
     matched = SplitDigraph(Digraph(120, [*sd.graph.arcs, (0, 119)]), range(60), range(60, 120))
+    # the ladder's clique with sinks hung below: 0 and 1 each get an arc
+    # into a new independent vertex, so peeling hands a residue to two-thirds
+    sinks = SplitDigraph(
+        Digraph(122, [*sd.graph.arcs, (0, 120), (1, 121)]), range(60), range(60, 122)
+    )
     expected = [two_thirds_reference(inst) for inst in (sd, matched)]
+    expected_peel = peel_reference(sinks)
     calls = count_calls(
         monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
     )
-    splits = count_calls(monkeypatch, SplitDigraph, "induced_split")
+    splits = count_calls(monkeypatch, SplitDigraph, "__init__", "induced_split")
     cert = two_thirds_qk(sd)
     assert 3 * cert.size <= 2 * sd.graph.n
     assert cert.vertices == expected[0]
-    assert not splits["induced_split"]
-    assert not calls["induced"]
-    assert not calls["__init__"]
-    # once in one_way_qk on B, once within the clique before the domination
+    # once in the one-way construction on B, once within the clique before
+    # the domination
     assert len(calls["semicomplete_violation"]) == 2
     assert len(calls["reach_in_two"]) <= 60 + 2
     assert two_thirds_qk(matched).vertices == expected[1]
-    remainder = frozenset(range(120)) - {0, 60, 119}
-    assert [frozenset(s) for (s,) in splits["induced_split"]] == [remainder]
+    peeled = peel_split(sinks)
+    assert peeled.vertices == expected_peel
+    assert {120, 121} <= peeled.vertices
+    for seen in (calls["__init__"], calls["induced"], *splits.values()):
+        assert not seen
 
 
 def test_one_way_dn1():
@@ -364,6 +372,35 @@ def test_peel_structural_properties_campaign():
         assert not (cert.vertices - sinks) & sd.graph.in_set(sinks)
         bound = Fraction(2, 3) * (sd.graph.n + len(sinks) - len(sd.graph.in_set(sinks)))
         assert cert.size <= bound
+
+
+def test_peel_matches_its_copying_reference_off_a_prefix():
+    # splits with sinks and clique digons, relabelled so the clique is not
+    # a vertex prefix: peeling with two-thirds on regions of the host gives
+    # the set that copying each residue gave
+    checked = 0
+    seed = 0
+    while checked < 150:
+        seed += 1
+        rng = random.Random(seed * 17 + 11)
+        sd = gen_random_split(
+            seed,
+            rng.randint(3, 16),
+            rng.randint(2, 30),
+            p_k_to_i=rng.uniform(0.01, 0.2),
+            p_i_to_k=rng.uniform(0.05, 0.5),
+            p_digon_k=rng.uniform(0.1, 0.6),
+        )
+        if not sd.graph.sinks():
+            continue
+        prefix = frozenset(range(len(sd.clique)))
+        perm = list(range(sd.graph.n))
+        relabelled = sd
+        while relabelled.clique == prefix:
+            rng.shuffle(perm)
+            relabelled = relabel_split(sd, perm)
+        assert peel_split(relabelled).vertices == peel_reference(relabelled)
+        checked += 1
 
 
 def test_peel_sinks_on_sink_free_input_delegates():
