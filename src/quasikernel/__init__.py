@@ -3,7 +3,7 @@
 A quasi-kernel of a digraph is an independent vertex set that every
 vertex reaches by a directed path of at most two arcs.  This package
 provides constructive solvers with provable size bounds and verified
-certificates, exact brute-force oracles, two fixed-parameter algorithms,
+certificates, exact searches, two fixed-parameter algorithms,
 a parameterized-hardness reduction gadget, instance generators, and a
 text-based instance/certificate toolchain (CLI: ``qkdg``).
 """

@@ -10,7 +10,9 @@ Four guarantees, each carried by a verified certificate:
                         for orientations, checked exhaustively for
                         biorientations up to n = 5);
 * ``peel_sinks``      — digraphs with sinks, reduced to a sink-free oracle,
-                        size <= alpha * (n + |S| - |N-(S)|) for the sink set S.
+                        size <= alpha * (n + |S| - |N-(S)|) for the sink set S;
+                        the oracle takes the host digraph and a region mask
+                        and returns a mask of the host inside that region.
 
 The one-way and two-thirds constructions run on regions of the host
 digraph: a vertex mask, read through the host's own mask rows, stands for
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Mapping
+from typing import Callable, Mapping
 
 from .construct import _dominate, _require_semicomplete
 from .digraph import (
@@ -39,10 +41,10 @@ from .digraph import (
     or_rows,
 )
 
-# Oracle protocol for peel_sinks: given the host digraph and a vertex
-# subset inducing a sink-free subdigraph, return a quasi-kernel of that
-# subdigraph expressed in host indices.
-SinkFreeOracle = Callable[[Digraph, frozenset[int]], AbstractSet[int]]
+# Oracle protocol for peel_sinks: given the host digraph and a region mask
+# of it inducing a sink-free subdigraph, return a quasi-kernel of that
+# subdigraph as a mask of the host inside the region.
+SinkFreeOracle = Callable[[Digraph, int], int]
 
 
 @dataclass(frozen=True)
@@ -322,40 +324,35 @@ def complete_split_min_qk(sd: SplitDigraph) -> QkCertificate:
 def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertificate:
     """Quasi-kernel of size <= alpha*(n + |S| - |N-(S)|), S the sink set of d.
 
-    Repeatedly removes the current sinks together with their in-neighbors;
-    when the residue is sink-free the oracle takes over.  A residue whose
-    new sink set outnumbers its in-neighborhood is peeled once more before
-    recursing.  The accumulated sink layers join the oracle's result.
-    Each residue goes to the oracle as a vertex subset of d; the final set
-    is certified against d itself.
+    Repeatedly keeps the current sink layer and removes it from the
+    residue together with its in-neighbors.  A new layer that outnumbers
+    its in-neighbors in the residue is removed without being kept.  The
+    kept layers join the oracle's set for the final, sink-free residue,
+    which the oracle gets as a region mask of d and answers with a mask
+    of d inside it.  The final set is certified against d itself.
     """
     alpha = Fraction(alpha)
     if alpha < Fraction(1, 2):
         raise PreconditionError("alpha must be at least 1/2")
-    sinks0 = d.sinks()
-    in0 = d.in_set(sinks0)
+    residue = d.full_mask
+    sinks = layer = _sinks_within(d, residue)
     acc = 0
-    remaining = d.full_mask
-    while True:
-        cur_sinks = _sinks_within(d, remaining)
-        if not cur_sinks:
-            acc |= _run_oracle(d, oracle, remaining)
-            break
-        acc |= cur_sinks
-        r1 = remaining & ~cur_sinks & ~d.in_set_mask(cur_sinks)
-        s1 = _sinks_within(d, r1)
-        if not s1:
-            acc |= _run_oracle(d, oracle, r1)
-            break
-        n1 = d.in_set_mask(s1) & r1
-        remaining = r1 if s1.bit_count() <= n1.bit_count() else r1 & ~s1
-    bound = alpha * (d.n + len(sinks0) - len(in0))
+    while layer:
+        acc |= layer
+        residue &= ~(layer | d.in_set_mask(layer))
+        layer = _sinks_within(d, residue)
+        if layer.bit_count() > (d.in_set_mask(layer) & residue).bit_count():
+            residue &= ~layer
+            layer = _sinks_within(d, residue)
+    if residue:
+        q = oracle(d, residue)
+        _require(not q & ~residue, "oracle returned vertices outside its region")
+        acc |= q
+    into = d.in_set_mask(sinks)
+    bound = alpha * (d.n + sinks.bit_count() - into.bit_count())
     cert = d.certify(members(acc), "peel", bound=bound)
-    _require(sinks0 <= cert.vertices, "sink set not contained in the result")
-    _require(
-        not ((cert.vertices - sinks0) & in0),
-        "result contains an in-neighbor of the sink set",
-    )
+    _require(not sinks & ~acc, "sink set not contained in the result")
+    _require(not acc & into, "result contains an in-neighbor of the sink set")
     _require(cert.size <= bound, "peeling bound violated")
     return cert
 
@@ -370,29 +367,16 @@ def _sinks_within(d: Digraph, region: int) -> int:
     return sinks
 
 
-def _run_oracle(d: Digraph, oracle: SinkFreeOracle, subset: int) -> int:
-    if not subset:
-        return 0
-    vertices = frozenset(members(subset))
-    q = frozenset(oracle(d, vertices))
-    _require(q <= vertices, "oracle returned vertices outside its subdigraph")
-    return d.mask_of(q)
-
-
 def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
-    """Adapt two_thirds_qk to the subset-oracle protocol of peel_sinks.
+    """Adapt two_thirds_qk to the region-mask oracle protocol of peel_sinks.
 
-    The two-thirds construction runs on the subset as a region of sd's own
-    masks, with no induced copy; its set is checked to be a quasi-kernel of
-    the subdigraph there, and peel_sinks certifies the union on sd.
+    The two-thirds construction runs on the region through the rows of the
+    host digraph it is handed, with sd's clique/independent partition and
+    no induced copy; its set is checked to be a quasi-kernel of the region
+    there, and peel_sinks certifies the union on the host.
     """
-    d = sd.graph
-    clique, indep = d.mask_of(sd.clique), d.mask_of(sd.independent)
-
-    def oracle(host: Digraph, subset: frozenset[int]) -> frozenset[int]:
-        return frozenset(members(_two_thirds(d, clique, indep, d.mask_of(subset))))
-
-    return oracle
+    clique, indep = sd.graph.mask_of(sd.clique), sd.graph.mask_of(sd.independent)
+    return lambda host, region: _two_thirds(host, clique, indep, region)
 
 
 def peel_split(sd: SplitDigraph) -> QkCertificate:

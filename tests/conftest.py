@@ -8,12 +8,11 @@ predicates.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from quasikernel import Digraph, SplitDigraph, assign_one_way, dominate_two_serf, peel_sinks
+from quasikernel import Digraph, SplitDigraph, assign_one_way, dominate_two_serf
 from quasikernel.digraph import SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
@@ -423,16 +422,39 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
 
 
 # peel_split as it was before the two-thirds construction ran on regions of
-# the host: each sink-free residue was copied into a renumbered split
-# digraph (induced_split) and solved there.  The copy is solved here by
-# two_thirds_reference, so the reference shares no construction code with
-# the package; peel_sinks, which only peels, is the package's own.
+# the host: the peel loop on frozensets, each sink-free residue copied into a
+# renumbered split digraph (induced_split) and solved there by
+# two_thirds_reference.  The reference shares neither the peel loop nor the
+# construction code with the package.
 def peel_reference(sd: SplitDigraph) -> frozenset[int]:
-    def oracle(d: Digraph, subset: frozenset[int]) -> frozenset[int]:
-        sub, old_of_new, _ = sd.induced_split(subset)
+    d = sd.graph
+
+    def sinks_of(vertices: frozenset[int]) -> frozenset[int]:
+        return frozenset(v for v in vertices if not d.out_neighbors(v) & vertices)
+
+    def oracle(vertices: frozenset[int]) -> frozenset[int]:
+        if not vertices:
+            return frozenset()
+        sub, old_of_new, _ = sd.induced_split(vertices)
         return frozenset(old_of_new[v] for v in two_thirds_reference(sub))
 
-    return peel_sinks(sd.graph, oracle, Fraction(2, 3)).vertices
+    result: set[int] = set()
+    remaining = frozenset(d.vertices())
+    while True:
+        cur = sinks_of(remaining)
+        if not cur:
+            result |= oracle(remaining)
+            break
+        result |= cur
+        r1 = remaining - cur - d.in_set(cur)
+        s1 = sinks_of(r1)
+        if not s1:
+            result |= oracle(r1)
+            break
+        # peel once more when the new sinks outnumber their in-neighbors
+        n1 = d.in_set(s1) & r1
+        remaining = r1 if len(s1) <= len(n1) else r1 - s1
+    return frozenset(result)
 
 
 # A plain instance parser with the checks, messages and line numbers of

@@ -6,11 +6,14 @@ import pytest
 from conftest import one_way_reference, peel_reference, relabel_split, two_thirds_reference
 from quasikernel import (
     Digraph,
+    NotQuasiKernelError,
     PreconditionError,
     SplitDigraph,
+    VerificationError,
     assign_one_way,
     complete_split_min_qk,
     gen_dn,
+    gen_dpn,
     gen_random_complete_split,
     gen_random_split,
     min_quasi_kernel,
@@ -20,6 +23,7 @@ from quasikernel import (
     split_subset_oracle,
     two_thirds_qk,
 )
+from quasikernel import split_qk
 
 
 def one_way_bound_holds(n: int, size: int) -> bool:
@@ -403,7 +407,50 @@ def test_peel_matches_its_copying_reference_off_a_prefix():
         checked += 1
 
 
-def test_peel_sinks_on_sink_free_input_delegates():
-    sd = gen_dn(1)
-    cert = peel_split(sd)
-    assert cert.size <= Fraction(2, 3) * sd.graph.n
+def test_peel_sinks_on_sink_free_input_delegates(monkeypatch):
+    # with no sinks nothing is peeled: the oracle runs once, on the whole
+    # digraph, and peel_split certifies what two_thirds_qk does
+    calls = []
+
+    def counting(d, oracle, alpha):
+        def wrapped(host, region):
+            calls.append(region)
+            return oracle(host, region)
+
+        return peel_sinks(d, wrapped, alpha)
+
+    monkeypatch.setattr(split_qk, "peel_sinks", counting)
+    inputs = [gen_dn(n) for n in (1, 2, 3)] + [gen_dpn(n) for n in (1, 2)]
+    inputs += [
+        gen_random_split(seed, 3 + seed % 6, seed % 13, sink_free=True) for seed in range(100)
+    ]
+    for sd in inputs:
+        assert not sd.graph.sinks()
+        calls.clear()
+        cert = peel_split(sd)
+        expected = two_thirds_qk(sd)
+        assert calls == [sd.graph.full_mask]
+        assert cert.vertices == expected.vertices
+        assert cert.witnesses == expected.witnesses
+        assert cert.bound == expected.bound
+
+
+def test_split_subset_oracle_reads_the_host_it_is_handed():
+    # an oracle built from one split and handed another host with the same
+    # partition solves the host's residues, not those of the split it came from
+    for seed in range(30):
+        a, b = gen_random_split(seed, 6, 10), gen_random_split(seed + 1000, 6, 10)
+        cert = peel_sinks(b.graph, split_subset_oracle(a), Fraction(2, 3))
+        expected = peel_split(b)
+        assert cert.vertices == expected.vertices
+        assert cert.witnesses == expected.witnesses
+
+
+def test_peel_sinks_guards_the_oracle_set():
+    # 3 is the sink and 2 its in-neighbor, so the oracle gets the digon {0, 1}
+    d = Digraph(4, [(0, 1), (1, 0), (2, 3)])
+    with pytest.raises(VerificationError, match="outside its region"):
+        peel_sinks(d, lambda host, region: 1 << 2, Fraction(2, 3))
+    # the whole digon is no independent set
+    with pytest.raises(NotQuasiKernelError):
+        peel_sinks(d, lambda host, region: region, Fraction(2, 3))
