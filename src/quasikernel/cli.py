@@ -174,6 +174,9 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
+    if args.k is not None and args.k < 0:
+        print("error: --k must be a non-negative integer", file=sys.stderr)
+        return 2
     algo = args.algo
     if algo == "auto":
         algo = (_split_constructions(inst) or ["cl"])[0]

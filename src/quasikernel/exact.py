@@ -10,6 +10,9 @@ greedy packing bound.  Sizes are decided in ascending order, so the first
 "yes" is a minimum; ``_least_cover`` then fixes the members one position at
 a time, lowest vertex first, to return the lexicographically least minimum
 set, which is the answer of an unpruned scan by (size, lexicographic) order.
+fpt_by_clique scans the states of the independent classes depth first and
+cuts every subtree whose classes left open can no longer cover every
+vertex, so it returns the first answer of the uncut scan.
 Bitmask arithmetic keeps a node's cost at a few integer operations per
 uncovered vertex; a call refuses on the work it does past
 MAX_SEARCH_STEPS, never on the input's size.
@@ -22,13 +25,14 @@ from typing import Iterable, NamedTuple
 from .digraph import Digraph, QkCertificate, SplitDigraph, members
 
 # The steps one exact search may take: nodes of _decide, bits their scans
-# take off the uncovered mask, stack pops of fpt_by_clique, and two per arc
-# for the tables of min_quasi_kernel and fpt_by_independent, each a bounded
-# number of mask operations at any n.  On a 2-vCPU VM, gen_dpn(10) (231
-# vertices) takes about 0.76M steps (0.3 s) and G(120, 0.03) about 0.12M
-# (0.05 s).  The limit stops min_quasi_kernel on G(200, 0.02) after about
-# 4.5 s and on G(2000, 0.002) after about 8 s, and fpt_by_clique at k = 3
-# on 12 clique and 1,500 distinct independent classes after about 4 s.
+# take off the uncovered mask, stack pops of fpt_by_clique and one per
+# class each of its clique choices leaves open, and two per arc for the
+# tables of min_quasi_kernel and fpt_by_independent, each a bounded number
+# of mask operations at any n.  On a 2-vCPU VM, gen_dpn(10) (231 vertices)
+# takes about 0.76M steps (0.3 s) and G(120, 0.03) about 0.12M (0.05 s).
+# The limit stops min_quasi_kernel on G(200, 0.02) after about 4.5 s and on
+# G(2000, 0.002) after about 8 s, and fpt_by_clique on gen_dn(12) (325
+# vertices) at k = 144 after about 9 s.
 MAX_SEARCH_STEPS = 10_000_000
 
 
@@ -306,51 +310,77 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
     """Quasi-kernel of size <= k, or None, via independent-part equivalence classes.
 
     Each class contributes one of three states (excluded, whole class,
-    representative only), combined with at most one clique vertex; a
+    representative only), combined with at most one clique vertex c; a
     depth-first scan with a size budget and an explicit stack tests the
-    combinations.  A state is a member mask with the OR of its members'
-    reach-in-two masks, so a combination is a quasi-kernel iff its masks OR
-    to full_mask: it is independent by construction, because the classes
-    adjacent to the clique vertex are always excluded.  Each stack pop is a
-    step, and the scans of all clique vertices share MAX_SEARCH_STEPS.
+    combinations, c in the order None, then the clique ascending, the
+    classes by representative and the states in the order above.  A state
+    is a member mask with the OR of its members' reach-in-two masks, so a
+    combination is a quasi-kernel iff its masks OR to full_mask: it is
+    independent by construction, because only the classes c leaves open,
+    those not adjacent to it, are scanned.
+
+    A reachability cut drops only subtrees that cannot cover every vertex,
+    so the answer is the uncut scan's.  Per c, ``rest[p]`` is the OR of the
+    whole-class masks of the open classes from position p on.  A c whose
+    reach with ``rest[0]`` falls short of full_mask is skipped, a child is
+    pushed only if it and ``rest`` of the next position can still cover
+    every vertex, and the first node that covers every vertex is returned:
+    the uncut scan reaches its all-excluded completion next.  Each stack
+    pop is a step, and so is each class a clique choice leaves open,
+    charged before its ``rest`` is built; all clique choices share
+    MAX_SEARCH_STEPS.
     """
     d = sd.graph
     full = d.full_mask
     classes = _independent_classes(sd)
-    adj = [d.in_masks[rep] | d.out_masks[rep] for rep, _ in classes]
-    # each class's states in scan order: excluded, whole class, representative
-    # only, as (member mask, OR of the members' reach-in-two, size); members
-    # share their in-neighbours, so the class's OR is its mask | rep's reach
-    states = []
+    # each class's states by representative, in scan order: excluded, whole
+    # class, representative only, as (member mask, OR of the members'
+    # reach-in-two, size); members share their in-neighbours, so the class's
+    # OR is its mask | rep's reach
+    states = {}
     for rep, cls in classes:
         reach = d.reach_in_two(rep)
         cls_mask = d.mask_of(cls)
         whole = (cls_mask, cls_mask | reach, len(cls))
         rep_only = (1 << rep, reach, 1)
-        states.append(((0, 0, 0), whole, rep_only) if len(cls) > 1 else ((0, 0, 0), whole))
+        states[rep] = ((0, 0, 0), whole, rep_only) if len(cls) > 1 else ((0, 0, 0), whole)
+    reps = d.mask_of(states)
 
     steps = MAX_SEARCH_STEPS
     for c in [None, *sorted(sd.clique)]:
         room = k - (0 if c is None else 1)
         if room < 0:
             continue
-        stack = [(0, 0, 0, room) if c is None else (0, 1 << c, d.reach_in_two(c), room)]
+        if c is None:
+            open_reps, mask, cov = reps, 0, 0
+        else:
+            open_reps = reps & ~(d.in_masks[c] | d.out_masks[c])
+            mask, cov = 1 << c, d.reach_in_two(c)
+        steps -= open_reps.bit_count()
+        if steps < 0:
+            raise _over_limit()
+        opened = [states[rep] for rep in members(open_reps)]
+        rest = [0] * (len(opened) + 1)
+        for p in range(len(opened) - 1, -1, -1):
+            rest[p] = rest[p + 1] | opened[p][1][1]
+        if cov | rest[0] != full:
+            continue
+        # every node on the stack can still cover every vertex, so one at the
+        # end of the open classes covers them all
+        stack = [(0, mask, cov, room)]
         while stack:
             steps -= 1
             if steps < 0:
                 raise _over_limit()
-            idx, mask, cov, left = stack.pop()
-            # with no room left every remaining class can only be excluded
-            if idx == len(classes) or left == 0:
-                if cov == full:
-                    return d.certify(members(mask), "fpt-k")
+            p, mask, cov, left = stack.pop()
+            if cov == full:
+                return d.certify(members(mask), "fpt-k")
+            if left == 0:
                 continue
-            if c is not None and adj[idx] >> c & 1:
-                stack.append((idx + 1, mask, cov, left))
-                continue
-            for opt, opt_cov, size in reversed(states[idx]):
-                if size <= left:
-                    stack.append((idx + 1, mask | opt, cov | opt_cov, left - size))
+            later = cov | rest[p + 1]
+            for opt, opt_cov, size in reversed(opened[p]):
+                if size <= left and later | opt_cov == full:
+                    stack.append((p + 1, mask | opt, cov | opt_cov, left - size))
     return None
 
 

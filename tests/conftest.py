@@ -144,6 +144,46 @@ def fpt_by_independent_by_bfs(sd: SplitDigraph, k: int) -> frozenset[int] | None
     return None
 
 
+def fpt_by_clique_reference(sd: SplitDigraph, k: int) -> frozenset[int] | None:
+    """Reference for fpt_by_clique's tie-break: a depth-first scan with no
+    cut, on frozensets and the arc list.  The independent vertices with
+    equal in- and out-neighbours form a class; the classes are ordered by
+    least member.  For at most one clique vertex c (None first, then
+    ascending), each class in turn is excluded, taken whole or, if larger
+    than one, by its least member alone, in that order; a class adjacent to
+    c is only excluded.  The first combination of at most k vertices that
+    reaches every vertex within two arcs wins."""
+    arcs = frozenset(sd.graph.arcs)
+    everything = frozenset(range(sd.graph.n))
+    groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
+    for s in sorted(sd.independent):
+        key = (frozenset(t for t, h in arcs if h == s), frozenset(h for t, h in arcs if t == s))
+        groups.setdefault(key, []).append(s)
+    classes = sorted(groups.values())
+    reached = {v: reaching_within_two(arcs, v) for v in everything}
+    for c in [None, *sorted(sd.clique)]:
+        start = frozenset() if c is None else frozenset({c})
+        if len(start) > k:
+            continue
+        stack = [(0, start)]
+        while stack:
+            idx, chosen = stack.pop()
+            if idx == len(classes) or len(chosen) == k:
+                if set().union(*(reached[v] for v in chosen)) == everything:
+                    return chosen
+                continue
+            cls = classes[idx]
+            options = [frozenset()]
+            if c is None or not {(c, cls[0]), (cls[0], c)} & arcs:
+                options.append(frozenset(cls))
+                if len(cls) > 1:
+                    options.append(frozenset(cls[:1]))
+            for opt in reversed(options):
+                if len(chosen) + len(opt) <= k:
+                    stack.append((idx + 1, chosen | opt))
+    return None
+
+
 def relabel(d: Digraph, perm: list[int]) -> Digraph:
     return Digraph(d.n, [(perm[t], perm[h]) for (t, h) in d.arcs])
 

@@ -150,6 +150,19 @@ def test_solve_fpt_k_no_solution(tmp_path, capsys):
     assert "no quasi-kernel of size <= 1" in out
 
 
+def test_solve_refuses_a_negative_k(tmp_path, capsys):
+    path = write_dn1(tmp_path)
+    capsys.readouterr()
+    for algo in ("fpt-k", "fpt-i", "exact"):
+        assert main(["solve", str(path), "--algo", algo, "--k", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --k must be a non-negative integer\n"
+        assert captured.out == ""
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "0")
+    assert code == 1
+    assert "no quasi-kernel of size <= 0" in out
+
+
 def test_solve_fpt_k_on_many_classes(tmp_path, capsys):
     path = tmp_path / "wide.qkdg"
     path.write_text(serialize_instance(distinct_class_split()))

@@ -3,7 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import distinct_class_split, gnp, qk_by_bfs, random_digraph
+from conftest import (
+    distinct_class_split,
+    fpt_by_clique_reference,
+    gnp,
+    qk_by_bfs,
+    random_digraph,
+    relabel_split,
+)
 from quasikernel import exact
 from quasikernel import (
     CapExceededError,
@@ -89,9 +96,10 @@ def test_search_steps_are_shared_by_the_scans_of_one_call(monkeypatch):
 def test_fpt_and_dominating_set_searches_stop_at_the_step_limit(monkeypatch):
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
     message = "MAX_SEARCH_STEPS=1000"
-    # about 5.6e8 combinations at k = 3; k = 1 alone takes 3k pops
+    # gen_dn(5) has no quasi-kernel of 25 vertices; the cut scan takes about
+    # 3k steps to prove it
     with pytest.raises(CapExceededError, match=message):
-        fpt_by_clique(distinct_class_split(), 3)
+        fpt_by_clique(gen_dn(5), 25)
     with pytest.raises(CapExceededError, match=message):
         fpt_by_independent(gen_dpn(4), 13)
     with pytest.raises(CapExceededError, match=message):
@@ -224,6 +232,41 @@ def test_fpt_agreement_campaign():
                 if cert is not None:
                     assert cert.size <= k
                     cert.check(sd.graph)
+
+
+def test_fpt_by_clique_matches_its_uncut_reference():
+    cases = [gen(n) for gen in (gen_dn, gen_dpn) for n in (1, 2, 3)]
+    for seed in range(300):
+        rng = random.Random(seed * 43 + 8)
+        nk = rng.randint(0, 6)
+        sd = gen_random_split(
+            seed,
+            nk,
+            rng.randint(0, 10),
+            p_k_to_i=rng.uniform(0, 0.6),
+            p_i_to_k=rng.uniform(0, 0.6),
+            p_digon_k=rng.uniform(0, 0.5),
+            sink_free=seed % 3 == 0 and nk >= 2,
+        )
+        if seed % 2:
+            # the clique is no longer a vertex prefix
+            perm = list(range(sd.graph.n))
+            rng.shuffle(perm)
+            sd = relabel_split(sd, perm)
+        cases.append(sd)
+    for sd in cases:
+        for k in range(8):
+            cert = fpt_by_clique(sd, k)
+            assert (cert and cert.vertices) == fpt_by_clique_reference(sd, k)
+
+
+def test_fpt_by_clique_cuts_subtrees_that_cannot_cover_every_vertex(monkeypatch):
+    # the uncut scan pops 90,577 nodes to refuse k = 16; the cut one takes
+    # under 800 steps
+    monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 2_000)
+    dn4 = gen_dn(4)
+    assert fpt_by_clique(dn4, 16) is None
+    assert fpt_by_clique(dn4, 17).size == 17
 
 
 def test_fpt_by_clique_depth_does_not_grow_with_classes():
