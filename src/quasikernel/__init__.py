@@ -18,7 +18,6 @@ from .digraph import (
     Arc,
     Digraph,
     Induced,
-    InducedSplit,
     NotQuasiKernelError,
     PreconditionError,
     QkCertificate,
@@ -63,8 +62,6 @@ from .instances import (
     reduce_dds_to_qk,
 )
 from .split_qk import (
-    OneWayAssignment,
-    assign_one_way,
     complete_split_min_qk,
     one_way_qk,
     peel_sinks,
@@ -83,10 +80,8 @@ __all__ = [
     "Digraph",
     "GenerationError",
     "Induced",
-    "InducedSplit",
     "InstanceParseError",
     "NotQuasiKernelError",
-    "OneWayAssignment",
     "PreconditionError",
     "QkCertificate",
     "ReductionArtifact",
@@ -95,7 +90,6 @@ __all__ = [
     "SplitError",
     "SplitFlags",
     "VerificationError",
-    "assign_one_way",
     "certificate_document",
     "check_certificate",
     "complete_split_min_qk",

@@ -46,6 +46,8 @@ from .split_qk import complete_split_min_qk, one_way_qk, peel_split, two_thirds_
 
 # the rows of bounds depend on n alone, never on how far a search gets
 EXACT_BOUNDS_LIMIT = 18
+# the algorithms that take a size budget --k
+BUDGETED = ("exact", "fpt-k", "fpt-i")
 
 
 # the UTF-8 forms of the line ends that parse_instance counts, as
@@ -177,6 +179,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 0:
         print("error: --k must be a non-negative integer", file=sys.stderr)
         return 2
+    if args.k is not None and args.algo not in BUDGETED:
+        print(f"error: --k applies only to --algo {', '.join(BUDGETED)}", file=sys.stderr)
+        return 2
     algo = args.algo
     if algo == "auto":
         algo = (_split_constructions(inst) or ["cl"])[0]
@@ -293,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         ],
         default="auto",
     )
-    solve.add_argument("--k", type=int, default=None)
+    solve.add_argument(
+        "--k", type=int, default=None, help=f"size budget, for --algo {', '.join(BUDGETED)} only"
+    )
     solve.add_argument("--out")
     solve.set_defaults(func=cmd_solve)
 

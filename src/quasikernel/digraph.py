@@ -51,12 +51,6 @@ class Induced(NamedTuple):
     new_of_old: dict[int, int]
 
 
-class InducedSplit(NamedTuple):
-    split: "SplitDigraph"
-    old_of_new: tuple[int, ...]
-    new_of_old: dict[int, int]
-
-
 @dataclass(frozen=True)
 class SplitFlags:
     one_way: bool
@@ -225,12 +219,9 @@ class Digraph:
     collapse, and a loop, an out-of-range endpoint (ValueError) or a
     non-int or bool endpoint (TypeError) is rejected.  Adjacency is stored
     only as per-vertex int bitmasks: bit h of ``out_masks[t]`` and bit t
-    of ``in_masks[h]`` are set iff (t, h) is an arc.  ``arcs`` and the
-    neighborhood frozensets are views derived from the masks.
-    Neighborhood operators follow the quasi-kernel conventions: for a set
-    S, ``in_set`` are the vertices outside S with an out-neighbor in S,
-    ``out_set`` those with an in-neighbor in S, and ``second_in_set``
-    those reaching S by a path of exactly two arcs.
+    of ``in_masks[h]`` are set iff (t, h) is an arc.  ``arcs`` is a view
+    derived from the masks.  The neighborhood operators and ``sinks`` take
+    and return vertex masks: bit v is set iff v is a member.
     """
 
     __slots__ = ("n", "_out", "_in")
@@ -302,18 +293,6 @@ class Digraph:
     def arcs(self) -> ArcView:
         return ArcView(self._out)
 
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(members(self._out[v]))
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(members(self._in[v]))
-
-    def closed_out(self, v: int) -> frozenset[int]:
-        return frozenset(members(self._out[v] | 1 << v))
-
-    def closed_in(self, v: int) -> frozenset[int]:
-        return frozenset(members(self._in[v] | 1 << v))
-
     def vertices(self) -> range:
         return range(self.n)
 
@@ -347,11 +326,6 @@ class Digraph:
             near |= inn[v]
         return near & ~s
 
-    def second_in_set_mask(self, s: int) -> int:
-        """Mask of the vertices reaching mask s by exactly two arcs and not fewer."""
-        first = self.in_set_mask(s)
-        return self.in_set_mask(first) & ~s
-
     def reach_in_two(self, v: int, within: int | None = None) -> int:
         """Mask of the vertices that reach v by a path of at most two arcs.
 
@@ -372,33 +346,26 @@ class Digraph:
             reach |= inn[w] & within
         return reach
 
-    # -- neighborhood operators -----------------------------------------
+    def sinks(self, within: int | None = None) -> int:
+        """Mask of the vertices with no out-neighbor.
 
-    def sinks(self) -> frozenset[int]:
-        return frozenset(v for v, row in enumerate(self._out) if not row)
-
-    def in_set(self, s: Iterable[int]) -> frozenset[int]:
-        return frozenset(members(self.in_set_mask(self.mask_of(s))))
-
-    def out_set(self, s: Iterable[int]) -> frozenset[int]:
-        mask = self.mask_of(s)
+        With a vertex mask ``within``, only arcs inside it count and only
+        its vertices are reported.
+        """
+        if within is None:
+            within = self.full_mask
         out = self._out
-        near = 0
-        for v in members(mask):
-            near |= out[v]
-        return frozenset(members(near & ~mask))
-
-    def second_in_set(self, s: Iterable[int]) -> frozenset[int]:
-        return frozenset(members(self.second_in_set_mask(self.mask_of(s))))
+        sinks = 0
+        for v in members(within):
+            if not out[v] & within:
+                sinks |= 1 << v
+        return sinks
 
     # -- predicates -------------------------------------------------------
 
     def _independent_mask(self, s: int) -> bool:
         out = self._out
         return not any(out[v] & s for v in members(s))
-
-    def is_independent(self, s: Iterable[int]) -> bool:
-        return self._independent_mask(self.mask_of(s))
 
     def is_quasi_kernel(self, s: Iterable[int]) -> bool:
         return self._quasi_kernel_mask(self.mask_of(s), self.full_mask)
@@ -411,17 +378,8 @@ class Digraph:
         first = self.in_set_mask(mask) & within
         return mask | first | self.in_set_mask(first) & within == within
 
-    def is_kernel(self, s: Iterable[int]) -> bool:
-        mask = self.mask_of(s)
-        if not self._independent_mask(mask):
-            return False
-        return mask | self.in_set_mask(mask) == self.full_mask
-
     def is_two_serf(self, v: int) -> bool:
         return self.reach_in_two(v) == self.full_mask
-
-    def is_semicomplete(self) -> bool:
-        return self.semicomplete_violation() is None
 
     def semicomplete_violation(self, within: int | None = None) -> Arc | None:
         """First pair (u, v), u < v, joined by no arc; None if semicomplete.
@@ -495,10 +453,11 @@ class SplitDigraph:
 
     Invariants: the parts partition the vertex set, every unordered pair
     inside the clique part is joined by at least one arc, and no arc has
-    both endpoints in the independent part.
+    both endpoints in the independent part.  ``clique`` is the clique part
+    as a vertex mask; ``independent`` derives the other part's mask from it.
     """
 
-    __slots__ = ("graph", "clique", "independent")
+    __slots__ = ("graph", "clique")
 
     def __init__(self, graph: Digraph, clique: Iterable[int], independent: Iterable[int]):
         k = frozenset(clique)
@@ -517,8 +476,11 @@ class SplitDigraph:
             if out[t] & i_mask:
                 raise SplitError(f"arc inside independent part ({t},{lowest(out[t] & i_mask)})")
         self.graph = graph
-        self.clique = k
-        self.independent = i
+        self.clique = k_mask
+
+    @property
+    def independent(self) -> int:
+        return self.graph.full_mask & ~self.clique
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SplitDigraph):
@@ -530,27 +492,19 @@ class SplitDigraph:
 
     def __repr__(self) -> str:
         return (
-            f"SplitDigraph(n={self.graph.n}, |K|={len(self.clique)},"
-            f" |I|={len(self.independent)})"
+            f"SplitDigraph(n={self.graph.n}, |K|={self.clique.bit_count()},"
+            f" |I|={self.independent.bit_count()})"
         )
 
     def classify(self) -> SplitFlags:
         g = self.graph
         out, inn = g.out_masks, g.in_masks
-        k_mask = g.mask_of(self.clique)
+        k_mask = self.clique
+        indep = members(self.independent)
         return SplitFlags(
-            one_way=not any(inn[s] for s in self.independent),
-            complete_split=all(
-                (out[s] | inn[s]) & k_mask == k_mask for s in self.independent
-            ),
+            one_way=not any(inn[s] for s in indep),
+            complete_split=all((out[s] | inn[s]) & k_mask == k_mask for s in indep),
             orientation=not any(o & i for o, i in zip(out, inn)),
             sink_free=all(out),
         )
-
-    def induced_split(self, s: Iterable[int]) -> InducedSplit:
-        sub, old_of_new, new_of_old = self.graph.induced(s)
-        keep = set(old_of_new)
-        k = [new_of_old[v] for v in self.clique & keep]
-        i = [new_of_old[v] for v in self.independent & keep]
-        return InducedSplit(SplitDigraph(sub, k, i), old_of_new, new_of_old)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, QkCertificate, SplitDigraph, members
+from .digraph import Digraph, QkCertificate, SplitDigraph, lowest, members
 
 # The steps one exact search may take: nodes of _decide, bits their scans
 # take off the uncovered mask, stack pops of fpt_by_clique and one per
@@ -294,16 +294,17 @@ def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] 
     return None
 
 
-def _independent_classes(sd: SplitDigraph) -> list[tuple[int, frozenset[int]]]:
+def _independent_classes(sd: SplitDigraph) -> list[tuple[int, int]]:
     """Equivalence classes of the independent part under equal (N-, N+),
-    as (representative, class) pairs ordered by representative."""
+    as (representative, class mask) pairs ordered by representative, the
+    least member."""
     d = sd.graph
-    groups: dict[tuple[int, int], set[int]] = {}
-    for s in sorted(sd.independent):
-        groups.setdefault((d.in_masks[s], d.out_masks[s]), set()).add(s)
-    classes = [(min(members), frozenset(members)) for members in groups.values()]
-    classes.sort(key=lambda rc: rc[0])
-    return classes
+    groups: dict[tuple[int, int], int] = {}
+    # in ascending order, so the classes enter in the order of their least members
+    for s in members(sd.independent):
+        key = (d.in_masks[s], d.out_masks[s])
+        groups[key] = groups.get(key, 0) | 1 << s
+    return [(lowest(cls), cls) for cls in groups.values()]
 
 
 def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
@@ -340,14 +341,14 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
     states = {}
     for rep, cls in classes:
         reach = d.reach_in_two(rep)
-        cls_mask = d.mask_of(cls)
-        whole = (cls_mask, cls_mask | reach, len(cls))
+        size = cls.bit_count()
+        whole = (cls, cls | reach, size)
         rep_only = (1 << rep, reach, 1)
-        states[rep] = ((0, 0, 0), whole, rep_only) if len(cls) > 1 else ((0, 0, 0), whole)
+        states[rep] = ((0, 0, 0), whole, rep_only) if size > 1 else ((0, 0, 0), whole)
     reps = d.mask_of(states)
 
     steps = MAX_SEARCH_STEPS
-    for c in [None, *sorted(sd.clique)]:
+    for c in [None, *members(sd.clique)]:
         room = k - (0 if c is None else 1)
         if room < 0:
             continue
@@ -398,8 +399,8 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     steps = _steps_after_tables(d)
     tables = _qk_tables(d)
     full = d.full_mask
-    clique = sorted(sd.clique)
-    indep = full & ~d.mask_of(clique)
+    clique = members(sd.clique)
+    indep = sd.independent
     for size in range(min(k, d.n) + 1):
         hit, _, steps = _least_cover(size, tables, indep, 0, full, steps)
         if hit is None and size >= 1:

@@ -75,7 +75,7 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     lines += [f"# {c}" for c in comments]
     lines.append(f"n {graph.n}")
     if isinstance(obj, SplitDigraph):
-        lines.append(("k " + " ".join(str(v) for v in sorted(obj.clique))).rstrip())
+        lines.append(("k " + " ".join(str(v) for v in members(obj.clique))).rstrip())
     names = [str(v) for v in range(graph.n)]
     for t, row in enumerate(graph.out_masks):
         if row:
@@ -461,9 +461,9 @@ def to_dot(obj: Digraph | SplitDigraph, name: str = "instance") -> str:
     graph = obj.graph if isinstance(obj, SplitDigraph) else obj
     lines = [f"digraph {name} {{"]
     if isinstance(obj, SplitDigraph):
-        for v in sorted(obj.clique):
+        for v in members(obj.clique):
             lines.append(f"  {v} [shape=box];")
-        for v in sorted(obj.independent):
+        for v in members(obj.independent):
             lines.append(f"  {v} [shape=circle];")
     else:
         for v in range(graph.n):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
-from .digraph import Arc, Digraph, PreconditionError, SplitDigraph, VerificationError
+from .digraph import Arc, Digraph, PreconditionError, SplitDigraph, VerificationError, members
 from .exact import is_dominating
 from .files import MAX_ARCS, MAX_VERTICES
 
@@ -95,7 +95,7 @@ def gen_dpn(n: int) -> SplitDigraph:
     base = gen_dn(n)
     extra = [(0, kc + i * n + (j - 1)) for i in range(1, kc) for j in range(1, n + 1)]
     g = Digraph(base.graph.n, base.graph.arcs | frozenset(extra))
-    return SplitDigraph(g, base.clique, base.independent)
+    return SplitDigraph(g, range(kc), range(kc, g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def gen_random_complete_split(
             if attempts >= 100:
                 raise GenerationError("resampling cap exceeded while enforcing sink-freeness")
             attempts += 1
-            for v in sorted(sd.graph.sinks()):
+            for v in members(sd.graph.sinks()):
                 for pair in pairs:
                     if v in pair:
                         oriented[pair] = tuple(_orient_pair(rng, *pair, p_digon))

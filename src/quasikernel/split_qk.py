@@ -25,9 +25,8 @@ digraph, never against a reduced or induced copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .construct import _dominate, _require_semicomplete
 from .digraph import (
@@ -47,33 +46,9 @@ from .digraph import (
 SinkFreeOracle = Callable[[Digraph, int], int]
 
 
-@dataclass(frozen=True)
-class OneWayAssignment:
-    """Partition of the independent part by chosen clique out-neighbor.
-
-    ``clique_order[i]`` is the i-th clique vertex (ascending) and
-    ``classes[i]`` the independent vertices assigned to it; every class
-    member has an arc into its clique vertex, classes are disjoint and
-    cover the independent part.
-    """
-
-    clique_order: tuple[int, ...]
-    classes: tuple[frozenset[int], ...]
-    assigned: Mapping[int, int]
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise VerificationError(message)
-
-
-def assign_one_way(sd: SplitDigraph) -> OneWayAssignment:
-    """Assign each independent vertex to its smallest-index clique out-neighbor."""
-    d = sd.graph
-    order = tuple(sorted(sd.clique))
-    classes = _class_masks(d, order, d.mask_of(sd.independent), d.full_mask)
-    assigned = dict(sorted((s, y) for y, c in zip(order, classes) for s in members(c)))
-    return OneWayAssignment(order, tuple(frozenset(members(c)) for c in classes), assigned)
 
 
 def _class_masks(d: Digraph, order: tuple[int, ...], indep: int, region: int) -> list[int]:
@@ -134,7 +109,7 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     """
     d = sd.graph
     n = d.n
-    q = _one_way(d, d.mask_of(sd.clique), d.full_mask)
+    q = _one_way(d, sd.clique, d.full_mask)
     bound = Fraction(_one_way_size_cap(n) if n else 0)
     cert = d.certify(members(q), "one-way", bound=bound)
     _check_one_way_bound(n, cert.size)
@@ -155,14 +130,14 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     indep = region & ~clique
     if any(d_in[s] & region for s in members(indep)):
         raise PreconditionError("not one-way: an independent vertex has an in-arc")
-    if _sinks_within(d, region):
+    if d.sinks(region):
         raise PreconditionError("has a sink: use two-thirds via sink peeling")
     if not region:
         return 0
     t, order = _spanning_tournament(d, clique & region)
     t_sinks = t.sinks()
     if t_sinks:
-        q = 1 << order[min(t_sinks)]
+        q = 1 << order[lowest(t_sinks)]
         _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")
         return q
     _require_semicomplete(t)
@@ -205,7 +180,7 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     """
     d = sd.graph
     n = d.n
-    q = _two_thirds(d, d.mask_of(sd.clique), d.mask_of(sd.independent), d.full_mask)
+    q = _two_thirds(d, sd.clique, sd.independent, d.full_mask)
     cert = d.certify(members(q), "two-thirds", bound=Fraction(2 * n, 3))
     _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
     return cert
@@ -219,7 +194,7 @@ def _two_thirds(d: Digraph, clique: int, indep: int, region: int) -> int:
     induced subdigraph.  The sink-free precondition, the 2/3 bound and
     that the set is a quasi-kernel of D[region] are checked on the region.
     """
-    if _sinks_within(d, region):
+    if d.sinks(region):
         raise PreconditionError("has a sink: use two-thirds via sink peeling")
     n = region.bit_count()
     out, inn = d.out_masks, d.in_masks
@@ -255,7 +230,7 @@ def _two_thirds(d: Digraph, clique: int, indep: int, region: int) -> int:
 
     # candidate around B: a 2-serf of D[B] if its clique side has a sink
     # there, else the one-way construction on D[B]
-    b_sinks = _sinks_within(d, region_b)
+    b_sinks = d.sinks(region_b)
     if b_sinks:
         _require(not b_sinks & ~bk, "remainder sink outside the clique side")
         q1 = b_sinks & -b_sinks
@@ -306,16 +281,16 @@ def complete_split_min_qk(sd: SplitDigraph) -> QkCertificate:
         return d.certify((), "complete-split", bound=Fraction(0))
     sinks = d.sinks()
     if sinks:
-        return d.certify(sinks, "complete-split", bound=Fraction(len(sinks)))
+        return d.certify(members(sinks), "complete-split", bound=Fraction(sinks.bit_count()))
     for v in range(n):
         if d.is_two_serf(v):
             return d.certify((v,), "complete-split", bound=Fraction(2))
 
     out, inn = d.out_masks, d.in_masks
-    clique = d.mask_of(sd.clique)
+    clique = sd.clique
     x = max(range(n), key=lambda v: (inn[v] & clique).bit_count())
-    _require(x in sd.independent, "maximum clique in-degree vertex not independent")
-    for t in sorted(sd.independent - {x}):
+    _require(sd.independent >> x & 1 == 1, "maximum clique in-degree vertex not independent")
+    for t in members(sd.independent & ~(1 << x)):
         if out[x] & inn[t] & ~inn[x]:
             return d.certify((x, t), "complete-split", bound=Fraction(2))
     raise VerificationError("no partner t for the maximum clique in-degree vertex")
@@ -335,15 +310,15 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
     if alpha < Fraction(1, 2):
         raise PreconditionError("alpha must be at least 1/2")
     residue = d.full_mask
-    sinks = layer = _sinks_within(d, residue)
+    sinks = layer = d.sinks()
     acc = 0
     while layer:
         acc |= layer
         residue &= ~(layer | d.in_set_mask(layer))
-        layer = _sinks_within(d, residue)
+        layer = d.sinks(residue)
         if layer.bit_count() > (d.in_set_mask(layer) & residue).bit_count():
             residue &= ~layer
-            layer = _sinks_within(d, residue)
+            layer = d.sinks(residue)
     if residue:
         q = oracle(d, residue)
         _require(not q & ~residue, "oracle returned vertices outside its region")
@@ -357,16 +332,6 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
     return cert
 
 
-def _sinks_within(d: Digraph, region: int) -> int:
-    """Mask of the vertices of a region with no out-neighbor inside it."""
-    out = d.out_masks
-    sinks = 0
-    for v in members(region):
-        if not out[v] & region:
-            sinks |= 1 << v
-    return sinks
-
-
 def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
     """Adapt two_thirds_qk to the region-mask oracle protocol of peel_sinks.
 
@@ -375,7 +340,7 @@ def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
     no induced copy; its set is checked to be a quasi-kernel of the region
     there, and peel_sinks certifies the union on the host.
     """
-    clique, indep = sd.graph.mask_of(sd.clique), sd.graph.mask_of(sd.independent)
+    clique, indep = sd.clique, sd.independent
     return lambda host, region: _two_thirds(host, clique, indep, region)
 
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from quasikernel import Digraph, SplitDigraph, assign_one_way, dominate_two_serf
+from quasikernel import Digraph, SplitDigraph, dominate_two_serf
 from quasikernel.digraph import SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
@@ -52,12 +52,14 @@ def strongly_connected(d: Digraph) -> bool:
     if d.n <= 1:
         return True
 
+    arcs = list(d.arcs)
+
     def reach(start: int, forward: bool) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
-            nbrs = d.out_neighbors(v) if forward else d.in_neighbors(v)
+            nbrs = [h for t, h in arcs if t == v] if forward else [t for t, h in arcs if h == v]
             for w in nbrs:
                 if w not in seen:
                     seen.add(w)
@@ -131,9 +133,9 @@ def fpt_by_independent_by_bfs(sd: SplitDigraph, k: int) -> frozenset[int] | None
     """Reference for fpt_by_independent's tie-break: by ascending size, the
     subsets of I alone, then each clique vertex ascending joined with subsets
     of I, each group in lexicographic order; the first quasi-kernel wins."""
-    indep = sorted(sd.independent)
+    indep = members(sd.independent)
     for size in range(k + 1):
-        for c in [None, *sorted(sd.clique)]:
+        for c in [None, *members(sd.clique)]:
             rest = size if c is None else size - 1
             if rest < 0:
                 continue
@@ -156,12 +158,12 @@ def fpt_by_clique_reference(sd: SplitDigraph, k: int) -> frozenset[int] | None:
     arcs = frozenset(sd.graph.arcs)
     everything = frozenset(range(sd.graph.n))
     groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-    for s in sorted(sd.independent):
+    for s in members(sd.independent):
         key = (frozenset(t for t, h in arcs if h == s), frozenset(h for t, h in arcs if t == s))
         groups.setdefault(key, []).append(s)
     classes = sorted(groups.values())
     reached = {v: reaching_within_two(arcs, v) for v in everything}
-    for c in [None, *sorted(sd.clique)]:
+    for c in [None, *members(sd.clique)]:
         start = frozenset() if c is None else frozenset({c})
         if len(start) > k:
             continue
@@ -191,9 +193,20 @@ def relabel(d: Digraph, perm: list[int]) -> Digraph:
 def relabel_split(sd: SplitDigraph, perm: list[int]) -> SplitDigraph:
     return SplitDigraph(
         relabel(sd.graph, perm),
-        [perm[v] for v in sd.clique],
-        [perm[v] for v in sd.independent],
+        [perm[v] for v in members(sd.clique)],
+        [perm[v] for v in members(sd.independent)],
     )
+
+
+def split_by_filter(sd: SplitDigraph, s) -> tuple[SplitDigraph, list[int]]:
+    """The split subdigraph on s, from the arc list, relabelled by rank in
+    sorted(s), and the old index of each new one."""
+    old_of_new = sorted(s)
+    rank = {v: i for i, v in enumerate(old_of_new)}
+    sub = Digraph(len(rank), induced_by_filter(sd.graph.arcs, old_of_new))
+    clique = [rank[v] for v in members(sd.clique) if v in rank]
+    independent = [rank[v] for v in members(sd.independent) if v in rank]
+    return SplitDigraph(sub, clique, independent), old_of_new
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +286,8 @@ def with_twins(d: Digraph, originals) -> Digraph:
     arcs = set(d.arcs)
     n = d.n
     for original in originals:
-        arcs |= {(n, h) for h in d.out_neighbors(original)}
-        arcs |= {(t, n) for t in d.in_neighbors(original)}
+        arcs |= {(n, h) for t, h in d.arcs if t == original}
+        arcs |= {(t, n) for t, h in d.arcs if h == original}
         n += 1
     return Digraph(n, arcs)
 
@@ -297,12 +310,12 @@ def twinned_split_digraphs(draw, max_n: int = 20) -> SplitDigraph:
     vertices in all, relabelled at random."""
     sd = draw(split_digraphs())
     n = sd.graph.n
-    independent = sorted(sd.independent)
+    independent = members(sd.independent)
     originals = []
     if independent:
         originals = draw(st.lists(st.sampled_from(independent), max_size=max_n - n))
     d = with_twins(sd.graph, originals)
-    twinned = SplitDigraph(d, sd.clique, [*independent, *range(n, d.n)])
+    twinned = SplitDigraph(d, members(sd.clique), [*independent, *range(n, d.n)])
     return relabel_split(twinned, draw(st.permutations(range(d.n))))
 
 
@@ -384,27 +397,33 @@ def first_cover_reference(
 
 # one_way_qk and two_thirds_qk as they were before the tournament, the
 # induced digraphs and the reach masks were built from mask rows: the
-# tournament through an arc list, one dominate_two_serf call per non-2-serf
-# clique vertex, and a copy of the clique.  Kept as the references that
-# test_split_qk compares the constructions' vertex sets against.
+# tournament and the one-way classes through an arc list, one
+# dominate_two_serf call per non-2-serf clique vertex, and a copy of the
+# clique.  Kept as the references that test_split_qk compares the
+# constructions' vertex sets against.
 def one_way_reference(sd: SplitDigraph) -> frozenset[int]:
     d = sd.graph
     if d.n == 0:
         return frozenset()
-    order = tuple(sorted(sd.clique))
+    order = tuple(members(sd.clique))
     pos = {k: idx for idx, k in enumerate(order)}
     out, inn = d.out_masks, d.in_masks
-    k_mask = d.mask_of(order)
     arcs = [
         (pos[u], pos[w])
         for u in order
-        for w in members(out[u] & k_mask & ~(inn[u] & ((1 << u) - 1)))
+        for w in members(out[u] & sd.clique & ~(inn[u] & ((1 << u) - 1)))
     ]
     t = Digraph(len(order), arcs)
-    t_sinks = t.sinks()
+    t_sinks = set(range(len(order))) - {u for u, _ in arcs}
     if t_sinks:
         return frozenset({order[min(t_sinks)]})
-    classes = [d.mask_of(c) for c in assign_one_way(sd).classes]
+    # each independent vertex's class is its smallest out-neighbour
+    smallest_head: dict[int, int] = {}
+    for u, w in d.arcs:
+        smallest_head[u] = min(w, smallest_head.get(u, w))
+    classes = [0] * len(order)
+    for s in members(sd.independent):
+        classes[pos[smallest_head[s]]] |= 1 << s
     t_out = t.out_masks
     nk = len(order)
     reached = []
@@ -424,7 +443,7 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
     if d.n == 0:
         return frozenset()
     out, inn = d.out_masks, d.in_masks
-    clique, indep = d.mask_of(sd.clique), d.mask_of(sd.independent)
+    clique, indep = sd.clique, sd.independent
     k_m = i_m = 0
     for u in members(clique):
         free = out[u] & indep & ~i_m
@@ -432,7 +451,7 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
             k_m |= 1 << u
             i_m |= 1 << lowest(free)
     n_im = d.in_set_mask(i_m)
-    nii = d.second_in_set_mask(i_m) & indep
+    nii = d.in_set_mask(n_im) & indep & ~i_m
     region_b = d.full_mask & ~(i_m | n_im | nii)
     if region_b.bit_count() <= 1:
         return frozenset(members(i_m))
@@ -445,14 +464,15 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
     if b_sinks:
         q1 = b_sinks & -b_sinks
     else:
-        sub, old_of_new, _ = sd.induced_split(members(region_b))
+        sub, old_of_new = split_by_filter(sd, members(region_b))
         q1 = d.mask_of(old_of_new[v] for v in one_way_reference(sub))
     cand_q = (q1 | i_m | nii) & ~d.in_set_mask(q1)
     v = next((u for u in members(bk) if not out[u] & n_im), None)
     if v is None:
         cand_qp = i_m | bi
     else:
-        kt, k_order = d.induced(sd.clique)[:2]
+        k_order = members(clique)
+        kt = Digraph(len(k_order), induced_by_filter(d.arcs, k_order))
         pos = {k: idx for idx, k in enumerate(k_order)}
         if not kt.is_two_serf(pos[v]):
             v = k_order[dominate_two_serf(kt, pos[v])]
@@ -462,20 +482,24 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
 
 
 # peel_split as it was before the two-thirds construction ran on regions of
-# the host: the peel loop on frozensets, each sink-free residue copied into a
-# renumbered split digraph (induced_split) and solved there by
-# two_thirds_reference.  The reference shares neither the peel loop nor the
-# construction code with the package.
+# the host: the peel loop on frozensets and the arc list, each sink-free
+# residue copied into a renumbered split digraph (split_by_filter) and solved
+# there by two_thirds_reference.  The reference shares neither the peel loop
+# nor the construction code with the package.
 def peel_reference(sd: SplitDigraph) -> frozenset[int]:
     d = sd.graph
+    arcs = list(d.arcs)
 
     def sinks_of(vertices: frozenset[int]) -> frozenset[int]:
-        return frozenset(v for v in vertices if not d.out_neighbors(v) & vertices)
+        return vertices - {t for t, h in arcs if t in vertices and h in vertices}
+
+    def into(vertices: frozenset[int]) -> frozenset[int]:
+        return frozenset(t for t, h in arcs if h in vertices) - vertices
 
     def oracle(vertices: frozenset[int]) -> frozenset[int]:
         if not vertices:
             return frozenset()
-        sub, old_of_new, _ = sd.induced_split(vertices)
+        sub, old_of_new = split_by_filter(sd, vertices)
         return frozenset(old_of_new[v] for v in two_thirds_reference(sub))
 
     result: set[int] = set()
@@ -486,13 +510,13 @@ def peel_reference(sd: SplitDigraph) -> frozenset[int]:
             result |= oracle(remaining)
             break
         result |= cur
-        r1 = remaining - cur - d.in_set(cur)
+        r1 = remaining - cur - into(cur)
         s1 = sinks_of(r1)
         if not s1:
             result |= oracle(r1)
             break
         # peel once more when the new sinks outnumber their in-neighbors
-        n1 = d.in_set(s1) & r1
+        n1 = into(s1) & r1
         remaining = r1 if len(s1) <= len(n1) else r1 - s1
     return frozenset(result)
 

@@ -163,6 +163,22 @@ def test_solve_refuses_a_negative_k(tmp_path, capsys):
     assert "no quasi-kernel of size <= 0" in out
 
 
+@pytest.mark.parametrize("algo", ["auto", "cl", "one-way", "two-thirds", "peel", "complete-split"])
+def test_solve_refuses_k_where_it_would_be_ignored(tmp_path, capsys, algo):
+    # these take no budget: two-thirds and auto would print a 2-set here
+    path = write_dn1(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", str(path), "--algo", algo, "--k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --k applies only to --algo exact, fpt-k, fpt-i\n"
+    assert captured.out == ""
+
+
+def test_solve_help_names_the_algorithms_that_take_k(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "size budget, for --algo exact, fpt-k, fpt-i only" in " ".join(capsys.readouterr().out.split())
+
+
 def test_solve_fpt_k_on_many_classes(tmp_path, capsys):
     path = tmp_path / "wide.qkdg"
     path.write_text(serialize_instance(distinct_class_split()))

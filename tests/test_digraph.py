@@ -75,40 +75,42 @@ def test_duplicate_arcs_collapse():
 
 def test_digon_is_two_arcs():
     d = Digraph(2, [(0, 1), (1, 0)])
-    assert d.out_neighbors(0) == {1}
-    assert d.in_neighbors(0) == {1}
+    assert d.out_masks == (0b10, 0b01)
+    assert d.in_masks == (0b10, 0b01)
 
 
 def test_sinks():
-    assert Digraph(2, [(0, 1)]).sinks() == {1}
-    assert THREE_CYCLE.sinks() == frozenset()
-    assert gen_dn(1).graph.sinks() == frozenset()
+    assert Digraph(2, [(0, 1)]).sinks() == 0b10
+    assert THREE_CYCLE.sinks() == 0
+    assert gen_dn(1).graph.sinks() == 0
+    # within a region only the arcs inside it count
+    assert THREE_CYCLE.sinks(0b011) == 0b010
+    assert THREE_CYCLE.sinks(0b101) == 0b001
+    assert THREE_CYCLE.sinks(0) == 0
 
 
 def test_neighborhood_sets_on_dn1():
     d = gen_dn(1).graph
-    assert d.in_set({0}) == {2, 3}
-    assert d.second_in_set({0}) == {1, 5}
-    assert d.out_set({0}) == {1}  # k0's only out-arc goes to k1
+    first = d.in_set_mask(0b1)
+    assert first == 0b1100
+    # 1 and 5 reach k0 by exactly two arcs
+    assert d.in_set_mask(first) & ~0b1 == 0b100010
+    assert d.out_masks[0] == 0b10  # k0's only out-arc goes to k1
+    assert d.reach_in_two(0) == 0b101111
 
 
 def test_neighborhood_sets_trivial():
     d = THREE_CYCLE
-    full = set(range(3))
-    assert d.in_set(full) == frozenset()
-    assert d.out_set(full) == frozenset()
-    assert d.second_in_set(full) == frozenset()
+    assert d.in_set_mask(d.full_mask) == 0
+    assert d.in_set_mask(0) == 0
+    assert d.reach_in_two(0, 0b1) == 0b1
 
 
 def test_subset_range_check():
     with pytest.raises(ValueError, match="out of range"):
-        THREE_CYCLE.in_set({3})
-
-
-def test_is_independent():
-    assert not Digraph(2, [(0, 1)]).is_independent({0, 1})
-    assert THREE_CYCLE.is_independent(())
-    assert gen_dn(1).graph.is_independent({0, 4})
+        THREE_CYCLE.mask_of({3})
+    with pytest.raises(ValueError, match="out of range"):
+        THREE_CYCLE.is_quasi_kernel({3})
 
 
 def test_is_quasi_kernel():
@@ -116,13 +118,6 @@ def test_is_quasi_kernel():
     assert d.is_quasi_kernel({0, 4})
     assert not d.is_quasi_kernel({0})
     assert Digraph(0).is_quasi_kernel(())
-
-
-def test_is_kernel():
-    assert Digraph(2, [(0, 1)]).is_kernel({1})
-    for v in range(3):
-        assert not THREE_CYCLE.is_kernel({v})
-    assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_kernel({2})
 
 
 def test_is_two_serf():
@@ -159,8 +154,9 @@ def test_certificate_check_rejects_tampering():
 
 def test_check_split_accepts_dn1():
     sd = gen_dn(1)
-    rebuilt = SplitDigraph(sd.graph, sd.clique, sd.independent)
+    rebuilt = SplitDigraph(sd.graph, members(sd.clique), members(sd.independent))
     assert rebuilt == sd
+    assert (sd.clique, sd.independent) == (0b000111, 0b111000)
 
 
 def test_check_split_errors():
@@ -197,13 +193,5 @@ def test_induced():
     assert iso == THREE_CYCLE and old_of_new == (0, 1, 2)
     sub, _, _ = THREE_CYCLE.induced({0, 1})
     assert sub == Digraph(2, [(0, 1)])
-    kpart, old_of_new, _ = gen_dn(1).graph.induced(gen_dn(1).clique)
+    kpart, old_of_new, _ = gen_dn(1).graph.induced(members(gen_dn(1).clique))
     assert kpart == THREE_CYCLE and old_of_new == (0, 1, 2)
-
-
-def test_induced_split_keeps_partition():
-    sd = gen_dn(1)
-    sub, old_of_new, _ = sd.induced_split({0, 1, 2, 4})
-    assert sub.clique == {0, 1, 2}
-    assert sub.independent == {3}
-    assert old_of_new == (0, 1, 2, 4)

@@ -25,6 +25,7 @@ from quasikernel import (
     min_dominating_set,
     min_quasi_kernel,
 )
+from quasikernel.digraph import members
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -206,8 +207,8 @@ def test_fpt_class_count_bound():
             p_i_to_k=rng.uniform(0, 0.6),
         )
         d = sd.graph
-        sigs = {(d.in_neighbors(s), d.out_neighbors(s)) for s in sd.independent}
-        assert len(sigs) <= 4 ** len(sd.clique)
+        sigs = {(d.in_masks[s], d.out_masks[s]) for s in members(sd.independent)}
+        assert len(sigs) <= 4 ** sd.clique.bit_count()
 
 
 def test_fpt_agreement_campaign():

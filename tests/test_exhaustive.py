@@ -37,7 +37,7 @@ def test_every_small_complete_split_biorientation_matches_oracle():
             cert.check(sd.graph)
             sinks = sd.graph.sinks()
             if sinks:
-                assert cert.vertices == sinks
+                assert sd.graph.mask_of(cert.vertices) == sinks
             if n < 5 or (not sinks and cert.size == 2):
                 assert cert.size == min_quasi_kernel(sd).certificate.size
             checked += 1

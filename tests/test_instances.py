@@ -11,6 +11,7 @@ from quasikernel import (
     min_quasi_kernel,
 )
 from quasikernel import instances
+from quasikernel.digraph import members
 
 
 def test_dn1_exact_structure():
@@ -18,7 +19,7 @@ def test_dn1_exact_structure():
     assert sd.graph.n == 6
     expected = {(0, 1), (1, 2), (2, 0), (3, 0), (4, 1), (5, 2)}
     assert sd.graph.arcs == expected
-    assert sd.clique == {0, 1, 2}
+    assert sd.clique == 0b111
 
 
 def test_dn_vertex_count_formula():
@@ -31,9 +32,9 @@ def test_dn_flags_and_circulant_degrees():
         sd = gen_dn(n)
         flags = sd.classify()
         assert flags.one_way and flags.sink_free and flags.orientation
-        sub, _, _ = sd.graph.induced(sd.clique)
+        sub, _, _ = sd.graph.induced(members(sd.clique))
         assert sub.semicomplete_violation() is None
-        assert all(len(sub.out_neighbors(v)) == n for v in range(sub.n))
+        assert all(row.bit_count() == n for row in sub.out_masks)
 
 
 def test_dn_rejects_zero():
@@ -61,7 +62,7 @@ def test_dpn_connectivity_structure():
         sd = gen_dpn(n)
         g = sd.graph
         kc = 2 * n + 1
-        sources = {v for v in range(g.n) if not g.in_neighbors(v)}
+        sources = {v for v in range(g.n) if not g.in_masks[v]}
         assert sources == {kc + 0 * n + (j - 1) for j in range(1, n + 1)}
         assert not strongly_connected(g)
         core, _, _ = g.induced(set(range(g.n)) - sources)

@@ -15,6 +15,7 @@ from quasikernel import (
     reduce_dds_to_qk,
 )
 from quasikernel import instances
+from quasikernel.digraph import members
 
 SINGLE_ARC = Digraph(2, [(0, 1)])
 
@@ -46,7 +47,7 @@ def test_host_is_an_orientation_of_a_split_graph():
     art = reduce_dds_to_qk(Digraph(3, [(0, 1), (1, 2)]), 2)
     flags = art.host.classify()
     assert flags.orientation
-    sub, _, _ = art.host.graph.induced(art.host.clique)
+    sub, _, _ = art.host.graph.induced(members(art.host.clique))
     assert sub.semicomplete_violation() is None
 
 

@@ -10,7 +10,6 @@ from quasikernel import (
     PreconditionError,
     SplitDigraph,
     VerificationError,
-    assign_one_way,
     complete_split_min_qk,
     gen_dn,
     gen_dpn,
@@ -93,7 +92,7 @@ def test_two_thirds_copies_only_the_remainder(monkeypatch):
     calls = count_calls(
         monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
     )
-    splits = count_calls(monkeypatch, SplitDigraph, "__init__", "induced_split")
+    splits = count_calls(monkeypatch, SplitDigraph, "__init__")
     cert = two_thirds_qk(sd)
     assert 3 * cert.size <= 2 * sd.graph.n
     assert cert.vertices == expected[0]
@@ -155,22 +154,6 @@ def test_one_way_rejects_bad_inputs():
 def test_one_way_empty():
     cert = one_way_qk(SplitDigraph(Digraph(0), [], []))
     assert cert.size == 0
-
-
-def test_assign_one_way_invariants():
-    for seed in range(60):
-        rng = random.Random(seed)
-        sd = gen_random_split(
-            seed, rng.randint(2, 8), rng.randint(1, 12), one_way=True, sink_free=True
-        )
-        asg = assign_one_way(sd)
-        seen: set[int] = set()
-        for y, cls in zip(asg.clique_order, asg.classes):
-            assert cls <= sd.graph.in_neighbors(y) & sd.independent
-            assert not cls & seen
-            seen |= cls
-        assert seen == sd.independent
-        assert all(asg.assigned[s] == min(sd.graph.out_neighbors(s)) for s in seen)
 
 
 def test_one_way_campaign_bound():
@@ -257,7 +240,7 @@ def test_constructions_match_their_references_off_a_prefix():
             one_way=one_way,
             sink_free=True,
         )
-        prefix = frozenset(range(len(sd.clique)))
+        prefix = (1 << sd.clique.bit_count()) - 1
         perm = list(range(sd.graph.n))
         relabelled = sd
         while relabelled.clique == prefix:
@@ -370,11 +353,13 @@ def test_peel_structural_properties_campaign():
             p_digon_k=rng.uniform(0, 0.4),
         )
         sinks = sd.graph.sinks()
+        into = sd.graph.in_set_mask(sinks)
         cert = peel_split(sd)
         cert.check(sd.graph)
-        assert sinks <= cert.vertices
-        assert not (cert.vertices - sinks) & sd.graph.in_set(sinks)
-        bound = Fraction(2, 3) * (sd.graph.n + len(sinks) - len(sd.graph.in_set(sinks)))
+        chosen = sd.graph.mask_of(cert.vertices)
+        assert not sinks & ~chosen
+        assert not chosen & into
+        bound = Fraction(2, 3) * (sd.graph.n + sinks.bit_count() - into.bit_count())
         assert cert.size <= bound
 
 
@@ -397,7 +382,7 @@ def test_peel_matches_its_copying_reference_off_a_prefix():
         )
         if not sd.graph.sinks():
             continue
-        prefix = frozenset(range(len(sd.clique)))
+        prefix = (1 << sd.clique.bit_count()) - 1
         perm = list(range(sd.graph.n))
         relabelled = sd
         while relabelled.clique == prefix:
