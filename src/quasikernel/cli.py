@@ -10,7 +10,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .construct import quasi_kernel_cl
@@ -28,6 +27,7 @@ from .files import (
     MAX_INSTANCE_BYTES,
     InstanceParseError,
     certificate_document,
+    format_bound,
     parse_instance,
     serialize_certificate,
     serialize_instance,
@@ -92,15 +92,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt_bound(bound: Fraction | None) -> str:
-    return "null" if bound is None else f"{bound.numerator}/{bound.denominator}"
-
-
 def _print_certificate_report(cert: QkCertificate, minimum: bool) -> None:
     print(f"algorithm: {cert.algorithm}")
     print(f"size: {cert.size}")
     print("set: " + " ".join(str(v) for v in cert.sorted_vertices()))
-    print(f"bound: {_fmt_bound(cert.bound)}")
+    print(f"bound: {format_bound(cert.bound)}")
     print(f"minimum: {'true' if minimum else 'false'}")
     print("verified: true")
 
@@ -244,7 +240,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rows = [(algo, _solve_with(inst, algo, None)[0]) for algo in algos]
     for name, cert in rows:
         cert.check(graph)
-        print(f"{name} bound={_fmt_bound(cert.bound)} achieved={cert.size} verified=yes")
+        print(f"{name} bound={format_bound(cert.bound)} achieved={cert.size} verified=yes")
     return 0
 
 

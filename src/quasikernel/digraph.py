@@ -293,9 +293,6 @@ class Digraph:
     def arcs(self) -> ArcView:
         return ArcView(self._out)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented

@@ -6,10 +6,12 @@ share one search, ``_decide``: is there a set of at most ``need`` vertices,
 pairwise outside each other's conflict masks, whose reach masks cover every
 vertex?  It branches on the uncovered vertex with the fewest free coverers,
 one branch per coverer with the earlier ones excluded, and cuts a node on a
-greedy packing bound.  Sizes are decided in ascending order, so the first
-"yes" is a minimum; ``_least_cover`` then fixes the members one position at
-a time, lowest vertex first, to return the lexicographically least minimum
-set, which is the answer of an unpruned scan by (size, lexicographic) order.
+greedy packing bound.  One driver, ``_least_cover``, decides sizes from 0
+up for all three, each size over its caller's starts in order (the groups
+of fpt_by_independent), so the first "yes" is a minimum; it then fixes the
+members one position at a time, lowest vertex first, to return the
+lexicographically least minimum set, which is the answer of an unpruned
+scan by (size, lexicographic) order.
 fpt_by_clique scans the states of the independent classes depth first and
 cuts every subtree whose classes left open can no longer cover every
 vertex, so it returns the first answer of the uncut scan.
@@ -58,7 +60,6 @@ class SolveReport:
     certificate: QkCertificate | None
     optimal: bool
     explored: int
-    algorithm: str
 
 
 class _Tables(NamedTuple):
@@ -166,12 +167,18 @@ def _decide(
 
 
 def _least_cover(
-    k: int, tables: _Tables, free: int, cover: int, full: int, steps: int
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """The lexicographically least k-set that _decide(k, ...) accepts, or
-    None when it accepts none; the nodes of all the decisions; and what is
-    left of ``steps``.  Callers ask ascending k, so a set found has exactly
-    k members.
+    tables: _Tables, starts: list[tuple[int, int, tuple[int, ...]]], budget: int | None, steps: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The least set of the least size up to ``budget`` (every size when
+    None) that a start completes, or None; and the nodes of all the
+    decisions.  This is the one loop over sizes of the exact searches.
+
+    A start ``(free, cover, fixed)`` completes a set of a size s as
+    ``fixed`` plus the lexicographically least set of s - len(fixed)
+    vertices from ``free`` that _decide accepts with ``cover`` already
+    covered; a start with more than s members fixed is skipped.  Sizes
+    are decided from 0 up, and the starts of a size in the order given,
+    so the first hit is a minimum.  All the decisions share ``steps``.
 
     Prefix fixing: with W the last set found, position j tries the free
     vertices v above the fixed prefix in ascending order, and asks whether
@@ -180,26 +187,36 @@ def _least_cover(
     becomes W.
     """
     conflict, reach, _ = tables
-    hit, explored, steps = _decide(k, tables, free, cover, full, steps)
-    if hit is None:
-        return None, explored, steps
-    witness = sorted(hit)
-    for j in range(k):
-        cand = free & (1 << witness[j]) - 1
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            above = free & ~conflict[v] & -(low << 1)
-            hit, nodes, steps = _decide(k - j - 1, tables, above, cover | reach[v], full, steps)
+    n = len(reach)
+    full = (1 << n) - 1
+    explored = 0
+    for size in range((n if budget is None else min(budget, n)) + 1):
+        for free, cover, fixed in starts:
+            k = size - len(fixed)
+            if k < 0:
+                continue
+            hit, nodes, steps = _decide(k, tables, free, cover, full, steps)
             explored += nodes
-            if hit is not None:
-                witness[j:] = sorted((v, *hit))
-                break
-        v = witness[j]
-        free &= ~conflict[v] & -(2 << v)
-        cover |= reach[v]
-    return tuple(witness), explored, steps
+            if hit is None:
+                continue
+            witness = sorted(hit)
+            for j in range(k):
+                cand = free & (1 << witness[j]) - 1
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    v = low.bit_length() - 1
+                    above = free & ~conflict[v] & -(low << 1)
+                    hit, nodes, steps = _decide(k - j - 1, tables, above, cover | reach[v], full, steps)
+                    explored += nodes
+                    if hit is not None:
+                        witness[j:] = sorted((v, *hit))
+                        break
+                v = witness[j]
+                free &= ~conflict[v] & -(2 << v)
+                cover |= reach[v]
+            return (*fixed, *witness), explored
+    return None, explored
 
 
 def _steps_after_tables(d: Digraph) -> int:
@@ -235,22 +252,16 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
     """Minimum-cardinality quasi-kernel (ties broken to the lexicographically
     least vertex set), or a none-within-budget report.
 
-    Sizes are decided in ascending order, and the first size with a
-    quasi-kernel is fixed to its least set by prefix fixing; all the
-    searches share MAX_SEARCH_STEPS with the building of their tables.  A
+    One start, every vertex free, goes to _least_cover; all its searches
+    share MAX_SEARCH_STEPS with the building of their tables.  A
     SplitDigraph is searched as its plain graph.
     """
     d = d.graph if isinstance(d, SplitDigraph) else d
     steps = _steps_after_tables(d)
-    tables = _qk_tables(d)
-    explored = 0
-    max_k = d.n if budget is None else min(budget, d.n)
-    for k in range(max_k + 1):
-        hit, nodes, steps = _least_cover(k, tables, d.full_mask, 0, d.full_mask, steps)
-        explored += nodes
-        if hit is not None:
-            return SolveReport(d.certify(hit, "exact"), True, explored, "exact")
-    return SolveReport(None, False, explored, "exact")
+    hit, explored = _least_cover(_qk_tables(d), [(d.full_mask, 0, ())], budget, steps)
+    if hit is None:
+        return SolveReport(None, False, explored)
+    return SolveReport(d.certify(hit, "exact"), True, explored)
 
 
 def has_qk_of_size_at_most(d: Digraph | SplitDigraph, q: int) -> bool:
@@ -285,13 +296,8 @@ def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] 
     closed_in = [row | 1 << v for v, row in enumerate(d.in_masks)]
     closed_out = [row | 1 << v for v, row in enumerate(d.out_masks)]
     tables = _Tables([0] * d.n, closed_in, closed_out)
-    steps = MAX_SEARCH_STEPS
-    max_k = d.n if budget is None else min(budget, d.n)
-    for k in range(max_k + 1):
-        hit, _, steps = _least_cover(k, tables, d.full_mask, 0, d.full_mask, steps)
-        if hit is not None:
-            return frozenset(hit)
-    return None
+    hit, _ = _least_cover(tables, [(d.full_mask, 0, ())], budget, MAX_SEARCH_STEPS)
+    return None if hit is None else frozenset(hit)
 
 
 def _independent_classes(sd: SplitDigraph) -> list[tuple[int, int]]:
@@ -388,29 +394,20 @@ def fpt_by_clique(sd: SplitDigraph, k: int) -> QkCertificate | None:
 def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     """Quasi-kernel of size <= k, or None, by independent-part subset enumeration.
 
-    At most one clique vertex joins a subset of the independent part.
-    Sizes are decided in ascending total size, so the first hit is a
-    minimum one; within a size, the subsets of I alone come first, then
-    those with each clique vertex c in ascending order, and the first group
-    with a hit is fixed to its lexicographically least subset.  All the
-    searches share MAX_SEARCH_STEPS with the building of their tables.
+    At most one clique vertex joins a subset of the independent part, so
+    the groups are _least_cover's starts: I alone first, then each clique
+    vertex c in ascending order, fixed, with the vertices of I outside its
+    conflict mask free.  Sizes are decided in ascending total size, so the
+    first hit is a minimum one, and the first group with a hit at that size
+    is fixed to its lexicographically least subset.  All the searches share
+    MAX_SEARCH_STEPS with the building of their tables.
     """
     d = sd.graph
     steps = _steps_after_tables(d)
     tables = _qk_tables(d)
-    full = d.full_mask
-    clique = members(sd.clique)
     indep = sd.independent
-    for size in range(min(k, d.n) + 1):
-        hit, _, steps = _least_cover(size, tables, indep, 0, full, steps)
-        if hit is None and size >= 1:
-            for c in clique:
-                hit, _, steps = _least_cover(
-                    size - 1, tables, indep & ~tables.conflict[c], tables.reach[c], full, steps
-                )
-                if hit is not None:
-                    hit = (*hit, c)
-                    break
-        if hit is not None:
-            return d.certify(hit, "fpt-i")
-    return None
+    starts = [(indep, 0, ())] + [
+        (indep & ~tables.conflict[c], tables.reach[c], (c,)) for c in members(sd.clique)
+    ]
+    hit, _ = _least_cover(tables, starts, k, steps)
+    return None if hit is None else d.certify(hit, "fpt-i")

@@ -374,14 +374,17 @@ def certificate_document(
     )
 
 
+def format_bound(bound: Fraction | None) -> str:
+    return "null" if bound is None else f"{bound.numerator}/{bound.denominator}"
+
+
 def serialize_certificate(doc: CertificateDocument) -> str:
-    bound = "null" if doc.bound is None else f"{doc.bound.numerator}/{doc.bound.denominator}"
     lines = [
         CERTIFICATE_MAGIC,
         f"algorithm {doc.algorithm}",
         f"instance {doc.digest}",
         ("set " + " ".join(str(v) for v in doc.vertices)).rstrip(),
-        f"bound {bound}",
+        f"bound {format_bound(doc.bound)}",
         "verified true",
     ]
     for v in sorted(doc.witnesses):

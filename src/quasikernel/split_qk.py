@@ -180,15 +180,15 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     """
     d = sd.graph
     n = d.n
-    q = _two_thirds(d, sd.clique, sd.independent, d.full_mask)
+    q = _two_thirds(d, sd.clique, d.full_mask)
     cert = d.certify(members(q), "two-thirds", bound=Fraction(2 * n, 3))
     _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
     return cert
 
 
-def _two_thirds(d: Digraph, clique: int, indep: int, region: int) -> int:
-    """two_thirds_qk's set for D[region], whose parts are clique & region
-    and indep & region, read from d's own rows and returned as a mask of d.
+def _two_thirds(d: Digraph, clique: int, region: int) -> int:
+    """two_thirds_qk's set for D[region], whose clique part is clique &
+    region, read from d's own rows and returned as a mask of d.
 
     As with ``_one_way``, the set is the one two_thirds_qk finds on the
     induced subdigraph.  The sink-free precondition, the 2/3 bound and
@@ -199,7 +199,7 @@ def _two_thirds(d: Digraph, clique: int, indep: int, region: int) -> int:
     n = region.bit_count()
     out, inn = d.out_masks, d.in_masks
     clique &= region
-    indep &= region
+    indep = region & ~clique
 
     # greedy matching over clique-to-independent arcs in ascending order
     k_m = i_m = 0
@@ -336,12 +336,13 @@ def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
     """Adapt two_thirds_qk to the region-mask oracle protocol of peel_sinks.
 
     The two-thirds construction runs on the region through the rows of the
-    host digraph it is handed, with sd's clique/independent partition and
-    no induced copy; its set is checked to be a quasi-kernel of the region
-    there, and peel_sinks certifies the union on the host.
+    host digraph it is handed, with sd's clique mask (the rest of the
+    region is its independent part) and no induced copy; its set is checked
+    to be a quasi-kernel of the region there, and peel_sinks certifies the
+    union on the host.
     """
-    clique, indep = sd.clique, sd.independent
-    return lambda host, region: _two_thirds(host, clique, indep, region)
+    clique = sd.clique
+    return lambda host, region: _two_thirds(host, clique, region)
 
 
 def peel_split(sd: SplitDigraph) -> QkCertificate:

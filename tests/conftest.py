@@ -503,7 +503,7 @@ def peel_reference(sd: SplitDigraph) -> frozenset[int]:
         return frozenset(old_of_new[v] for v in two_thirds_reference(sub))
 
     result: set[int] = set()
-    remaining = frozenset(d.vertices())
+    remaining = frozenset(range(d.n))
     while True:
         cur = sinks_of(remaining)
         if not cur:

@@ -59,6 +59,42 @@ def test_min_qk_budget_refusal_reports_none():
     assert rep.explored > 0
 
 
+def _budget_edges(n: int, minimum: int) -> list[int | None]:
+    return [-1, 0, minimum - 1, minimum, n + 3, None]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_qk_and_dominating_set_at_the_budget_edges(seed):
+    # below the minimum each search finds none; at or above it, the answer
+    # it gives with no budget, explored count included
+    d = gnp(10, 0.25, seed)
+    unbounded = min_quasi_kernel(d)
+    for budget in _budget_edges(d.n, unbounded.certificate.size):
+        rep = min_quasi_kernel(d, budget)
+        if budget is not None and budget < unbounded.certificate.size:
+            assert rep.certificate is None and not rep.optimal
+        else:
+            assert rep == unbounded
+    dominating = min_dominating_set(d)
+    for budget in _budget_edges(d.n, len(dominating)):
+        below = budget is not None and budget < len(dominating)
+        assert min_dominating_set(d, budget) == (None if below else dominating)
+
+
+@pytest.mark.parametrize(
+    "sd", [gen_dn(2), gen_dpn(1), gen_random_split(5, 4, 6)], ids=["dn2", "dpn1", "split5"]
+)
+def test_fpt_by_independent_at_the_budget_edges(sd):
+    # k takes no None, so k = n stands for no budget: a quasi-kernel of a
+    # split digraph has at most one clique vertex and at most n vertices
+    n = sd.graph.n
+    unbounded = fpt_by_independent(sd, n)
+    assert unbounded.size == min_quasi_kernel(sd).certificate.size
+    for k in _budget_edges(n, unbounded.size)[:-1]:
+        cert = fpt_by_independent(sd, k)
+        assert cert is None if k < unbounded.size else cert == unbounded
+
+
 def test_min_qk_caps(monkeypatch):
     # gen_dpn(6) takes about 36k steps, as a Digraph and as a SplitDigraph
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
