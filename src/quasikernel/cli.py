@@ -166,7 +166,12 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
     if algo in ("fpt-k", "fpt-i"):
         if k is None:
             raise PreconditionError("--k is required for fpt algorithms")
-        return (fpt_by_clique if algo == "fpt-k" else fpt_by_independent)(inst, k), False
+        if algo == "fpt-k":
+            return fpt_by_clique(inst, k), False
+        # a quasi-kernel of a split digraph is independent, so it lies in one
+        # of fpt-i's groups, each of which was refused every smaller size
+        cert = fpt_by_independent(inst, k)
+        return cert, cert is not None
     raise PreconditionError(f"unknown algorithm '{algo}'")
 
 

@@ -6,9 +6,11 @@ share one search, ``_decide``: is there a set of at most ``need`` vertices,
 pairwise outside each other's conflict masks, whose reach masks cover every
 vertex?  It branches on the uncovered vertex with the fewest free coverers,
 one branch per coverer with the earlier ones excluded, and cuts a node on a
-greedy packing bound.  One driver, ``_least_cover``, decides sizes from 0
-up for all three, each size over its caller's starts in order (the groups
-of fpt_by_independent), so the first "yes" is a minimum; it then fixes the
+greedy packing bound.  One driver, ``_least_cover``, decides sizes from
+the budget down for all three, each size over its caller's starts in order
+(the groups of fpt_by_independent): each witness sets the next size to one
+below its own, so the size below the minimum is the only one where every
+start answers "no", and the last witness is a minimum.  It then fixes the
 members one position at a time, lowest vertex first, to return the
 lexicographically least minimum set, which is the answer of an unpruned
 scan by (size, lexicographic) order.
@@ -31,7 +33,8 @@ from .digraph import Digraph, QkCertificate, SplitDigraph, lowest, members
 # class each of its clique choices leaves open, and two per arc for the
 # tables of min_quasi_kernel and fpt_by_independent, each a bounded number
 # of mask operations at any n.  On a 2-vCPU VM, gen_dpn(10) (231 vertices)
-# takes about 0.76M steps (0.3 s) and G(120, 0.03) about 0.12M (0.05 s).
+# takes about 39k steps (0.02 s), gen_dpn(20) (861 vertices) about 0.59M
+# (0.2-0.4 s) and G(120, 0.03) about 0.11M (0.04 s).
 # The limit stops min_quasi_kernel on G(200, 0.02) after about 4.5 s and on
 # G(2000, 0.002) after about 8 s, and fpt_by_clique on gen_dn(12) (325
 # vertices) at k = 144 after about 9 s.
@@ -52,9 +55,9 @@ class SolveReport:
 
     ``optimal`` is True only when the search proves no smaller
     quasi-kernel exists; ``explored`` counts the nodes of every decision
-    search of the call, the size-by-size ones and the prefix-fixing ones:
-    each node is one candidate set whose cover the search decided or
-    branched on.
+    search of the call, the ones that descend from the budget to one below
+    the minimum and the prefix-fixing ones: each node is one candidate set
+    whose cover the search decided or branched on.
     """
 
     certificate: QkCertificate | None
@@ -177,8 +180,12 @@ def _least_cover(
     ``fixed`` plus the lexicographically least set of s - len(fixed)
     vertices from ``free`` that _decide accepts with ``cover`` already
     covered; a start with more than s members fixed is skipped.  Sizes
-    are decided from 0 up, and the starts of a size in the order given,
-    so the first hit is a minimum.  All the decisions share ``steps``.
+    are decided from the budget down, and the starts of a size in the
+    order given: a witness W found at a size sets the next size to |W| - 1,
+    and the search stops at the first size where every start answers "no",
+    so the last witness is a minimum.  Its start is the first with a
+    minimum set: each earlier start answered "no" at a size at least the
+    minimum.  All the decisions share ``steps``.
 
     Prefix fixing: with W the last set found, position j tries the free
     vertices v above the fixed prefix in ascending order, and asks whether
@@ -190,33 +197,41 @@ def _least_cover(
     n = len(reach)
     full = (1 << n) - 1
     explored = 0
-    for size in range((n if budget is None else min(budget, n)) + 1):
+    found = None
+    size = n if budget is None else min(budget, n)
+    while size >= 0:
         for free, cover, fixed in starts:
             k = size - len(fixed)
             if k < 0:
                 continue
             hit, nodes, steps = _decide(k, tables, free, cover, full, steps)
             explored += nodes
-            if hit is None:
-                continue
-            witness = sorted(hit)
-            for j in range(k):
-                cand = free & (1 << witness[j]) - 1
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    v = low.bit_length() - 1
-                    above = free & ~conflict[v] & -(low << 1)
-                    hit, nodes, steps = _decide(k - j - 1, tables, above, cover | reach[v], full, steps)
-                    explored += nodes
-                    if hit is not None:
-                        witness[j:] = sorted((v, *hit))
-                        break
-                v = witness[j]
-                free &= ~conflict[v] & -(2 << v)
-                cover |= reach[v]
-            return (*fixed, *witness), explored
-    return None, explored
+            if hit is not None:
+                found = free, cover, fixed, sorted(hit)
+                size = len(fixed) + len(hit) - 1
+                break
+        else:
+            break
+    if found is None:
+        return None, explored
+    free, cover, fixed, witness = found
+    k = len(witness)
+    for j in range(k):
+        cand = free & (1 << witness[j]) - 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            above = free & ~conflict[v] & -(low << 1)
+            hit, nodes, steps = _decide(k - j - 1, tables, above, cover | reach[v], full, steps)
+            explored += nodes
+            if hit is not None:
+                witness[j:] = sorted((v, *hit))
+                break
+        v = witness[j]
+        free &= ~conflict[v] & -(2 << v)
+        cover |= reach[v]
+    return (*fixed, *witness), explored
 
 
 def _steps_after_tables(d: Digraph) -> int:
@@ -285,8 +300,8 @@ def is_dominating(d: Digraph, s: Iterable[int]) -> bool:
 
 
 def min_dominating_set(d: Digraph, budget: int | None = None) -> frozenset[int] | None:
-    """Minimum dominating set by exhaustive cardinality-ascending search
-    (ties broken to the lexicographically least vertex set).
+    """Minimum dominating set by exhaustive search, sizes descending from
+    the budget (ties broken to the lexicographically least vertex set).
 
     It runs the quasi-kernel search core with no adjacency conflicts, the
     closed in-neighbourhoods as reach masks and the closed
@@ -397,10 +412,10 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     At most one clique vertex joins a subset of the independent part, so
     the groups are _least_cover's starts: I alone first, then each clique
     vertex c in ascending order, fixed, with the vertices of I outside its
-    conflict mask free.  Sizes are decided in ascending total size, so the
-    first hit is a minimum one, and the first group with a hit at that size
-    is fixed to its lexicographically least subset.  All the searches share
-    MAX_SEARCH_STEPS with the building of their tables.
+    conflict mask free.  Total sizes are decided from k down, so the last
+    hit is a minimum one, and its group, the first with a hit at that
+    size, is fixed to its lexicographically least subset.  All the
+    searches share MAX_SEARCH_STEPS with the building of their tables.
     """
     d = sd.graph
     steps = _steps_after_tables(d)

@@ -190,6 +190,21 @@ def test_solve_fpt_k_on_many_classes(tmp_path, capsys):
     assert "algorithm: fpt-k" in out and "set: 11" in out
 
 
+def test_solve_fpt_i_reports_its_answer_as_a_minimum(tmp_path, capsys):
+    # a quasi-kernel of a split digraph is independent, so it lies in one of
+    # fpt-i's groups, and every group was refused each smaller size; fpt-k's
+    # scan is not ordered by size, so its answer is not claimed minimum
+    path = tmp_path / "dn2.qkdg"
+    assert main(["gen", "dn", "--n", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-i", "--k", "99")
+    assert code == 0
+    assert "size: 5\n" in out and "minimum: true\n" in out
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "99")
+    assert code == 0
+    assert "minimum: false\n" in out
+
+
 def test_solve_precondition_failures_exit_1(tmp_path, capsys):
     sink = tmp_path / "sink.qkdg"
     sink.write_text("qkdg 1\nn 2\nk 0 1\na 0 1\n")

@@ -96,7 +96,7 @@ def test_fpt_by_independent_at_the_budget_edges(sd):
 
 
 def test_min_qk_caps(monkeypatch):
-    # gen_dpn(6) takes about 36k steps, as a Digraph and as a SplitDigraph
+    # gen_dpn(6) takes about 5.8k steps, as a Digraph and as a SplitDigraph
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
     sd = gen_dpn(6)
     for inst in (sd, sd.graph):
@@ -105,7 +105,7 @@ def test_min_qk_caps(monkeypatch):
 
 
 def test_min_qk_on_45_vertices():
-    # |I| = 36; the search takes about 6k of MAX_SEARCH_STEPS
+    # |I| = 36; the search takes about 1k of MAX_SEARCH_STEPS
     for inst in (gen_dn(4), gen_dn(4).graph):
         rep = min_quasi_kernel(inst)
         assert rep.optimal
@@ -134,17 +134,27 @@ def test_fpt_and_dominating_set_searches_stop_at_the_step_limit(monkeypatch):
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
     message = "MAX_SEARCH_STEPS=1000"
     # gen_dn(5) has no quasi-kernel of 25 vertices; the cut scan takes about
-    # 3k steps to prove it
+    # 3k steps to prove it.  fpt_by_independent takes about 3.3k steps to
+    # find gen_dpn(6)'s 31, and min_dominating_set about 2.3k
     with pytest.raises(CapExceededError, match=message):
         fpt_by_clique(gen_dn(5), 25)
     with pytest.raises(CapExceededError, match=message):
-        fpt_by_independent(gen_dpn(4), 13)
+        fpt_by_independent(gen_dpn(6), 31)
     with pytest.raises(CapExceededError, match=message):
         min_dominating_set(gen_dpn(6).graph)
     # the same searches within the limit
     assert fpt_by_clique(gen_dn(1), 2).size == 2
     assert fpt_by_independent(gen_dn(1), 2).size == 2
     assert min_dominating_set(gen_dn(1).graph) == {0, 1, 2}
+
+
+def test_min_qk_decides_sizes_from_the_budget_down(monkeypatch):
+    # gen_dpn(10), 231 vertices: each witness sets the next size, so the one
+    # failed decision is at 90 and the search takes about 39k steps; deciding
+    # each size from 0 up, 90 of them failed, would take about 0.76M
+    monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 100_000)
+    rep = min_quasi_kernel(gen_dpn(10))
+    assert rep.optimal and rep.certificate.size == 91
 
 
 def test_tables_are_charged_to_the_step_limit_before_they_are_built(monkeypatch):
@@ -317,7 +327,7 @@ def test_fpt_by_clique_depth_does_not_grow_with_classes():
 
 def test_cover_prune_bounds_the_exact_search():
     # a lexicographic scan without the cover prune tests 1,443,195
-    # independent sets; the search visits 102 nodes
+    # independent sets; the search visits 25 nodes
     rep = min_quasi_kernel(gen_dn(3))
     assert rep.certificate.size == 10
     assert rep.explored <= 30_000
@@ -325,14 +335,14 @@ def test_cover_prune_bounds_the_exact_search():
 
 def test_packing_bound_and_twins_bound_the_exact_search():
     # a lexicographic scan with the cover prune alone decides 30,813 sets;
-    # the search, with no twin rule, visits 84 nodes
+    # the search, with no twin rule, visits 52 nodes
     rep = min_quasi_kernel(gen_dpn(3))
     assert rep.certificate.size == 7
     assert rep.explored <= 2_000
 
 
 def test_fpt_by_independent_past_the_exact_caps():
-    # |I| = 36; each search takes under 10^4 of MAX_SEARCH_STEPS
+    # |I| = 36; each search takes under 10^3 of MAX_SEARCH_STEPS
     dn4, dpn4 = gen_dn(4), gen_dpn(4)
     assert fpt_by_independent(dn4, 16) is None
     assert fpt_by_independent(dn4, 17).size == 17

@@ -14,6 +14,7 @@ from conftest import (
     dominating_two_serf_by_scan,
     first_cover_reference,
     fpt_by_independent_by_bfs,
+    gnp,
     induced_by_filter,
     qk_by_bfs,
     reaching_within_two,
@@ -32,6 +33,7 @@ from quasikernel import (
     fpt_by_independent,
     gen_dn,
     gen_dpn,
+    gen_random_split,
     has_qk_of_size_at_most,
     min_dominating_set,
     min_quasi_kernel,
@@ -237,9 +239,11 @@ def decided_by_prunes(n: int, arcs) -> tuple[frozenset[int], int]:
     more than `need` kept vertices.  Else u is the first uncovered vertex
     with the fewest coverers in `free`, and the children are S + v for
     each coverer v of u in ascending order, without the conflicts of v and
-    without u's earlier coverers.  Sizes are decided from 0 up; then each
-    position j of the witness W tries the open vertices v below W[j], each
-    with a decision on the vertices above v, and any set found becomes W.
+    without u's earlier coverers.  Sizes are decided from n down, each
+    next size one below the last witness found, until a size has none; then
+    each position j of the last witness W tries the open vertices v below
+    W[j], each with a decision on the vertices above v, and any set found
+    becomes W.
     Within one decision no node repeats, and every node is independent.
     """
     reach = [reaching_within_two(arcs, v) for v in range(n)]
@@ -279,11 +283,13 @@ def decided_by_prunes(n: int, arcs) -> tuple[frozenset[int], int]:
         return found
 
     everything = set(range(n))
-    for k in range(n + 1):
-        witness = decide(k, everything, set())
-        if witness is not None:
+    witness, below = None, n
+    while below >= 0:
+        found = decide(below, everything, set())
+        if found is None:
             break
-    witness = sorted(witness)
+        witness, below = sorted(found), len(found) - 1
+    k = len(witness)
     free, covered = everything, set()
     for j in range(k):
         for v in sorted(w for w in free if w < witness[j]):
@@ -338,6 +344,40 @@ def test_exhaustive_searches_match_brute_force(sd, data):
     cert = fpt_by_independent(sd, k)
     assert (cert and cert.vertices) == fpt_by_independent_by_bfs(sd, k)
     assert min_dominating_set(d) == first_by_size(n, lambda cand: dominating_by_scan(d, cand))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_searches_from_the_budget_down_match_the_size_by_size_reference(seed):
+    # the exact searches decide sizes from the budget down; the references
+    # scan sizes from 0 up with the arc-list checks of conftest, and share
+    # no code with them
+    rng = random.Random(seed)
+    d = gnp(rng.randint(6, 12), rng.uniform(0.05, 0.25), seed)
+    sd = gen_random_split(
+        seed, rng.randint(1, 4), rng.randint(2, 8), p_k_to_i=rng.uniform(0, 0.3), p_i_to_k=rng.uniform(0, 0.3)
+    )
+    perm = list(range(sd.graph.n))
+    rng.shuffle(perm)
+    sd = relabel_split(sd, perm)
+    least_qk = first_by_size(d.n, lambda cand: qk_by_bfs(d, cand))
+    least_split_qk = first_by_size(sd.graph.n, lambda cand: qk_by_bfs(sd.graph, cand))
+    least_dominating = first_by_size(d.n, lambda cand: dominating_by_scan(d, cand))
+
+    def within(least, budget):
+        return least if budget is None or len(least) <= budget else None
+
+    for inst, least in ((d, least_qk), (sd, least_split_qk)):
+        for budget in (None, 0, len(least) - 1, len(least)):
+            report = min_quasi_kernel(inst, budget)
+            expected = within(least, budget)
+            assert (report.certificate and report.certificate.vertices) == expected
+            assert report.optimal == (expected is not None)
+    for budget in (None, 0, len(least_dominating) - 1, len(least_dominating)):
+        assert min_dominating_set(d, budget) == within(least_dominating, budget)
+    m = len(fpt_by_independent_by_bfs(sd, sd.graph.n))
+    for k in (sd.graph.n, 0, m - 1, m):
+        cert = fpt_by_independent(sd, k)
+        assert (cert and cert.vertices) == fpt_by_independent_by_bfs(sd, k)
 
 
 def exact_answers(d, sd, k):
