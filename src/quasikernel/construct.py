@@ -5,7 +5,9 @@ surfaces as a VerificationError instead of a silently wrong answer.
 """
 from __future__ import annotations
 
-from .digraph import Digraph, PreconditionError, VerificationError, lowest, members
+from typing import Sequence
+
+from .digraph import Digraph, PreconditionError, VerificationError, lowest, members, reach_within
 
 
 def quasi_kernel_rooted(d: Digraph, r: int) -> frozenset[int]:
@@ -61,15 +63,14 @@ def two_serf_semicomplete(t: Digraph) -> int:
     _require_semicomplete(t)
     if t.n == 0:
         raise PreconditionError("empty digraph has no 2-serf")
-    best = _max_in_degree(t, t.full_mask)
+    best = _max_in_degree(t.in_masks, t.full_mask)
     if not t.is_two_serf(best):
         raise VerificationError(f"max in-degree vertex {best} is not a 2-serf")
     return best
 
 
-def _max_in_degree(t: Digraph, within: int) -> int:
-    """Vertex of mask ``within`` with the most in-neighbors inside it, smallest on ties."""
-    inn = t.in_masks
+def _max_in_degree(inn: Sequence[int], within: int) -> int:
+    """Vertex of mask ``within`` whose in-row has the most bits inside it, smallest on ties."""
     return max(members(within), key=lambda w: (inn[w] & within).bit_count())
 
 
@@ -84,28 +85,27 @@ def dominate_two_serf(t: Digraph, v: int) -> int:
     _require_semicomplete(t)
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range for n={t.n}")
-    u = _dominate(t, v, t.full_mask, t.reach_in_two(v))
+    u = _dominate(t.in_masks, v, t.full_mask, t.reach_in_two(v))
     if not t.is_two_serf(u):
         raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
     return u
 
 
-def _dominate(t: Digraph, v: int, within: int, reach_v: int) -> int:
-    """dominate_two_serf in the subdigraph that mask ``within`` induces,
-    in t's own indices, without building that subdigraph.
+def _dominate(inn: Sequence[int], v: int, within: int, reach_v: int) -> int:
+    """dominate_two_serf in the subdigraph that mask ``within`` induces, read
+    from a digraph's in-rows ``inn``, in its own indices, building no digraph.
 
-    ``reach_v`` must be ``t.reach_in_two(v, within)``.  The caller checks,
-    once for all its calls, that t is semicomplete inside ``within``, and
-    that u reaches all of ``within`` in two arcs.  That the rest is
-    nonempty, that u is a 2-serf of the rest, and that N-[v] within
+    ``reach_v`` must be ``reach_within(inn, v, within)``.  The caller checks,
+    once for all its calls, that the digraph is semicomplete inside
+    ``within``, and that u reaches all of ``within`` in two arcs.  That the
+    rest is nonempty, that u is a 2-serf of the rest, and that N-[v] within
     ``within`` lies in N-(u) are re-verified here.
     """
     rest = within & ~reach_v
     if not rest:
         raise PreconditionError(f"vertex {v} is already a 2-serf")
-    inn = t.in_masks
-    u = _max_in_degree(t, rest)
-    if t.reach_in_two(u, rest) != rest:
+    u = _max_in_degree(inn, rest)
+    if reach_within(inn, u, rest) != rest:
         raise VerificationError(f"max in-degree vertex {u} is not a 2-serf of the rest")
     if (inn[v] | 1 << v) & within & ~inn[u]:
         raise VerificationError(f"closed in-neighborhood of {v} not dominated by {u}")

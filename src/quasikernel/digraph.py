@@ -141,6 +141,20 @@ def lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def reach_within(rows: Sequence[int], v: int, within: int) -> int:
+    """The package's one two-step closure: v and the vertices of mask
+    ``within``, which holds v, that reach v in at most two arcs inside it by
+    the in-rows ``rows``; by out-rows, the vertices that v reaches."""
+    near = rows[v] & within
+    reach = near | 1 << v
+    for w in members(near):
+        # once all of within is in, the remaining rows add nothing
+        if reach == within:
+            break
+        reach |= rows[w] & within
+    return reach
+
+
 def or_rows(rows: Sequence[int], selectors: Iterable[int]) -> list[int]:
     """For each selector mask s, the OR of rows[j] over the set bits j of s.
 
@@ -148,9 +162,9 @@ def or_rows(rows: Sequence[int], selectors: Iterable[int]) -> list[int]:
     1970): the ORs of every subset of each aligned group of four rows are
     tabled once, 16 a group, and each byte of a selector then picks one
     entry from each of its two groups.  The tables hold 4 * len(rows) ints
-    as long as the rows, so this is for the rows of a tournament, which
-    are few and which many dense selectors share.  It does not pay for the
-    step tables of the exact search (``exact._qk_tables``): on a sparse
+    as long as the rows, so this is for a tournament's row lists, which are
+    few and which many dense selectors share.  It does not pay for the step
+    tables of the exact search (``exact._qk_tables``): on a sparse
     20,000-vertex digraph the tables alone took 158 MiB and 0.49 s, and
     each selector about 17 ms.  A selector with a bit at len(rows) or
     above raises ValueError.
@@ -244,24 +258,6 @@ class Digraph:
         self._store(n, out, inn)
 
     @classmethod
-    def _renumbered(cls, rows: Iterable[int], new_of_old: Mapping[int, int]) -> "Digraph":
-        """The digraph on the values of new_of_old whose vertex i has the
-        out-row rows[i], each bit h moved to new_of_old[h]: renumbered
-        bit by bit, with the in-rows filled in the same pass.  Every bit
-        of the rows must be a key, and no row i may map a bit to i."""
-        out = []
-        inn = [0] * len(new_of_old)
-        for new, row in enumerate(rows):
-            bit = 1 << new
-            renumbered = 0
-            for h in members(row):
-                head = new_of_old[h]
-                renumbered |= 1 << head
-                inn[head] |= bit
-            out.append(renumbered)
-        return cls._from_masks(len(inn), out, inn)
-
-    @classmethod
     def _from_masks(cls, n: int, out: list[int], inn: list[int]) -> "Digraph":
         """A digraph from mask rows that its caller has already checked:
         bit h of out[t] set iff bit t of inn[h] is, no loops, no bit at n
@@ -331,17 +327,7 @@ class Digraph:
         """
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        if within is None:
-            within = self.full_mask
-        inn = self._in
-        near = inn[v] & within
-        reach = near | 1 << v
-        for w in members(near):
-            # once all of within is in, the remaining in-neighbors add nothing
-            if reach == within:
-                break
-            reach |= inn[w] & within
-        return reach
+        return reach_within(self._in, v, self.full_mask if within is None else within)
 
     def sinks(self, within: int | None = None) -> int:
         """Mask of the vertices with no out-neighbor.
@@ -398,15 +384,15 @@ class Digraph:
     def induced(self, s: Iterable[int]) -> Induced:
         """Subdigraph on s, with the old<->new index association retained.
 
-        New index i is the i-th smallest member of s.  The masks are built
-        from the kept out-rows, renumbered bit by bit, with no arc list.
+        New index i is the i-th smallest member of s.  The copy is built by
+        the public constructor, from the kept arcs renumbered to new indices.
         """
         keep = self.mask_of(s)
         old_of_new = tuple(members(keep))
         new_of_old = {old: new for new, old in enumerate(old_of_new)}
         out = self._out
-        sub = Digraph._renumbered((out[t] & keep for t in old_of_new), new_of_old)
-        return Induced(sub, old_of_new, new_of_old)
+        arcs = [(i, new_of_old[h]) for i, t in enumerate(old_of_new) for h in members(out[t] & keep)]
+        return Induced(Digraph(len(old_of_new), arcs), old_of_new, new_of_old)
 
     def certify(
         self,

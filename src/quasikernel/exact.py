@@ -8,12 +8,12 @@ vertex?  It branches on the uncovered vertex with the fewest free coverers,
 one branch per coverer with the earlier ones excluded, and cuts a node on a
 greedy packing bound.  One driver, ``_least_cover``, decides sizes from
 the budget down for all three, each size over its caller's starts in order
-(the groups of fpt_by_independent): each witness sets the next size to one
-below its own, so the size below the minimum is the only one where every
-start answers "no", and the last witness is a minimum.  It then fixes the
-members one position at a time, lowest vertex first, to return the
-lexicographically least minimum set, which is the answer of an unpruned
-scan by (size, lexicographic) order.
+(the groups of fpt_by_independent) from the last witness's on: each witness
+sets the next size to one below its own, so the size below the minimum is
+the only one where every start answers "no", and the last witness is a
+minimum.  It then fixes the members one position at a time, lowest vertex
+first, to return the lexicographically least minimum set, which is the
+answer of an unpruned scan by (size, lexicographic) order.
 fpt_by_clique scans the states of the independent classes depth first and
 cuts every subtree whose classes left open can no longer cover every
 vertex, so it returns the first answer of the uncut scan.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, QkCertificate, SplitDigraph, lowest, members
+from .digraph import Digraph, QkCertificate, SplitDigraph, lowest, members, reach_within
 
 # The steps one exact search may take: nodes of _decide, bits their scans
 # take off the uncovered mask, stack pops of fpt_by_clique and one per
@@ -182,10 +182,12 @@ def _least_cover(
     covered; a start with more than s members fixed is skipped.  Sizes
     are decided from the budget down, and the starts of a size in the
     order given: a witness W found at a size sets the next size to |W| - 1,
-    and the search stops at the first size where every start answers "no",
-    so the last witness is a minimum.  Its start is the first with a
-    minimum set: each earlier start answered "no" at a size at least the
-    minimum.  All the decisions share ``steps``.
+    and the starts before W's are dropped, since each answered "no" at a
+    size at least the next, and a "no" at a size is a "no" at every
+    smaller one.  The search stops at the first size where every start
+    left answers "no", so the last witness is a minimum, and its start is
+    by construction the first with a minimum set.  All the decisions share
+    ``steps``.
 
     Prefix fixing: with W the last set found, position j tries the free
     vertices v above the fixed prefix in ascending order, and asks whether
@@ -200,7 +202,7 @@ def _least_cover(
     found = None
     size = n if budget is None else min(budget, n)
     while size >= 0:
-        for free, cover, fixed in starts:
+        for i, (free, cover, fixed) in enumerate(starts):
             k = size - len(fixed)
             if k < 0:
                 continue
@@ -209,6 +211,7 @@ def _least_cover(
             if hit is not None:
                 found = free, cover, fixed, sorted(hit)
                 size = len(fixed) + len(hit) - 1
+                starts = starts[i:]
                 break
         else:
             break
@@ -248,18 +251,13 @@ def _qk_tables(d: Digraph) -> _Tables:
     """Per-vertex conflict masks (out | in), reach-in-two masks and their
     mirror (the vertices each vertex reaches in at most two arcs): an
     independent set is a quasi-kernel iff its reach masks OR to full_mask.
-    The mirror and the reach masks take one scan of the arcs each."""
-    out = d.out_masks
-    covers = []
-    for u, near in enumerate(out):
-        mask = near | 1 << u
-        for w in members(near):
-            mask |= out[w]
-        covers.append(mask)
+    Each is the two-step closure of the in-rows or out-rows, one arc scan."""
+    out, inn = d.out_masks, d.in_masks
+    full = d.full_mask
     return _Tables(
-        [o | i for o, i in zip(out, d.in_masks)],
-        [d.reach_in_two(v) for v in range(d.n)],
-        covers,
+        [o | i for o, i in zip(out, inn)],
+        [reach_within(inn, v, full) for v in range(d.n)],
+        [reach_within(out, u, full) for u in range(d.n)],
     )
 
 

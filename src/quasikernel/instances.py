@@ -63,6 +63,16 @@ def family_labels(n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _dn_arcs(kc: int, n: int) -> list[Arc]:
+    """gen_dn's arcs: k_i to the next n clique vertices, and s_ij to k_i."""
+    arcs: list[Arc] = []
+    for i in range(kc):
+        for j in range(1, n + 1):
+            arcs.append((i, (i + j) % kc))
+            arcs.append((kc + i * n + (j - 1), i))
+    return arcs
+
+
 def gen_dn(n: int) -> SplitDigraph:
     """One-way circulant family on 2n^2+3n+1 vertices.
 
@@ -72,30 +82,18 @@ def gen_dn(n: int) -> SplitDigraph:
     half of the total.  Past MAX_VERTICES or MAX_ARCS it raises
     GenerationError before building.
     """
-    kc, _ = _family_sizes(n)
-    _check_caps(f"gen_dn({n})", kc * (n + 1), 2 * kc * n)
-
-    def s_index(i: int, j: int) -> int:
-        return kc + i * n + (j - 1)
-
-    arcs: list[Arc] = []
-    for i in range(kc):
-        for j in range(1, n + 1):
-            arcs.append((i, (i + j) % kc))
-            arcs.append((s_index(i, j), i))
-    g = Digraph(kc + kc * n, arcs)
-    return SplitDigraph(g, range(kc), range(kc, g.n))
+    kc, ic = _family_sizes(n)
+    _check_caps(f"gen_dn({n})", kc + ic, 2 * ic)
+    return SplitDigraph(Digraph(kc + ic, _dn_arcs(kc, n)), range(kc), range(kc, kc + ic))
 
 
 def gen_dpn(n: int) -> SplitDigraph:
     """Strongly connected variant of gen_dn: k_0 additionally points to
     every independent vertex s_ij with i >= 1.  Not one-way."""
-    kc, _ = _family_sizes(n)
-    _check_caps(f"gen_dpn({n})", kc * (n + 1), 2 * kc * n + (kc - 1) * n)
-    base = gen_dn(n)
-    extra = [(0, kc + i * n + (j - 1)) for i in range(1, kc) for j in range(1, n + 1)]
-    g = Digraph(base.graph.n, base.graph.arcs | frozenset(extra))
-    return SplitDigraph(g, range(kc), range(kc, g.n))
+    kc, ic = _family_sizes(n)
+    _check_caps(f"gen_dpn({n})", kc + ic, 2 * ic + ic - n)
+    arcs = _dn_arcs(kc, n) + [(0, s) for s in range(kc + n, kc + ic)]
+    return SplitDigraph(Digraph(kc + ic, arcs), range(kc), range(kc, kc + ic))
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +139,18 @@ def gen_random_split(
     indep = range(nk, nk + ni)
     arcs: set[Arc] = set()
 
-    forced_cycle: set[frozenset[int]] = set()
     if sink_free and nk >= 3:
         for a in range(nk):
             b = (a + 1) % nk
             arcs.add((a, b))
-            forced_cycle.add(frozenset((a, b)))
             if rng.random() < p_digon_k:
                 arcs.add((b, a))
     if sink_free and nk == 2:
         arcs.update(((0, 1), (1, 0)))
-        forced_cycle.add(frozenset((0, 1)))
+    # the pairs of that cycle or digon, (a, a + 1) and (0, nk - 1), are taken
+    cycle = sink_free and nk >= 2
     for a in range(nk):
-        for b in range(a + 1, nk):
-            if frozenset((a, b)) in forced_cycle:
-                continue
+        for b in range(a + 1 + cycle, nk - (cycle and a == 0)):
             arcs.update(_orient_pair(rng, a, b, p_digon_k))
         _check_arc_set("random split", arcs)
     if sink_free and nk == 1:
@@ -238,7 +233,7 @@ class ReductionArtifact:
 
     Host vertex layout (all offsets derived from source_n, source_m and
     b = 2q+3): the apex s, then one s1 vertex per source vertex, b s2
-    vertices, one k1 vertex per source arc (in arc_order), and b k2
+    vertices, one k1 vertex per source arc (in ascending arc order), and b k2
     vertices.  ``labels`` maps names like "s1_3" or "k1_0_2" to host
     indices; ``names`` is the inverse.
     """
@@ -251,7 +246,6 @@ class ReductionArtifact:
     source_m: int
     labels: Mapping[str, int]
     names: tuple[str, ...]
-    arc_order: tuple[Arc, ...]
 
 
 def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
@@ -324,7 +318,6 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
         source_m=m,
         labels={name: idx for idx, name in enumerate(names)},
         names=tuple(names),
-        arc_order=arc_order,
     )
 
 

@@ -18,9 +18,9 @@ The one-way and two-thirds constructions run on regions of the host
 digraph: a vertex mask, read through the host's own mask rows, stands for
 the subdigraph it induces.  So two-thirds hands its remainder to the
 one-way construction, and sink peeling its residues to two-thirds, with
-no induced copy; the only digraph built is the clique's spanning
-tournament.  Every certificate is re-verified against the original
-digraph, never against a reduced or induced copy.
+no induced copy, and no digraph is built: the clique's spanning tournament
+is two lists of mask rows.  Every certificate is re-verified against the
+original digraph, never against a reduced or induced copy.
 """
 from __future__ import annotations
 
@@ -83,29 +83,38 @@ def _check_one_way_bound(n: int, size: int) -> None:
         _require(size <= n // 2, f"half bound violated: size {size} for n={n}")
 
 
-def _spanning_tournament(d: Digraph, clique: int) -> tuple[Digraph, tuple[int, ...]]:
-    """Tournament on the clique mask: each digon keeps only its lower->higher arc.
-
-    Built from the clique's out-rows, renumbered bit by bit, with no arc list.
-    """
+def _spanning_tournament(d: Digraph, clique: int) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Spanning tournament of the clique mask, each digon kept lower->higher,
+    as row lists: the clique ascending, and the tournament's out- and
+    in-rows over positions in it.  Each out-row is renumbered bit by bit,
+    filling the in-rows in the same pass."""
     order = tuple(members(clique))
     pos = {k: idx for idx, k in enumerate(order)}
     out, inn = d.out_masks, d.in_masks
-    rows = (out[u] & clique & ~(inn[u] & ((1 << u) - 1)) for u in order)
-    return Digraph._renumbered(rows, pos), order
+    t_out = [0] * len(order)
+    t_in = [0] * len(order)
+    for i, u in enumerate(order):
+        bit = 1 << i
+        row = 0
+        for h in members(out[u] & clique & ~(inn[u] & ((1 << u) - 1))):
+            j = pos[h]
+            row |= 1 << j
+            t_in[j] |= bit
+        t_out[i] = row
+    return order, t_out, t_in
 
 
 def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     """Quasi-kernel of size <= (n+3)/2 - sqrt(n) in a sink-free one-way split digraph.
 
-    Works on a spanning tournament of the clique, built from masks.  A
-    tournament sink is a 2-serf outright; otherwise one candidate is built
-    per clique vertex (its class plus the classes of its tournament
-    out-neighbors, minus its in-neighborhood, steered through a dominating
-    2-serf when the vertex itself is not one) and the smallest candidate
-    wins.  The tournament is checked for semicompleteness once, and every
-    vertex's reach-in-two mask and class union come from one bulk row-OR
-    each (``or_rows``), not from a scan per vertex.
+    Works on a spanning tournament of the clique, kept as row lists, not a
+    Digraph.  A tournament sink is a 2-serf outright; otherwise one
+    candidate is built per clique vertex (its class plus the classes of its
+    tournament out-neighbors, minus its in-neighborhood, steered through a
+    dominating 2-serf when the vertex itself is not one) and the smallest
+    candidate wins.  The clique is checked for semicompleteness once, and
+    every vertex's reach-in-two mask and class union come from one bulk
+    row-OR each (``or_rows``), not from a scan per vertex.
     """
     d = sd.graph
     n = d.n
@@ -134,18 +143,16 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
         raise PreconditionError("has a sink: use two-thirds via sink peeling")
     if not region:
         return 0
-    t, order = _spanning_tournament(d, clique & region)
-    t_sinks = t.sinks()
-    if t_sinks:
-        q = 1 << order[lowest(t_sinks)]
+    order, t_out, t_in = _spanning_tournament(d, clique & region)
+    if 0 in t_out:
+        q = 1 << order[t_out.index(0)]
         _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")
         return q
-    _require_semicomplete(t)
+    _require_semicomplete(d, clique & region)
     classes = _class_masks(d, order, indep, region)
-    t_in = t.in_masks
-    full = t.full_mask
+    full = (1 << len(order)) - 1
     # reached[i]: the classes of i's tournament out-neighbors, which are disjoint
-    reached = or_rows(classes, t.out_masks)
+    reached = or_rows(classes, t_out)
     # reach[i]: the tournament vertices that reach i within two arcs
     reach = [
         row | second | 1 << i for i, (row, second) in enumerate(zip(t_in, or_rows(t_in, t_in)))
@@ -154,7 +161,7 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     for i, union in enumerate(reached):
         src = i
         if reach[i] != full:
-            src = _dominate(t, i, full, reach[i])
+            src = _dominate(t_in, i, full, reach[i])
             _require(reach[src] == full, f"candidate {src} is not a 2-serf of the tournament")
         q = (reached[src] | 1 << order[src]) & ~d_in[order[src]]
         _require(
@@ -250,7 +257,7 @@ def _two_thirds(d: Digraph, clique: int, region: int) -> int:
         reach_v = d.reach_in_two(v, clique)
         if reach_v != clique:
             _require_semicomplete(d, clique)
-            v = _dominate(d, v, clique, reach_v)
+            v = _dominate(inn, v, clique, reach_v)
             _require(d.reach_in_two(v, clique) == clique, f"{v} is not a 2-serf of the clique")
             _require(bk >> v & 1 == 1, "dominating 2-serf left the remainder clique side")
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))

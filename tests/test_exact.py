@@ -157,6 +157,22 @@ def test_min_qk_decides_sizes_from_the_budget_down(monkeypatch):
     assert rep.optimal and rep.certificate.size == 91
 
 
+def test_fpt_by_independent_decides_no_refused_group_again(monkeypatch):
+    # a "no" at a size is a "no" at every smaller one, so once a group hits,
+    # the groups before it are not decided at the smaller sizes: gen_dpn(6)
+    # at k = 31 takes 57 decisions, and deciding every group again took 65
+    decisions = []
+    core = exact._decide
+
+    def recording(*args):
+        decisions.append(args[0])
+        return core(*args)
+
+    monkeypatch.setattr(exact, "_decide", recording)
+    assert fpt_by_independent(gen_dpn(6), 31).size == 31
+    assert len(decisions) <= 57
+
+
 def test_tables_are_charged_to_the_step_limit_before_they_are_built(monkeypatch):
     # two steps per arc: 80k for the digraph and about 20k for the split one
     rng = random.Random(7)

@@ -43,7 +43,7 @@ from quasikernel import (
 )
 from quasikernel import exact
 from quasikernel.construct import _dominate
-from quasikernel.digraph import members, or_rows
+from quasikernel.digraph import members, or_rows, reach_within
 
 
 @given(digraphs_with_subsets())
@@ -161,9 +161,9 @@ def test_dominate_two_serf_matches_scan_reference(case, data):
         reach_v = t.reach_in_two(v, mask)
         if reach_v == mask:
             with pytest.raises(PreconditionError):
-                _dominate(t, v, mask, reach_v)
+                _dominate(t.in_masks, v, mask, reach_v)
             continue
-        assert _dominate(t, v, mask, reach_v) == old_of_new[dominate_two_serf(sub, new_of_old[v])]
+        assert _dominate(t.in_masks, v, mask, reach_v) == old_of_new[dominate_two_serf(sub, new_of_old[v])]
 
 
 @given(digraphs_with_subsets())
@@ -198,6 +198,26 @@ def test_or_rows_matches_a_member_loop(case):
     assert or_rows(rows, selectors) == expected
     with pytest.raises(ValueError):
         or_rows(rows, [1 << len(rows)])
+
+
+@given(arc_lists(max_n=12), st.data())
+def test_reach_within_matches_an_arc_scan(case, data):
+    # in-rows give what reaches v, out-rows what v reaches (the exact
+    # search's covers), each within a vertex mask holding v
+    n, arcs = case
+    d = Digraph(n, arcs)
+    tables = exact._qk_tables(d)
+    reversed_arcs = [(h, t) for t, h in arcs]
+    for v in range(n):
+        assert tables.reach[v] == d.mask_of(reaching_within_two(arcs, v))
+        assert tables.covers[v] == d.mask_of(reaching_within_two(reversed_arcs, v))
+        within = data.draw(st.frozensets(st.integers(0, n - 1))) | {v}
+        inside = [(t, h) for t, h in arcs if t in within and h in within]
+        mask = d.mask_of(within)
+        assert reach_within(d.in_masks, v, mask) == d.mask_of(reaching_within_two(inside, v))
+        assert reach_within(d.out_masks, v, mask) == d.mask_of(
+            reaching_within_two([(h, t) for t, h in inside], v)
+        )
 
 
 @given(arc_lists(max_n=12))

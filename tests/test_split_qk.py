@@ -56,18 +56,26 @@ def count_calls(monkeypatch, cls, *names) -> dict[str, list]:
     return calls
 
 
-def test_one_way_builds_only_the_spanning_tournament(monkeypatch):
+def test_one_way_builds_no_digraph(monkeypatch):
     # all clique vertices but the last three are no 2-serfs of the
-    # tournament; it is built from masks and checked once, and each of those
-    # vertices costs at most one reach_in_two scan, for its 2-serf of the rest
+    # tournament; it is kept as row lists, so no Digraph is built, the clique
+    # is checked once, and none of those vertices costs more than one
+    # reach_in_two scan
     sd = near_transitive_ladder(60)
     calls = count_calls(
-        monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
+        monkeypatch,
+        Digraph,
+        "__init__",
+        "_from_masks",
+        "induced",
+        "semicomplete_violation",
+        "reach_in_two",
     )
     cert = one_way_qk(sd)
     assert one_way_bound_holds(sd.graph.n, cert.size)
     assert not calls["induced"]
     assert not calls["__init__"]
+    assert not calls["_from_masks"]
     assert len(calls["semicomplete_violation"]) == 1
     assert len(calls["reach_in_two"]) <= 60
 
