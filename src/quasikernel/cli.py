@@ -81,8 +81,11 @@ def _read_instance(path: str) -> Digraph | SplitDigraph:
         raise InstanceParseError(
             f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", _line_at(data, exc.start)
         ) from None
-    # as a text-mode read would: CR and CRLF end lines as LF does
-    return parse_instance(text.replace("\r\n", "\n").replace("\r", "\n"))
+    # as a text-mode read would: CR and CRLF end lines as LF does; the
+    # membership test is cheap, the rewrite a copy of the whole text
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_instance(text)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -16,8 +16,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, groupby, repeat
-from operator import lshift
+from itertools import compress, groupby
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import (
@@ -120,10 +119,14 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     each chunk is read in bulk (``_read_dense``), all or nothing; the
     first chunk it refuses, and every chunk after it, is read line by
     line, so every error, message and line number is the line reader's.
+    The bulk reader looks each token up, as bytes, in one table of the
+    vertices' bits, built only once the text is found dense: its ints take
+    about n**2 / 16 bytes, under a sixth of the arc block.
     """
     reading = _Reading()
     arcs = text.find("\na ") + 1
     dense = transposed = False
+    bits: dict[bytes, int] = {}
     pos = 0
     while pos < len(text):
         limit = min(arcs if pos < arcs else len(text), pos + BULK_CHUNK)
@@ -134,7 +137,9 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
             # one transpose costs less than setting in-mask bits arc by arc
             dense = (n is not None and n >= 64 and not reading.arc_count
                      and n * n * 6 <= 16 * (len(text) - arcs))
-        if dense and _read_dense(text[pos:end], reading):
+            if dense:
+                bits = {str(v).encode(): 1 << v for v in range(n)}
+        if dense and _read_dense(text[pos:end], reading, bits):
             transposed = True
         else:
             dense = False
@@ -260,45 +265,52 @@ def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
     reading.out, reading.inn, reading.arc_count, reading.index = out, inn, arc_count, index
 
 
-def _read_dense(chunk: str, reading: _Reading) -> bool:
+def _read_dense(chunk: str, reading: _Reading, bits: Mapping[bytes, int]) -> bool:
     """Read a chunk of arc lines into ``reading.out`` in bulk, all or
     nothing: False, with ``reading`` untouched, when the line reader must.
 
-    The chunk must be at most BULK_CHUNK characters, which bounds its
-    token list, hold only '0'-'9', 'a', space and LF, end in an LF, start
-    every line with 'a ' and split into 3 tokens per line, and every tail
-    and head token must be a spelling of the table.  'a' spells no vertex,
-    so a line of other than 3 tokens would put the 'a' of a later line
-    among the tails or the heads: every line is 'a <tail> <head>', as the
-    line reader splits it.
+    ``bits`` maps the bytes of each canonical spelling ``str(v)`` to
+    ``1 << v``.  The chunk must be at most BULK_CHUNK characters, which
+    bounds its token list, hold only '0'-'9', 'a', space and LF, end in an
+    LF, start every line with 'a ' and split into 3 tokens per line, and
+    every tail and head token must be a key of ``bits``.  The chunk is
+    encoded once and split as bytes.  'a' spells no vertex, so a line of
+    other than 3 tokens would put the 'a' of a later line among the tails
+    or the heads: every line is 'a <tail> <head>', as the line reader
+    splits it.
 
     The chunk's tails must ascend, each tail's arcs in one run.  A run's
-    heads become one row; a popcount below the run's length (a duplicate in the
-    run), bit t of row t (a loop), a bit shared with out[t] (a duplicate
-    of an earlier chunk's arc), or passing MAX_ARCS refuses the chunk.
+    row is the ``sum`` of its heads' bits; a popcount below the run's
+    length (a duplicate in the run: equal bits carry), the tail's own bit
+    (a loop), a bit shared with out[t] (a duplicate of an earlier chunk's
+    arc), or passing MAX_ARCS refuses the chunk.
     """
     lines = chunk.count("\n")
     arc_count = reading.arc_count + lines
     if not (len(chunk) <= BULK_CHUNK and chunk.startswith("a ")
             and chunk.count("\na ") == lines - 1 and arc_count <= MAX_ARCS
-            and chunk.isascii() and not chunk.encode().translate(None, _ARC_CHARS)):
+            and chunk.isascii()):
         return False
-    tokens = chunk.split()
+    data = chunk.encode()
+    if data.translate(None, _ARC_CHARS):
+        return False
+    tokens = data.split()
     if len(tokens) != 3 * lines:
         return False
-    spelled = reading.index.__getitem__
+    bit = bits.__getitem__
     out = reading.out
     rows = []
     prev = -1
     try:
-        heads = list(map(spelled, tokens[2::3]))
+        heads = list(map(bit, tokens[2::3]))
         at = 0
         for tail, run in groupby(tokens[1::3]):
-            t = spelled(tail)
+            tail_bit = bit(tail)
+            t = tail_bit.bit_length() - 1
             count = len(list(run))
-            row = sum(map(lshift, repeat(1), heads[at:at + count]))
+            row = sum(heads[at:at + count])
             at += count
-            if t <= prev or row.bit_count() != count or row >> t & 1 or row & out[t]:
+            if t <= prev or row.bit_count() != count or row & tail_bit or row & out[t]:
                 return False
             rows.append((t, row))
             prev = t

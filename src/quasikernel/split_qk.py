@@ -86,17 +86,20 @@ def _check_one_way_bound(n: int, size: int) -> None:
 def _spanning_tournament(d: Digraph, clique: int) -> tuple[tuple[int, ...], list[int], list[int]]:
     """Spanning tournament of the clique mask, each digon kept lower->higher,
     as row lists: the clique ascending, and the tournament's out- and
-    in-rows over positions in it.  Each out-row is renumbered bit by bit,
-    filling the in-rows in the same pass."""
+    in-rows over positions in it.  Each out-row is shifted down by the
+    clique's lowest index, so it is listed at clique width, not host
+    width, and renumbered bit by bit, filling the in-rows in the same
+    pass."""
     order = tuple(members(clique))
-    pos = {k: idx for idx, k in enumerate(order)}
+    low = order[0] if order else 0
+    pos = {k - low: idx for idx, k in enumerate(order)}
     out, inn = d.out_masks, d.in_masks
     t_out = [0] * len(order)
     t_in = [0] * len(order)
     for i, u in enumerate(order):
         bit = 1 << i
         row = 0
-        for h in members(out[u] & clique & ~(inn[u] & ((1 << u) - 1))):
+        for h in members((out[u] & clique & ~(inn[u] & ((1 << u) - 1))) >> low):
             j = pos[h]
             row |= 1 << j
             t_in[j] |= bit

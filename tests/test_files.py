@@ -372,6 +372,11 @@ def _respell_tail(line, spelling):
     return f"a {spelling(int(t))} {h}"
 
 
+def _respell_head(line, spelling):
+    _, t, h = line.split()
+    return f"a {t} {spelling(int(h))}"
+
+
 def _tail(line):
     return line.split()[1]
 
@@ -395,6 +400,9 @@ DENSE_DEFECTS = {
     "range": lambda lines, i, j, n: lines.insert(j, f"a {_tail(lines[i])} {n}"),
     "plus": lambda lines, i, j, n: lines.__setitem__(i, _respell_tail(lines[i], lambda v: f"+{v}")),
     "zero": lambda lines, i, j, n: lines.__setitem__(i, _respell_tail(lines[i], lambda v: f"0{v}")),
+    # the bulk reader looks up each head's bit and takes each tail from its bit
+    "tail range": lambda lines, i, j, n: lines.__setitem__(i, _respell_tail(lines[i], lambda v: f"{n}")),
+    "head zero": lambda lines, i, j, n: lines.__setitem__(i, _respell_head(lines[i], lambda v: f"0{v}")),
     "fourth field": lambda lines, i, j, n: lines.__setitem__(i, lines[i] + " 1"),
     "two fields": lambda lines, i, j, n: lines.__setitem__(i, lines[i].rsplit(" ", 1)[0]),
     # splitlines ends a line at VT, and split() splits at it
@@ -509,6 +517,17 @@ def test_dense_parse_peaks_below_its_text():
         (_, _, parsed), peak = _parse_peak(text)
         assert parsed == sd and parsed.graph.in_masks == sd.graph.in_masks
         assert peak < len(text)
+
+
+def test_sparse_parse_builds_no_bit_table():
+    # a text too sparse for the bulk reader builds no bit table: at
+    # MAX_VERTICES its peak is the spelling index and the two mask lists,
+    # about 2.7 MiB, where the table alone would take about 27 MiB
+    n = files.MAX_VERTICES
+    text = f"qkdg 1\nn {n}\n" + "".join(f"a {v} {n - 1 - v}\n" for v in range(0, n, 997))
+    (_, _, parsed), peak = _parse_peak(text)
+    assert parsed.n == n and len(parsed.arcs) == 21
+    assert peak < 8 * 2**20
 
 
 def test_long_line_parse_peaks_below_three_times_its_text():

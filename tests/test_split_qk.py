@@ -80,6 +80,27 @@ def test_one_way_builds_no_digraph(monkeypatch):
     assert len(calls["reach_in_two"]) <= 60
 
 
+def test_spanning_tournament_of_a_clique_above_the_independent_part():
+    # the clique's rows are listed shifted down by its lowest index, 300
+    # here; they are the rows of the clique's induced copy, with each
+    # digon kept lower->higher
+    ni, k = 300, 40
+    rng = random.Random(8)
+    arcs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            arcs += [[(i, j)], [(j, i)], [(i, j), (j, i)]][rng.randrange(3)]
+    arcs = [(ni + t, ni + h) for t, h in arcs] + [(v, ni + rng.randrange(k)) for v in range(ni)]
+    sd = SplitDigraph(Digraph(ni + k, arcs), range(ni, ni + k), range(ni))
+    order, t_out, t_in = split_qk._spanning_tournament(sd.graph, sd.clique)
+    sub, old_of_new, _ = sd.graph.induced(range(ni, ni + k))
+    kept = [(t, h) for t, h in sub.arcs if t < h or (h, t) not in sub.arcs]
+    assert order == old_of_new
+    tournament = Digraph(k, kept)
+    assert (t_out, t_in) == (list(tournament.out_masks), list(tournament.in_masks))
+    assert one_way_qk(sd).vertices == one_way_reference(sd)
+
+
 def test_two_thirds_copies_only_the_remainder(monkeypatch):
     # a one-way ladder has no clique-to-independent arc, so the remainder B
     # is the whole digraph, and clique vertex 0, a source, is no 2-serf of
