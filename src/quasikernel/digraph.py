@@ -7,7 +7,6 @@ shared use across threads is safe.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
 from itertools import compress
@@ -51,16 +50,14 @@ class Induced(NamedTuple):
     new_of_old: dict[int, int]
 
 
-@dataclass(frozen=True)
-class SplitFlags:
+class SplitFlags(NamedTuple):
     one_way: bool
     complete_split: bool
     orientation: bool
     sink_free: bool
 
 
-@dataclass(frozen=True)
-class QkCertificate:
+class QkCertificate(NamedTuple):
     """A quasi-kernel plus a length-<=2 witness path for every outside vertex.
 
     ``witnesses`` maps each vertex v outside ``vertices`` to a sequence
@@ -85,6 +82,8 @@ class QkCertificate:
         out = d.out_masks
         inside = 0
         for v in self.vertices:
+            if type(v) is not int:
+                raise VerificationError(f"certificate vertex {v!r} is not an int (bool is rejected)")
             if not 0 <= v < d.n:
                 raise VerificationError(f"certificate vertex {v} out of range")
             inside |= 1 << v
@@ -301,9 +300,11 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
 
     def mask_of(self, s: Iterable[int]) -> int:
-        """Vertex mask of s; raise ValueError on an out-of-range member."""
+        """Vertex mask of s; TypeError on a non-int or bool member, ValueError out of range."""
         mask = 0
         for v in s:
+            if type(v) is not int:
+                raise TypeError(f"vertex {v!r} must be int (bool is rejected)")
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
             mask |= 1 << v

@@ -23,7 +23,6 @@ MAX_SEARCH_STEPS, never on the input's size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, QkCertificate, SplitDigraph, lowest, members, reach_within
@@ -49,8 +48,7 @@ def _over_limit() -> CapExceededError:
     return CapExceededError(f"exact search over the step limit MAX_SEARCH_STEPS={MAX_SEARCH_STEPS}")
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of an exact search.
 
     ``optimal`` is True only when the search proves no smaller

@@ -12,12 +12,10 @@ with any line ending.
 """
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .digraph import (
     _BIT_BYTES,
@@ -90,20 +88,20 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class _Reading:
     """What the instance lines read so far have set."""
 
-    lines: int = 0
-    header_seen: bool = False
-    n: int | None = None
-    clique: list[int] | None = None
-    # out[t] bit h and inn[h] bit t set for every arc (t, h)
-    out: list[int] = field(default_factory=list)
-    inn: list[int] = field(default_factory=list)
-    arc_count: int = 0
-    # canonical spelling of each vertex -> vertex
-    index: dict[str, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.lines = 0
+        self.header_seen = False
+        self.n: int | None = None
+        self.clique: list[int] | None = None
+        # out[t] bit h and inn[h] bit t set for every arc (t, h)
+        self.out: list[int] = []
+        self.inn: list[int] = []
+        self.arc_count = 0
+        # canonical spelling of each vertex -> vertex
+        self.index: dict[str, int] = {}
 
 
 def parse_instance(text: str) -> Digraph | SplitDigraph:
@@ -354,12 +352,13 @@ def _transpose(rows: list[int], n: int) -> list[int]:
 
 
 def instance_digest(obj: Digraph | SplitDigraph) -> str:
+    # only here: a run that makes no digest never loads hashlib
+    import hashlib
     payload = serialize_instance(obj).encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
-class CertificateDocument:
+class CertificateDocument(NamedTuple):
     algorithm: str
     digest: str
     vertices: tuple[int, ...]
@@ -434,11 +433,11 @@ def parse_certificate(text: str) -> CertificateDocument:
             field_lines[tag] = no
         else:
             raise CertificateParseError(f"unknown directive '{tag}'", no)
-    for required in ("algorithm", "instance", "bound", "verified"):
+    for required in ("algorithm", "instance", "set", "bound", "verified"):
         if required not in fields:
             raise CertificateParseError(f"missing {required} line", len(text.splitlines()))
     try:
-        vertices = tuple(int(f) for f in fields.get("set", "").split())
+        vertices = tuple(int(f) for f in fields["set"].split())
     except ValueError:
         raise CertificateParseError("set entries must be integers", field_lines["set"]) from None
     if any(u >= v for u, v in zip(vertices, vertices[1:])):

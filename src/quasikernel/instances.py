@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .digraph import Arc, Digraph, PreconditionError, SplitDigraph, VerificationError, members
 from .exact import is_dominating
@@ -227,8 +226,7 @@ def gen_random_complete_split(
 # hardness reduction
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
+class ReductionArtifact(NamedTuple):
     """The dominating-set gadget: a split host digraph plus name maps.
 
     Host vertex layout (all offsets derived from source_n, source_m and

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from quasikernel import (
     Digraph,
     NotQuasiKernelError,
+    QkCertificate,
     SplitDigraph,
     SplitError,
+    VerificationError,
+    certificate_document,
     gen_dn,
     gen_dpn,
 )
@@ -66,6 +69,31 @@ def test_construction_rejects_loops_and_bad_endpoints():
 def test_construction_rejects_non_int_endpoints(arc):
     with pytest.raises(TypeError, match=re.escape(repr(arc))):
         Digraph(3, [(0, 1), arc])
+
+
+@pytest.mark.parametrize("v", [True, False, 1.0, "1"])
+def test_vertex_sets_reject_non_int_members(v):
+    d = gen_dn(1).graph
+    for call in (d.mask_of, d.is_quasi_kernel, d.induced, lambda s: d.certify(s, "verify")):
+        with pytest.raises(TypeError, match="must be int"):
+            call([v])
+    # the other part is the one vertex of Digraph(2) that v does not equal
+    other = 0 if v else 1
+    with pytest.raises(TypeError):
+        SplitDigraph(Digraph(2), [v], [other])
+    with pytest.raises(TypeError):
+        SplitDigraph(Digraph(2), [other], [v])
+
+
+@pytest.mark.parametrize("v", [False, 0.0])
+def test_certificate_check_rejects_non_int_members(v):
+    d = Digraph(2, [(1, 0)])
+    cert = d.certify({0}, "verify")
+    bad = QkCertificate(frozenset({v}), cert.witnesses, "verify")
+    with pytest.raises(VerificationError, match="not an int"):
+        bad.check(d)
+    with pytest.raises(VerificationError, match="not an int"):
+        certificate_document(bad, d)
 
 
 def test_duplicate_arcs_collapse():

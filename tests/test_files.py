@@ -165,6 +165,7 @@ def test_certificate_bound_formats():
         ("bound null", "bound 1/0", 6, "bound must be"),
         ("verified true", "verified false", 7, "verified line must be"),
         ("verified true", "verified", 7, "verified line must be"),
+        ("set 0 4\n", "", 10, "missing set line"),
     ],
 )
 def test_certificate_parse_errors_carry_line_numbers(old, new, line, pattern):

@@ -1,0 +1,97 @@
+"""The public value records and the modules a CLI process loads.
+
+The five records are NamedTuples: fixed field names, immutable, equal
+when their fields are, and shown as ``Name(field=value, ...)``.  A fresh
+``qkdg`` process imports neither ``dataclasses`` (with ``inspect``) nor
+``hashlib`` until it makes a digest.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quasikernel
+from quasikernel import (
+    Digraph,
+    QkCertificate,
+    certificate_document,
+    gen_dn,
+    min_quasi_kernel,
+    reduce_dds_to_qk,
+    serialize_instance,
+)
+
+
+def _records():
+    sd = gen_dn(1)
+    cert = sd.graph.certify({0, 4}, "test")
+    return {
+        "SplitFlags": (sd.classify(), ("one_way", "complete_split", "orientation", "sink_free")),
+        "QkCertificate": (cert, ("vertices", "witnesses", "algorithm", "bound")),
+        "SolveReport": (min_quasi_kernel(sd), ("certificate", "optimal", "explored")),
+        "CertificateDocument": (
+            certificate_document(cert, sd),
+            ("algorithm", "digest", "vertices", "bound", "witnesses"),
+        ),
+        "ReductionArtifact": (
+            reduce_dds_to_qk(Digraph(2, [(0, 1)]), 1),
+            ("host", "source", "q", "b", "source_n", "source_m", "labels", "names"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_record_contract(name):
+    record, fields = _records()[name]
+    assert type(record).__name__ == name
+    assert type(record)._fields == fields
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    copy = type(record)(*(getattr(record, f) for f in fields))
+    assert copy == record and copy is not record
+    assert copy == tuple(getattr(record, f) for f in fields)
+    shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+    assert repr(record) == f"{name}({shown})"
+
+
+def test_certificate_bound_defaults_to_none():
+    cert = QkCertificate(frozenset({0}), {}, "test")
+    assert cert.bound is None
+    assert cert.size == 1 and len(cert) == 4
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
+    path = tmp_path / "dn1.qkdg"
+    path.write_text(serialize_instance(gen_dn(1)), encoding="utf-8")
+    script = (
+        "import json, sys\n"
+        "import quasikernel.cli\n"
+        "from quasikernel.cli import main\n"
+        "from quasikernel.files import instance_digest, parse_instance\n"
+        "names = ('dataclasses', 'inspect', 'hashlib')\n"
+        "seen = [[m for m in names if m in sys.modules]]\n"
+        "main(['solve', sys.argv[1]])\n"
+        "main(['bounds', sys.argv[1]])\n"
+        "seen.append([m for m in names if m in sys.modules])\n"
+        "instance_digest(parse_instance(open(sys.argv[1]).read()))\n"
+        "seen.append([m for m in names if m in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_solve, after_digest = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_solve == []
+    assert after_digest == ["hashlib"]
