@@ -62,7 +62,11 @@ def _line_at(data: bytes, pos: int) -> int:
     return ends - data.count(b"\r\n", 0, pos + 1) + 1
 
 
-def _read_instance(path: str) -> Digraph | SplitDigraph:
+def _read_instance(
+    path: str, *, digest: bool = False
+) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
+    """The instance in a file, as parse_instance reads it, with or without
+    ``digest``."""
     with open(path, "rb") as f:
         # stat only sizes the first read, as a device or a FIFO reports size
         # 0; a first read that fills up goes on to one byte past the cap
@@ -85,7 +89,7 @@ def _read_instance(path: str) -> Digraph | SplitDigraph:
     # membership test is cheap, the rewrite a copy of the whole text
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_instance(text)
+    return parse_instance(text, digest=digest)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -179,7 +183,11 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.instance)
+    # only a certificate to write needs the digest
+    if args.out:
+        inst, digest = _read_instance(args.instance, digest=True)
+    else:
+        inst, digest = _read_instance(args.instance), None
     if args.k is not None and args.k < 0:
         print("error: --k must be a non-negative integer", file=sys.stderr)
         return 2
@@ -196,7 +204,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # the document is checked as it is built; the report follows the write,
     # so a failed write prints no report
     if args.out:
-        doc = certificate_document(cert, inst)
+        doc = certificate_document(cert, inst, digest)
         Path(args.out).write_text(serialize_certificate(doc), encoding="utf-8")
     else:
         cert.check(inst.graph if isinstance(inst, SplitDigraph) else inst)
@@ -205,7 +213,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.instance)
+    inst, digest = _read_instance(args.instance, digest=True)
     literal = args.set.strip()
     try:
         vertices = [int(f) for f in literal.split(",")] if literal else []
@@ -221,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = certificate_document(cert, inst)
+    doc = certificate_document(cert, inst, digest)
     _emit(serialize_certificate(doc), args.out)
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from collections.abc import Set
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Arc = tuple[int, int]
@@ -90,6 +90,11 @@ class QkCertificate(NamedTuple):
         for v in self.vertices:
             if out[v] & inside:
                 raise VerificationError(f"certificate set not independent at vertex {v}")
+        witnesses = self.witnesses
+        # bool is an int: True would pass for vertex 1 and be written as True
+        if not {int}.issuperset(map(type, chain(witnesses, *witnesses.values()))):
+            bad = next(u for u in chain(witnesses, *witnesses.values()) if type(u) is not int)
+            raise VerificationError(f"witness entry {bad!r} is not an int (bool is rejected)")
         outside = d.full_mask & ~inside
         if len(self.witnesses) != outside.bit_count() or not all(
             0 <= v < d.n and outside >> v & 1 for v in self.witnesses

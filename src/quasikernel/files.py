@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress, groupby
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .digraph import (
     _BIT_BYTES,
@@ -70,9 +70,7 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
     graph = obj.graph if isinstance(obj, SplitDigraph) else obj
     lines = [INSTANCE_MAGIC]
     lines += [f"# {c}" for c in comments]
-    lines.append(f"n {graph.n}")
-    if isinstance(obj, SplitDigraph):
-        lines.append(("k " + " ".join(str(v) for v in members(obj.clique))).rstrip())
+    lines += _size_lines(graph.n, members(obj.clique) if isinstance(obj, SplitDigraph) else None)
     names = [str(v) for v in range(graph.n)]
     for t, row in enumerate(graph.out_masks):
         if row:
@@ -86,6 +84,15 @@ def serialize_instance(obj: Digraph | SplitDigraph, comments: Sequence[str] = ()
             prefix = f"a {names[t]} "
             lines.append(prefix + ("\n" + prefix).join(heads))
     return "\n".join(lines) + "\n"
+
+
+def _size_lines(n: int, clique: Iterable[int] | None) -> list[str]:
+    """The n line and, for a split digraph, the k line of the clique
+    part, given ascending, as serialize_instance writes them."""
+    lines = [f"n {n}"]
+    if clique is not None:
+        lines.append(("k " + " ".join(map(str, clique))).rstrip())
+    return lines
 
 
 class _Reading:
@@ -102,10 +109,19 @@ class _Reading:
         self.arc_count = 0
         # canonical spelling of each vertex -> vertex
         self.index: dict[str, int] = {}
+        # for a digest, while every arc line so far was read in bulk and
+        # is canonical: the sha256 of the canonical text up to it, and the
+        # tail of the last arc hashed; else None
+        self.sha: Any = None
+        self.tail = -1
 
 
-def parse_instance(text: str) -> Digraph | SplitDigraph:
-    """The digraph, or split digraph, of an instance text.
+def parse_instance(
+    text: str, *, digest: bool = False
+) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
+    """The digraph, or split digraph, of an instance text; with ``digest``,
+    the pair of it and its ``instance_digest`` when the text proves that
+    digest as it is read, else None.
 
     The text is read once, in chunks of whole lines: the lines before the
     first line that starts 'a ' after an LF, then the rest, each chunk at
@@ -120,6 +136,13 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     The bulk reader looks each token up, as bytes, in one table of the
     vertices' bits, built only once the text is found dense: its ints take
     about n**2 / 16 bytes, under a sixth of the arc block.
+
+    With ``digest``, a dense text hashes as it is read: the canonical n
+    and k lines (whatever the comments, spellings and k order before the
+    arcs), then the bytes of each chunk the bulk reader finds canonical.
+    If every chunk to the end of the text is, the text's arc block is
+    ``serialize_instance``'s, and the hash is the digest; a chunk read
+    line by line or not canonical drops the hash, and the digest is None.
     """
     reading = _Reading()
     arcs = text.find("\na ") + 1
@@ -137,10 +160,15 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
                      and n * n * 6 <= 16 * (len(text) - arcs))
             if dense:
                 bits = {str(v).encode(): 1 << v for v in range(n)}
+                if digest:
+                    clique = reading.clique
+                    head = [INSTANCE_MAGIC, *_size_lines(n, None if clique is None else sorted(clique))]
+                    reading.sha = _sha256("\n".join(head).encode() + b"\n")
         if dense and _read_dense(text[pos:end], reading, bits):
             transposed = True
         else:
             dense = False
+            reading.sha = None
             _read_lines(reading, text[pos:end].splitlines())
         pos = end
     if transposed:
@@ -154,15 +182,18 @@ def parse_instance(text: str) -> Digraph | SplitDigraph:
     if n is None:
         raise InstanceParseError("missing n line", last)
     # every arc was checked on its way in, so the masks need no second pass
-    graph = Digraph._from_masks(n, reading.out, reading.inn)
+    instance: Digraph | SplitDigraph = Digraph._from_masks(n, reading.out, reading.inn)
     clique = reading.clique
-    if clique is None:
-        return graph
-    independent = sorted(set(range(n)) - set(clique))
-    try:
-        return SplitDigraph(graph, clique, independent)
-    except SplitError as exc:
-        raise InstanceParseError(f"invalid split partition: {exc}", last) from exc
+    if clique is not None:
+        independent = sorted(set(range(n)) - set(clique))
+        try:
+            instance = SplitDigraph(instance, clique, independent)
+        except SplitError as exc:
+            raise InstanceParseError(f"invalid split partition: {exc}", last) from exc
+    if not digest:
+        return instance
+    sha = reading.sha
+    return instance, None if sha is None else "sha256:" + sha.hexdigest()
 
 
 def _chunk_end(text: str, pos: int, limit: int) -> int:
@@ -282,6 +313,13 @@ def _read_dense(chunk: str, reading: _Reading, bits: Mapping[bytes, int]) -> boo
     length (a duplicate in the run: equal bits carry), the tail's own bit
     (a loop), a bit shared with out[t] (a duplicate of an earlier chunk's
     arc), or passing MAX_ARCS refuses the chunk.
+
+    While ``reading.sha`` is set, a chunk read is also tested for the
+    canonical form: two spaces a line, which with 3 tokens a line makes
+    each line 'a <tail> <head>' in canonical spellings, the heads of each
+    run ascending, and its first arc after the last arc hashed.  A
+    canonical chunk's bytes go into the hash; any other drops it.  Only
+    reads that make a digest pay for the test.
     """
     lines = chunk.count("\n")
     arc_count = reading.arc_count + lines
@@ -295,29 +333,48 @@ def _read_dense(chunk: str, reading: _Reading, bits: Mapping[bytes, int]) -> boo
     tokens = data.split()
     if len(tokens) != 3 * lines:
         return False
+    # with 3 tokens a line, two spaces a line make each line 'a <t> <h>'
+    sha = reading.sha if reading.sha is not None and data.count(b" ") == 2 * lines else None
     bit = bits.__getitem__
     out = reading.out
     rows = []
     prev = -1
     try:
         heads = list(map(bit, tokens[2::3]))
+        tails = tokens[1::3]
+        # freed before the runs, so that their lists, and the sorted copies
+        # of a digest's order test, never raise the parse's peak
+        del tokens
         at = 0
-        for tail, run in groupby(tokens[1::3]):
+        for tail, run in groupby(tails):
             tail_bit = bit(tail)
             t = tail_bit.bit_length() - 1
             count = len(list(run))
-            row = sum(heads[at:at + count])
+            run_heads = heads[at:at + count]
+            row = sum(run_heads)
             at += count
             if t <= prev or row.bit_count() != count or row & tail_bit or row & out[t]:
                 return False
+            if sha is not None and run_heads != sorted(run_heads):
+                sha = None
             rows.append((t, row))
             prev = t
     except KeyError:
         return False
+    if sha is not None:
+        # the first arc comes after the last one hashed: no earlier tail,
+        # and a head above every head its tail already has
+        t, row = rows[0]
+        if t < reading.tail or out[t] >= row & -row:
+            sha = None
     for t, row in rows:
         out[t] |= row
     reading.arc_count = arc_count
     reading.lines += lines
+    if sha is not None:
+        sha.update(data)
+        reading.tail = rows[-1][0]
+    reading.sha = sha
     return True
 
 
@@ -351,11 +408,18 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     return [int.from_bytes(data[h * size:(h + 1) * size], "little") for h in range(n)]
 
 
-def instance_digest(obj: Digraph | SplitDigraph) -> str:
+def _sha256(data: bytes) -> Any:
     # only here: a run that makes no digest never loads hashlib
     import hashlib
-    payload = serialize_instance(obj).encode("utf-8")
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(data)
+
+
+def instance_digest(obj: Digraph | SplitDigraph) -> str:
+    """'sha256:' and the hex sha256 of ``serialize_instance(obj)``, the
+    canonical text without comments: the name a certificate gives its
+    instance.  ``parse_instance(text, digest=True)`` gives the same digest
+    for a canonical dense text without serializing it again."""
+    return "sha256:" + _sha256(serialize_instance(obj).encode()).hexdigest()
 
 
 class CertificateDocument(NamedTuple):
@@ -372,13 +436,17 @@ class CertificateDocument(NamedTuple):
 
 
 def certificate_document(
-    cert: QkCertificate, instance: Digraph | SplitDigraph
+    cert: QkCertificate, instance: Digraph | SplitDigraph, digest: str | None = None
 ) -> CertificateDocument:
+    """The document of a certificate, checked against its instance.
+    ``digest`` is the instance's ``instance_digest`` when the caller has
+    it already, as ``parse_instance(text, digest=True)`` gives it; when
+    None, the instance is serialized again to make it."""
     graph = instance.graph if isinstance(instance, SplitDigraph) else instance
     cert.check(graph)
     return CertificateDocument(
         algorithm=cert.algorithm,
-        digest=instance_digest(instance),
+        digest=digest or instance_digest(instance),
         vertices=cert.sorted_vertices(),
         bound=cert.bound,
         witnesses=dict(sorted(cert.witnesses.items())),

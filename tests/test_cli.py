@@ -1,7 +1,9 @@
+import functools
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,11 @@ import quasikernel
 from quasikernel import (
     check_certificate,
     gen_dn,
+    gen_random_split,
+    instance_digest,
     parse_certificate,
     parse_instance,
+    quasi_kernel_cl,
     serialize_instance,
 )
 from quasikernel import files
@@ -455,6 +460,165 @@ def test_dot_subcommand(tmp_path, capsys):
     code, out = run(capsys, "dot", str(path))
     assert code == 0
     assert out.startswith("digraph") and out.count("->") == 6
+
+
+# --- certificate digests made as the instance is read ----------------------
+
+
+def _chunk_starts(text: str, chunk: int) -> set[int]:
+    """Where parse_instance starts each chunk of the arc block of text."""
+    pos = text.find("\na ") + 1
+    starts = set()
+    while pos < len(text):
+        starts.add(pos)
+        pos = files._chunk_end(text, pos, min(len(text), pos + chunk))
+    return starts
+
+
+def _line_starts(head: str, lines: list[str]) -> list[int]:
+    """The offset of each arc line in head + '\\n' + the lines."""
+    starts = [len(head) + 1]
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
+    return starts[:-1]
+
+
+def _tail(line: str) -> str:
+    return line.split()[1]
+
+
+@functools.cache
+def digest_forms() -> dict[str, tuple[str, int | None]]:
+    """(text, BULK_CHUNK to read it with, or None) for each form of a dense
+    120-vertex split digraph whose digest a certificate must name."""
+    text = serialize_instance(gen_random_split(7, 60, 60))
+    head, arcs = text.split("\na ", 1)
+    magic, n_line, k_line = head.split("\n")
+    lines = ("a " + arcs).splitlines()
+
+    def join(head_lines, arc_lines):
+        return "\n".join([*head_lines, *arc_lines]) + "\n"
+
+    # two lines of one run, swapped within a chunk
+    starts = _chunk_starts(text, files.BULK_CHUNK)
+    offsets = _line_starts(head, lines)
+    i = next(i for i in range(len(lines) // 2, len(lines) - 1)
+             if _tail(lines[i]) == _tail(lines[i + 1]) and offsets[i + 1] not in starts)
+    swapped = list(lines)
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    # two lines of one run and of one length, swapped across a chunk
+    # boundary: each chunk is in order, the heads across it are not
+    across = next(
+        (chunk, i)
+        for chunk in range(60, 400)
+        for i in range(len(lines) - 1)
+        if _tail(lines[i]) == _tail(lines[i + 1]) and len(lines[i]) == len(lines[i + 1])
+        and offsets[i + 1] in _chunk_starts(text, chunk)
+    )
+    heads_across = list(lines)
+    heads_across[across[1]], heads_across[across[1] + 1] = lines[across[1] + 1], lines[across[1]]
+    # the last arc of the first run moved to the start of a later chunk: no
+    # duplicate there, and a head above its tail's others, but a tail below
+    # the last one before it
+    first_end = next(i for i, line in enumerate(lines) if _tail(line) != _tail(lines[0])) - 1
+    moved = lines[:first_end] + lines[first_end + 1:]
+    tail_across = next(
+        (chunk, moved[:j] + [lines[first_end]] + moved[j:])
+        for chunk in range(60, 400)
+        for j in range(first_end + 2, len(moved))
+        if _tail(moved[j - 1]) != _tail(lines[first_end])
+        and _line_starts(head, moved)[j] in _chunk_starts(join([head], moved), chunk)
+    )
+    middle = len(lines) // 2
+    return {
+        "canonical": (text, None),
+        "header comments": (join([magic, "# made by hand", n_line, "", "# k next", k_line], lines), None),
+        "permuted k": (join([magic, n_line, " ".join(["k", *k_line.split()[:0:-1]])], lines), None),
+        "swapped heads": (join([head], swapped), None),
+        "heads across a chunk": (join([head], heads_across), across[0]),
+        "tail across a chunk": (join([head], tail_across[1]), tail_across[0]),
+        "double space": (join([head], lines[:middle] + [lines[middle].replace(" ", "  ", 1)] + lines[middle + 1:]), None),
+        "trailing space": (join([head], lines[:middle] + [lines[middle] + " "] + lines[middle + 1:]), None),
+        "CRLF": (text.replace("\n", "\r\n"), None),
+        "comment after the last arc": (text + "# end\n", None),
+        "n < 64": (serialize_instance(gen_random_split(7, 20, 20)), None),
+        "no arcs": ("qkdg 1\nn 70\n", None),
+    }
+
+
+def _written_digest(text: str) -> str:
+    return next(line for line in text.splitlines() if line.startswith("instance "))[len("instance "):]
+
+
+@pytest.mark.parametrize("form", list(digest_forms()))
+def test_certificates_name_the_instance_digest(tmp_path, monkeypatch, capsys, form):
+    text, chunk = digest_forms()[form]
+    expected = instance_digest(parse_instance(text))
+    path = tmp_path / "instance.qkdg"
+    path.write_bytes(text.encode())
+    if chunk is not None:
+        monkeypatch.setattr(files, "BULK_CHUNK", chunk)
+    solved = tmp_path / "solve.qkcert"
+    assert main(["solve", str(path), "--out", str(solved)]) == 0
+    vertices = parse_certificate(solved.read_text()).vertices
+    verified = tmp_path / "verify.qkcert"
+    literal = ",".join(map(str, vertices))
+    assert main(["verify", str(path), literal, "--out", str(verified)]) == 0
+    code, out = run(capsys, "verify", str(path), literal)
+    assert code == 0
+    assert _written_digest(solved.read_text()) == expected
+    assert _written_digest(verified.read_text()) == expected
+    assert _written_digest(out) == expected
+
+
+def test_verify_digests_a_canonical_file_without_serializing_it(tmp_path, monkeypatch):
+    text, _ = digest_forms()["header comments"]
+    swapped, _ = digest_forms()["swapped heads"]
+    expected = instance_digest(parse_instance(text))
+    literal = ",".join(map(str, sorted(quasi_kernel_cl(parse_instance(text).graph))))
+    for name, content in (("canonical", text), ("swapped", swapped)):
+        (tmp_path / f"{name}.qkdg").write_text(content, encoding="utf-8")
+    serialize = files.serialize_instance
+
+    def refused(obj, comments=()):
+        raise AssertionError("the instance was serialized again")
+
+    monkeypatch.setattr(files, "serialize_instance", refused)
+    out = tmp_path / "canonical.qkcert"
+    assert main(["verify", str(tmp_path / "canonical.qkdg"), literal, "--out", str(out)]) == 0
+    assert _written_digest(out.read_text()) == expected
+    # a file that is not canonical is serialized once, for its digest
+    calls = []
+
+    def counted(obj, comments=()):
+        calls.append(obj)
+        return serialize(obj, comments)
+
+    monkeypatch.setattr(files, "serialize_instance", counted)
+    out = tmp_path / "swapped.qkcert"
+    assert main(["verify", str(tmp_path / "swapped.qkdg"), literal, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert _written_digest(out.read_text()) == expected
+
+
+def _solve_peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_out_peaks_as_solve_does(tmp_path, capsys):
+    # the digest comes from the text as it is read: no second text of the
+    # instance, and no list of its lines, is made for it
+    path = tmp_path / "big.qkdg"
+    path.write_text(serialize_instance(gen_random_split(3, 200, 200, sink_free=True)), encoding="utf-8")
+    plain = _solve_peak(["solve", str(path)])
+    written = _solve_peak(["solve", str(path), "--out", str(tmp_path / "big.qkcert")])
+    capsys.readouterr()
+    assert written <= 1.1 * plain
 
 
 # --- fuzz of main(argv) ----------------------------------------------------

@@ -96,6 +96,25 @@ def test_certificate_check_rejects_non_int_members(v):
         certificate_document(bad, d)
 
 
+@pytest.mark.parametrize("witnesses", [
+    {1: (1, False)},
+    {1: (True, 0)},
+    {True: (1, 0)},
+    {1: (1, 0.0)},
+    {"1": (1, 0)},
+])
+def test_certificate_check_rejects_non_int_witness_entries(witnesses):
+    # False is vertex 0 and True vertex 1, so only the type test refuses
+    # them; the document would otherwise be written as 'w 1 False'
+    d = Digraph(2, [(1, 0)])
+    bad = QkCertificate(frozenset({0}), witnesses, "verify")
+    with pytest.raises(VerificationError, match="not an int"):
+        bad.check(d)
+    with pytest.raises(VerificationError, match="not an int"):
+        certificate_document(bad, d)
+    assert not bad.verify(d)
+
+
 def test_duplicate_arcs_collapse():
     d = Digraph(2, [(0, 1), (0, 1)])
     assert len(d.arcs) == 1

@@ -481,6 +481,104 @@ def test_dense_reader_matches_reference(kind, seed, data, chunk):
     assert all(start >= header + before for start, _ in arc_reads)
 
 
+def _swap(lines, rng, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _move(lines, rng, i, j):
+    lines.insert(j, lines.pop(i))
+
+
+def _run_around(lines, i):
+    """The start and end of the lines around line i with its second field,
+    which a comment or a blank line may end."""
+    field = lines[i].split()[1:2]
+    start = end = i
+    while start and lines[start - 1].split()[1:2] == field:
+        start -= 1
+    while end < len(lines) and lines[end].split()[1:2] == field:
+        end += 1
+    return start, end
+
+
+def _reverse_run(lines, rng, i, j):
+    start, end = _run_around(lines, i)
+    lines[start:end] = lines[start:end][::-1]
+
+
+def _move_run_end_later(lines, rng, i, j):
+    # the last arc of a run, with a head above the run's others, after a
+    # later tail's arcs: a chunk that starts with it is read in bulk
+    _, end = _run_around(lines, i)
+    lines.insert(rng.randint(end, len(lines)), lines.pop(end - 1))
+
+
+# edits of the arc lines of a canonical text at lines i and j; none of them
+# changes the instance, and each may leave the lines canonical
+ARC_EDITS = {
+    "swap next": lambda lines, rng, i, j: _swap(lines, rng, i, min(i + 1, len(lines) - 1)),
+    "swap": _swap,
+    "move": _move,
+    "reverse run": _reverse_run,
+    "run end later": _move_run_end_later,
+    "double space": lambda lines, rng, i, j: lines.__setitem__(i, lines[i].replace(" ", "  ", 1)),
+    "trailing space": lambda lines, rng, i, j: lines.__setitem__(i, lines[i] + " "),
+    "comment": lambda lines, rng, i, j: lines.insert(j, "# c"),
+    "blank": lambda lines, rng, i, j: lines.insert(j, ""),
+    "comment at the end": lambda lines, rng, i, j: lines.append("# end"),
+}
+# edits of the lines before the arcs, which leave the text canonical as read
+HEAD_EDITS = {
+    "comments": lambda head, rng: head.insert(rng.randint(1, len(head)), "# note"),
+    "blank": lambda head, rng: head.insert(rng.randint(1, len(head)), ""),
+    "padding": lambda head, rng: head.__setitem__(0, " " + head[0] + "\t"),
+    "n spelling": lambda head, rng: head.__setitem__(1, head[1].replace("n ", "n  0")),
+    "k order": lambda head, rng: head.__setitem__(
+        2, " ".join(["k", *rng.sample(head[2].split()[1:], len(head[2].split()) - 1)])
+    ) if len(head) > 2 and head[2].startswith("k") else None,
+}
+
+# texts in the campaign below
+DIGEST_CAMPAIGN = 2000
+
+
+def test_digest_as_read_is_the_instance_digest_or_none():
+    # a seeded campaign of dense texts, each with up to two edits of its
+    # arc lines or its header, CRLF line ends or no final LF, read in
+    # chunks of a drawn size: a digest is made exactly when the lines from
+    # the first arc line on are canonical and end in LFs, and it is
+    # instance_digest's
+    rng = random.Random(23)
+    pool = []
+    for seed in range(16):
+        sd = gen_random_split(seed, rng.randint(32, 36), rng.randint(32, 36), p_k_to_i=0.1,
+                              p_i_to_k=0.1, p_digon_k=rng.random() * 0.3)
+        for obj in (sd, sd.graph):
+            head, arcs = serialize_instance(obj).split("\na ", 1)
+            pool.append((obj, instance_digest(obj), head.split("\n"), ("a " + arcs).splitlines()))
+    made = 0
+    for _ in range(DIGEST_CAMPAIGN):
+        obj, expected, head, clean = rng.choice(pool)
+        head, lines = list(head), list(clean)
+        for name in rng.sample(sorted(ARC_EDITS), rng.choice([0, 0, 1, 2])):
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines) + 1)
+            ARC_EDITS[name](lines, rng, i, min(j, len(lines)))
+        for name in rng.sample(sorted(HEAD_EDITS), rng.choice([0, 1, 2])):
+            HEAD_EDITS[name](head, rng)
+        end, last = rng.choice([("\n", "\n"), ("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+        text = end.join(head + lines) + last
+        chunk = rng.choice([files.BULK_CHUNK, rng.randint(24, 600)])
+        with patch.object(files, "BULK_CHUNK", chunk):
+            parsed, digest = parse_instance(text, digest=True)
+        assert parsed == obj
+        # a comment or a blank line before the first arc line is a header line
+        arc_lines = lines[next(k for k, line in enumerate(lines) if line.startswith("a ")):]
+        assert (digest is not None) == (arc_lines == clean and end == last == "\n"), (chunk, text)
+        if digest is not None:
+            assert digest == expected
+            made += 1
+    assert 0 < made < DIGEST_CAMPAIGN
+
 def test_transpose_is_the_arc_reversal():
     for n in (1, 7, 8, 9, 64, 65, 200):
         arcs = [(t, h) for t in range(n) for h in range(n) if t != h and (t * 7 + h * 3) % 5 < 2]
