@@ -23,7 +23,7 @@ from .digraph import (
 )
 from .exact import fpt_by_clique, fpt_by_independent, min_quasi_kernel
 from .files import (
-    _LINE_END_CHARS,
+    BULK_CHUNK,
     MAX_INSTANCE_BYTES,
     InstanceParseError,
     certificate_document,
@@ -50,16 +50,15 @@ EXACT_BOUNDS_LIMIT = 18
 BUDGETED = ("exact", "fpt-k", "fpt-i")
 
 
-# the UTF-8 forms of the line ends that parse_instance counts, as
-# str.splitlines does: a CR with an LF after it ends one line
-_LINE_END_BYTES = tuple(end.encode() for end in _LINE_END_CHARS)
-
-
 def _line_at(data: bytes, pos: int) -> int:
-    """1-based number of the line that holds byte pos of data."""
-    ends = sum(data.count(end, 0, pos) for end in _LINE_END_BYTES)
-    # a CRLF that straddles pos ends the line that holds pos
-    return ends - data.count(b"\r\n", 0, pos + 1) + 1
+    """1-based number of the line that holds byte pos of data: one more
+    than the str.splitlines line ends before it in the text decoded through
+    pos, where a replacement character never ends a line."""
+    # CR and CRLF become LF, as in the read, so no line end spans two
+    # windows; the "x" after each window ends no line
+    text = data[:pos + 1].decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")[:-1]
+    windows = (text[i:i + BULK_CHUNK] + "x" for i in range(0, len(text), BULK_CHUNK))
+    return 1 + sum(len(window.splitlines()) - 1 for window in windows)
 
 
 def _read_instance(
@@ -85,6 +84,8 @@ def _read_instance(
         raise InstanceParseError(
             f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", _line_at(data, exc.start)
         ) from None
+    # the parse holds the text alone, not the bytes too
+    del data
     # as a text-mode read would: CR and CRLF end lines as LF does; the
     # membership test is cheap, the rewrite a copy of the whole text
     if "\r" in text:
@@ -111,22 +112,13 @@ def _print_certificate_report(cert: QkCertificate, minimum: bool) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
         comments: list[str] = []
-        if args.family == "dn":
-            sd = gen_dn(args.n)
-            comments = [f"label {name} {idx}" for idx, name in enumerate(family_labels(args.n))]
-        elif args.family == "dpn":
-            sd = gen_dpn(args.n)
+        if args.family in ("dn", "dpn"):
+            sd = (gen_dn if args.family == "dn" else gen_dpn)(args.n)
             comments = [f"label {name} {idx}" for idx, name in enumerate(family_labels(args.n))]
         elif args.family == "random-split":
             sd = gen_random_split(
-                args.seed,
-                args.nk,
-                args.ni,
-                p_k_to_i=args.p_ki,
-                p_i_to_k=args.p_ik,
-                p_digon_k=args.p_digon,
-                one_way=args.one_way,
-                sink_free=args.sink_free,
+                args.seed, args.nk, args.ni, p_k_to_i=args.p_ki, p_i_to_k=args.p_ik,
+                p_digon_k=args.p_digon, one_way=args.one_way, sink_free=args.sink_free,
             )
         else:
             sd = gen_random_complete_split(
@@ -170,30 +162,28 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
         return peel_split(inst), False
     if algo == "complete-split":
         return complete_split_min_qk(inst), True
-    if algo in ("fpt-k", "fpt-i"):
-        if k is None:
-            raise PreconditionError("--k is required for fpt algorithms")
-        if algo == "fpt-k":
-            return fpt_by_clique(inst, k), False
-        # a quasi-kernel of a split digraph is independent, so it lies in one
-        # of fpt-i's groups, each of which was refused every smaller size
-        cert = fpt_by_independent(inst, k)
-        return cert, cert is not None
-    raise PreconditionError(f"unknown algorithm '{algo}'")
+    if k is None:
+        raise PreconditionError("--k is required for fpt algorithms")
+    if algo == "fpt-k":
+        return fpt_by_clique(inst, k), False
+    # a quasi-kernel of a split digraph is independent, so it lies in one
+    # of fpt-i's groups, each of which was refused every smaller size
+    cert = fpt_by_independent(inst, k)
+    return cert, cert is not None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    # only a certificate to write needs the digest
-    if args.out:
-        inst, digest = _read_instance(args.instance, digest=True)
-    else:
-        inst, digest = _read_instance(args.instance), None
     if args.k is not None and args.k < 0:
         print("error: --k must be a non-negative integer", file=sys.stderr)
         return 2
     if args.k is not None and args.algo not in BUDGETED:
         print(f"error: --k applies only to --algo {', '.join(BUDGETED)}", file=sys.stderr)
         return 2
+    # only a certificate to write needs the digest
+    if args.out:
+        inst, digest = _read_instance(args.instance, digest=True)
+    else:
+        inst, digest = _read_instance(args.instance), None
     algo = args.algo
     if algo == "auto":
         algo = (_split_constructions(inst) or ["cl"])[0]
@@ -213,13 +203,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst, digest = _read_instance(args.instance, digest=True)
     literal = args.set.strip()
     try:
         vertices = [int(f) for f in literal.split(",")] if literal else []
     except ValueError:
         print(f"error: set literal must be comma-separated integers: '{args.set}'", file=sys.stderr)
         return 2
+    inst, digest = _read_instance(args.instance, digest=True)
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
     try:
         cert = graph.certify(vertices, "verify")
@@ -235,10 +225,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.instance)
     if args.q < 1:
         print("error: --q must be a positive integer", file=sys.stderr)
         return 2
+    inst = _read_instance(args.instance)
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
     art = reduce_dds_to_qk(graph, args.q)
     comments = [f"reduction q={art.q} b={art.b} source_n={art.source_n} source_m={art.source_m}"]
@@ -275,31 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
+    gen.set_defaults(func=cmd_gen)
     gen_sub = gen.add_subparsers(dest="family", required=True)
     for fam in ("dn", "dpn"):
-        p = gen_sub.add_parser(fam)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("random-split")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nk", type=int, required=True)
-    p.add_argument("--ni", type=int, required=True)
-    p.add_argument("--p-ki", dest="p_ki", type=float, default=0.25)
-    p.add_argument("--p-ik", dest="p_ik", type=float, default=0.25)
-    p.add_argument("--p-digon", dest="p_digon", type=float, default=0.15)
-    p.add_argument("--one-way", dest="one_way", action="store_true")
-    p.add_argument("--sink-free", dest="sink_free", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("random-complete-split")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nk", type=int, required=True)
-    p.add_argument("--ni", type=int, required=True)
-    p.add_argument("--p-digon", dest="p_digon", type=float, default=0.15)
-    p.add_argument("--sink-free", dest="sink_free", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
+        gen_sub.add_parser(fam).add_argument("--n", type=int, required=True)
+    # the options both random models take
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--seed", type=int, required=True)
+    model.add_argument("--nk", type=int, required=True)
+    model.add_argument("--ni", type=int, required=True)
+    model.add_argument("--p-digon", type=float, default=0.15)
+    model.add_argument("--sink-free", action="store_true")
+    p = gen_sub.add_parser("random-split", parents=[model])
+    p.add_argument("--p-ki", type=float, default=0.25)
+    p.add_argument("--p-ik", type=float, default=0.25)
+    p.add_argument("--one-way", action="store_true")
+    gen_sub.add_parser("random-complete-split", parents=[model])
 
     solve = sub.add_parser("solve", help="run a quasi-kernel algorithm")
     solve.add_argument("instance")
@@ -313,19 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--k", type=int, default=None, help=f"size budget, for --algo {', '.join(BUDGETED)} only"
     )
-    solve.add_argument("--out")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="verify a vertex set against an instance")
     verify.add_argument("instance")
     verify.add_argument("set", help="comma-separated vertex indices, e.g. '0,4'")
-    verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 
     reduce_p = sub.add_parser("reduce", help="emit the dominating-set gadget for an instance")
     reduce_p.add_argument("instance")
     reduce_p.add_argument("--q", type=int, required=True)
-    reduce_p.add_argument("--out")
     reduce_p.set_defaults(func=cmd_reduce)
 
     bounds = sub.add_parser("bounds", help="tabulate applicable bounds vs achieved sizes")
@@ -334,8 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     dot = sub.add_parser("dot", help="export an instance in DOT format")
     dot.add_argument("instance")
-    dot.add_argument("--out")
     dot.set_defaults(func=cmd_dot)
+
+    # every command that writes a file takes --out, after its other options
+    for p in [*gen_sub.choices.values(), solve, verify, reduce_p, dot]:
+        p.add_argument("--out")
 
     return parser
 

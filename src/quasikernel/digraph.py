@@ -60,7 +60,7 @@ class SplitFlags(NamedTuple):
 class QkCertificate(NamedTuple):
     """A quasi-kernel plus a length-<=2 witness path for every outside vertex.
 
-    ``witnesses`` maps each vertex v outside ``vertices`` to a sequence
+    ``witnesses`` maps each vertex v outside ``vertices`` to a tuple or list
     (v, q) or (v, w, q) of arcs ending inside ``vertices``.  ``bound`` is
     the size bound the producing algorithm guarantees, when one applies.
     """
@@ -91,6 +91,11 @@ class QkCertificate(NamedTuple):
             if out[v] & inside:
                 raise VerificationError(f"certificate set not independent at vertex {v}")
         witnesses = self.witnesses
+        # a path is read by len, index and slice, which a set, a mapping or
+        # an iterator fails with TypeError or KeyError
+        if not {tuple, list}.issuperset(map(type, witnesses.values())):
+            v, path = next((v, p) for v, p in witnesses.items() if type(p) not in (tuple, list))
+            raise VerificationError(f"witness for {v} is {path!r}, not an int tuple or list")
         # bool is an int: True would pass for vertex 1 and be written as True
         if not {int}.issuperset(map(type, chain(witnesses, *witnesses.values()))):
             bad = next(u for u in chain(witnesses, *witnesses.values()) if type(u) is not int)

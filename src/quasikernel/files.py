@@ -41,10 +41,9 @@ MAX_INSTANCE_BYTES = 16 * (MAX_ARCS + MAX_VERTICES)
 # one line is longer: it bounds the line and token lists, about 30 times that
 BULK_CHUNK = 8192
 _ARC_CHARS = b"0123456789a \n"
-# the characters that end a line for str.splitlines, a CR with an LF after
-# it ending one line
-_LINE_END_CHARS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_ENDS = f"[{_LINE_END_CHARS}]"
+# the class of the characters that end a line for str.splitlines, a CR with
+# an LF after it ending one line
+_LINE_ENDS = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
 _LINE_END = re.compile(_LINE_ENDS)
 _THROUGH_LAST_LINE_END = re.compile(".*" + _LINE_ENDS, re.S)
 # the columns c of one byte with bit s of c set, for s = 1, 2, 4

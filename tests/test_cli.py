@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,10 @@ from conftest import digraphs, distinct_class_split, gnp, split_digraphs
 import quasikernel
 from quasikernel import (
     check_certificate,
+    family_labels,
     gen_dn,
+    gen_dpn,
+    gen_random_complete_split,
     gen_random_split,
     instance_digest,
     parse_certificate,
@@ -81,6 +85,50 @@ def test_gen_exit_code_2_on_bad_probabilities_and_sizes(monkeypatch, capsys):
     for argv in argvs:
         assert main(["gen", *argv]) == 2
         assert "over the cap MAX_VERTICES=10" in capsys.readouterr().err
+
+
+def _labelled(generate, n: int) -> str:
+    return serialize_instance(
+        generate(n), comments=[f"label {name} {idx}" for idx, name in enumerate(family_labels(n))]
+    )
+
+
+SIZES = ["--seed", "4", "--nk", "5", "--ni", "7"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["dn", "--n", "3"], lambda: _labelled(gen_dn, 3)),
+    (["dpn", "--n", "2"], lambda: _labelled(gen_dpn, 2)),
+    (["random-split", *SIZES], lambda: serialize_instance(gen_random_split(4, 5, 7))),
+    (["random-split", *SIZES, "--p-ki", "0.6"],
+     lambda: serialize_instance(gen_random_split(4, 5, 7, p_k_to_i=0.6))),
+    (["random-split", *SIZES, "--p-ik", "0.1"],
+     lambda: serialize_instance(gen_random_split(4, 5, 7, p_i_to_k=0.1))),
+    (["random-split", *SIZES, "--p-digon", "0.4"],
+     lambda: serialize_instance(gen_random_split(4, 5, 7, p_digon_k=0.4))),
+    (["random-split", *SIZES, "--one-way"],
+     lambda: serialize_instance(gen_random_split(4, 5, 7, one_way=True))),
+    (["random-split", *SIZES, "--sink-free"],
+     lambda: serialize_instance(gen_random_split(4, 5, 7, sink_free=True))),
+    (["random-split", *SIZES, "--p-ki", "0.6", "--p-ik", "0.1", "--p-digon", "0.4", "--one-way",
+      "--sink-free"],
+     lambda: serialize_instance(gen_random_split(
+         4, 5, 7, p_k_to_i=0.6, p_i_to_k=0.1, p_digon_k=0.4, one_way=True, sink_free=True
+     ))),
+    (["random-complete-split", *SIZES], lambda: serialize_instance(gen_random_complete_split(4, 5, 7))),
+    (["random-complete-split", *SIZES, "--p-digon", "0.5"],
+     lambda: serialize_instance(gen_random_complete_split(4, 5, 7, p_digon=0.5))),
+    (["random-complete-split", *SIZES, "--sink-free"],
+     lambda: serialize_instance(gen_random_complete_split(4, 5, 7, sink_free=True))),
+    (["random-complete-split", *SIZES, "--p-digon", "0.5", "--sink-free"],
+     lambda: serialize_instance(gen_random_complete_split(4, 5, 7, p_digon=0.5, sink_free=True))),
+])
+def test_gen_options_reach_their_generator(capsys, argv, expected):
+    # each option of each family, set apart from its default, writes what
+    # the library's generator writes with that argument
+    code, out = run(capsys, "gen", *argv)
+    assert code == 0
+    assert out == expected()
 
 
 def test_gen_random_round_trip(tmp_path, capsys):
@@ -332,6 +380,40 @@ def test_read_errors_count_lines_as_the_parser_does(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4
     assert all(line.startswith("error: line 3: ") for line in err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(
+        st.sampled_from([b"a", b"\n", b"\r", b"\r\n", b"\x0b", b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80", b"\xff"]),
+        min_size=1,
+        max_size=12,
+    ).map(b"".join),
+    window=st.integers(1, 4),
+)
+def test_line_at_numbers_lines_as_splitlines_does(data, window):
+    # the line of byte pos is the last str.splitlines line of the text
+    # decoded through pos, whatever window the line ends are counted in
+    with mock.patch.object(quasikernel.cli, "BULK_CHUNK", window):
+        for pos in range(len(data)):
+            expected = len(data[:pos + 1].decode("utf-8", "replace").splitlines())
+            assert quasikernel.cli._line_at(data, pos) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "F", "--k", "-1"],
+    ["solve", "F", "--algo", "cl", "--k", "1"],
+    ["verify", "F", "x"],
+    ["reduce", "F", "--q", "0"],
+])
+def test_bad_arguments_exit_2_before_the_read(tmp_path, monkeypatch, capsys, argv):
+    # a bad argument is refused before a file of up to MAX_INSTANCE_BYTES is read
+    path = write_dn1(tmp_path)
+    calls = []
+    monkeypatch.setattr(quasikernel.cli, "_read_instance", lambda *args, **kwargs: calls.append(args))
+    assert main([str(path) if arg == "F" else arg for arg in argv]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_instance_from_a_fifo(tmp_path, capsys):
@@ -608,6 +690,19 @@ def _solve_peak(argv: list[str]) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reads_hold_the_file_once(tmp_path, capsys):
+    # the bytes of a file are freed once decoded, so the parse holds its
+    # text alone
+    path = tmp_path / "big.qkdg"
+    path.write_text(serialize_instance(gen_random_split(3, 200, 200, sink_free=True)), encoding="utf-8")
+    size = path.stat().st_size
+    # the parser and the lazy imports are built outside the traced calls
+    assert main(["bounds", str(path)]) == 0
+    for command in ("solve", "bounds"):
+        assert _solve_peak([command, str(path)]) < 2.4 * size
+    capsys.readouterr()
 
 
 def test_solve_out_peaks_as_solve_does(tmp_path, capsys):

@@ -102,6 +102,11 @@ def test_certificate_check_rejects_non_int_members(v):
     {True: (1, 0)},
     {1: (1, 0.0)},
     {"1": (1, 0)},
+    {1: 5},
+    {1: None},
+    {1: {1, 0}},
+    {1: iter((1, 0))},
+    {1: {1: 0, 0: 1}},
 ])
 def test_certificate_check_rejects_non_int_witness_entries(witnesses):
     # False is vertex 0 and True vertex 1, so only the type test refuses
