@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .digraph import Arc, Digraph, PreconditionError, SplitDigraph, VerificationError, members
 from .exact import is_dominating
@@ -30,9 +30,9 @@ def _check_caps(what: str, vertices: int, arcs: int) -> None:
         )
 
 
-def _check_arc_set(what: str, arcs: Collection[Arc]) -> None:
-    """Stop a random model once its arc set passes the MAX_ARCS cap."""
-    if len(arcs) > MAX_ARCS:
+def _check_arc_count(what: str, arcs: int) -> None:
+    """Stop a random model once its running arc count passes the MAX_ARCS cap."""
+    if arcs > MAX_ARCS:
         raise GenerationError(f"{what}: arc count over the cap MAX_ARCS={MAX_ARCS}")
 
 
@@ -99,11 +99,42 @@ def gen_dpn(n: int) -> SplitDigraph:
 # random corpora
 
 
-def _orient_pair(rng: random.Random, a: int, b: int, p_digon: float) -> list[Arc]:
-    arcs = [(a, b)] if rng.random() < 0.5 else [(b, a)]
-    if rng.random() < p_digon:
-        arcs.append((arcs[0][1], arcs[0][0]))
-    return arcs
+def _check_sink_free(nk: int, ni: int, one_way: bool = False) -> None:
+    """Refuse, before drawing, the part sizes that leave a sink in every draw."""
+    if nk == 0 and ni > 0:
+        raise GenerationError("sink-free impossible: an isolated independent vertex is a sink")
+    if nk == 1 and (one_way or ni == 0):
+        raise GenerationError("sink-free impossible: the lone clique vertex has no legal out-arc")
+
+
+def _orient_row(
+    draw: Callable[[], float], out: list[int], inn: list[int], a: int, others: Iterable[int], p_digon: float
+) -> int:
+    """Orient the pairs (a, b), b in others in order, into the mask rows.
+
+    Each pair takes two draws: a -> b if the first is below 1/2, else
+    b -> a, and the reverse arc too if the second is below p_digon.
+    Returns the number of arcs the rows did not hold before; each of them
+    has a as an endpoint.
+    """
+    bit = 1 << a
+    row_out, row_in = out[a], inn[a]
+    before = row_out.bit_count() + row_in.bit_count()
+    for b in others:
+        if draw() < 0.5:
+            row_out |= 1 << b
+            inn[b] |= bit
+            if draw() < p_digon:
+                row_in |= 1 << b
+                out[b] |= bit
+        else:
+            row_in |= 1 << b
+            out[b] |= bit
+            if draw() < p_digon:
+                row_out |= 1 << b
+                inn[b] |= bit
+    out[a], inn[a] = row_out, row_in
+    return row_out.bit_count() + row_in.bit_count() - before
 
 
 def gen_random_split(
@@ -122,50 +153,69 @@ def gen_random_split(
     a digon (nk == 2) or a forced arc into the independent part (nk == 1,
     requires ni >= 1 and not one_way), and every independent vertex gets a
     forced out-arc into the clique.  one_way suppresses clique-to-independent
-    arcs.  Raises GenerationError on unsatisfiable combinations, and once
-    the vertices or the arcs pass MAX_VERTICES or MAX_ARCS.
+    arcs.  Each draw sets its bits of the mask rows at once.  The draws
+    and their order are fixed, so a seed gives the same instance on every
+    supported Python; instance digests in the tests pin it.  Raises
+    GenerationError on unsatisfiable combinations, before any draw, and
+    once the vertices or the running arc count pass MAX_VERTICES or
+    MAX_ARCS; the arc count is checked after each row of draws.
     """
     if nk < 0 or ni < 0:
         raise ValueError("part sizes must be nonnegative")
     _check_probabilities(p_k_to_i=p_k_to_i, p_i_to_k=p_i_to_k, p_digon_k=p_digon_k)
     _check_caps("random split", nk + ni, 0)
     if sink_free:
-        if nk == 0 and ni > 0:
-            raise GenerationError("sink-free impossible: an isolated independent vertex is a sink")
-        if nk == 1 and (one_way or ni == 0):
-            raise GenerationError("sink-free impossible: the lone clique vertex has no legal out-arc")
+        _check_sink_free(nk, ni, one_way)
+    n = nk + ni
     rng = random.Random(seed)
-    indep = range(nk, nk + ni)
-    arcs: set[Arc] = set()
+    draw = rng.random
+    indep = range(nk, n)
+    out = [0] * n
+    inn = [0] * n
 
     if sink_free and nk >= 3:
         for a in range(nk):
             b = (a + 1) % nk
-            arcs.add((a, b))
-            if rng.random() < p_digon_k:
-                arcs.add((b, a))
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+            if draw() < p_digon_k:
+                out[b] |= 1 << a
+                inn[a] |= 1 << b
     if sink_free and nk == 2:
-        arcs.update(((0, 1), (1, 0)))
+        out[0] = inn[0] = 1 << 1
+        out[1] = inn[1] = 1 << 0
+    arcs = sum(row.bit_count() for row in out)
     # the pairs of that cycle or digon, (a, a + 1) and (0, nk - 1), are taken
     cycle = sink_free and nk >= 2
     for a in range(nk):
-        for b in range(a + 1 + cycle, nk - (cycle and a == 0)):
-            arcs.update(_orient_pair(rng, a, b, p_digon_k))
-        _check_arc_set("random split", arcs)
+        arcs += _orient_row(draw, out, inn, a, range(a + 1 + cycle, nk - (cycle and a == 0)), p_digon_k)
+        _check_arc_count("random split", arcs)
     if sink_free and nk == 1:
-        arcs.add((0, nk))
+        out[0] |= 1 << nk
+        inn[nk] |= 1
+        arcs += 1
     if sink_free:
         for s in indep:
-            arcs.add((s, rng.randrange(nk)))
+            k = rng.randrange(nk)
+            out[s] |= 1 << k
+            inn[k] |= 1 << s
+        arcs += ni
     for k in range(nk):
+        bit = 1 << k
+        row_out, row_in = out[k], inn[k]
+        before = row_out.bit_count() + row_in.bit_count()
         for s in indep:
-            if not one_way and rng.random() < p_k_to_i:
-                arcs.add((k, s))
-            if rng.random() < p_i_to_k:
-                arcs.add((s, k))
-        _check_arc_set("random split", arcs)
+            if not one_way and draw() < p_k_to_i:
+                row_out |= 1 << s
+                inn[s] |= bit
+            if draw() < p_i_to_k:
+                row_in |= 1 << s
+                out[s] |= bit
+        out[k], inn[k] = row_out, row_in
+        arcs += row_out.bit_count() + row_in.bit_count() - before
+        _check_arc_count("random split", arcs)
 
-    sd = SplitDigraph(Digraph(nk + ni, arcs), range(nk), indep)
+    sd = SplitDigraph(Digraph._from_masks(n, out, inn), range(nk), indep)
     flags = sd.classify()
     if one_way and not flags.one_way:
         raise GenerationError("construction failed to be one-way")
@@ -185,9 +235,14 @@ def gen_random_complete_split(
 
     Every clique pair and every clique-independent pair is adjacent; each
     adjacency gets a random orientation plus a digon with probability
-    p_digon.  sink_free resamples the incident orientations of offending
-    vertices, up to 100 passes, then raises GenerationError.  So does a
-    digraph over MAX_VERTICES or MAX_ARCS.
+    p_digon, drawn straight into the mask rows.  sink_free redraws the
+    pairs that touch each sink, up to 100 passes, then raises
+    GenerationError.  Part sizes that leave a sink in every draw,
+    independent vertices with no clique or a lone clique vertex, are
+    refused before any draw.  The draws and their order are fixed, so a
+    seed gives the same instance on every supported Python; instance
+    digests in the tests pin it.  A digraph over MAX_VERTICES or MAX_ARCS
+    also raises GenerationError.
     """
     if nk < 0 or ni < 0:
         raise ValueError("part sizes must be nonnegative")
@@ -195,31 +250,43 @@ def gen_random_complete_split(
     n = nk + ni
     # every adjacent pair takes at least one arc
     _check_caps("random complete split", n, math.comb(nk, 2) + nk * ni)
-    rng = random.Random(seed)
-    pairs = [(a, b) for a in range(nk) for b in range(a + 1, nk)]
-    pairs += [(k, s) for k in range(nk) for s in range(nk, n)]
-    oriented: dict[tuple[int, int], tuple[Arc, ...]] = {
-        pair: tuple(_orient_pair(rng, *pair, p_digon)) for pair in pairs
-    }
-
-    def build() -> SplitDigraph:
-        arcs = [a for arcset in oriented.values() for a in arcset]
-        _check_arc_set("random complete split", arcs)
-        return SplitDigraph(Digraph(n, arcs), range(nk), range(nk, n))
-
-    sd = build()
     if sink_free:
-        attempts = 0
-        while sd.graph.sinks():
-            if attempts >= 100:
-                raise GenerationError("resampling cap exceeded while enforcing sink-freeness")
-            attempts += 1
-            for v in members(sd.graph.sinks()):
-                for pair in pairs:
-                    if v in pair:
-                        oriented[pair] = tuple(_orient_pair(rng, *pair, p_digon))
-            sd = build()
-    return sd
+        _check_sink_free(nk, ni)
+    draw = random.Random(seed).random
+    clique, indep = range(nk), range(nk, n)
+    out = [0] * n
+    inn = [0] * n
+    # the pairs in order: (a, b) for a < b in the clique, then (k, s)
+    arcs = 0
+    for a in clique:
+        arcs += _orient_row(draw, out, inn, a, range(a + 1, nk), p_digon)
+    for k in clique:
+        arcs += _orient_row(draw, out, inn, k, indep, p_digon)
+    _check_arc_count("random complete split", arcs)
+
+    attempts = 0
+    while sink_free and (sinks := [v for v in range(n) if not out[v]]):
+        if attempts >= 100:
+            raise GenerationError("resampling cap exceeded while enforcing sink-freeness")
+        attempts += 1
+        # sinks are pairwise nonadjacent, so each pair is redrawn once a
+        # pass; a sink's pairs hold just the arcs of its in-row, cleared first
+        for v in sinks:
+            bit = 1 << v
+            arcs -= inn[v].bit_count()
+            for u in members(inn[v]):
+                out[u] &= ~bit
+            inn[v] = 0
+            if v < nk:
+                for a in range(v):
+                    arcs += _orient_row(draw, out, inn, a, (v,), p_digon)
+                arcs += _orient_row(draw, out, inn, v, range(v + 1, nk), p_digon)
+                arcs += _orient_row(draw, out, inn, v, indep, p_digon)
+            else:
+                for k in clique:
+                    arcs += _orient_row(draw, out, inn, k, (v,), p_digon)
+        _check_arc_count("random complete split", arcs)
+    return SplitDigraph(Digraph._from_masks(n, out, inn), clique, indep)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ predicates.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from quasikernel import Digraph, SplitDigraph, dominate_two_serf
-from quasikernel.digraph import SplitError, lowest, members
+from quasikernel import Digraph, GenerationError, SplitDigraph, dominate_two_serf, instances
+from quasikernel.digraph import Arc, SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
 
@@ -607,3 +608,120 @@ def parse_instance_reference(text: str) -> Digraph | SplitDigraph:
         return SplitDigraph(graph, clique, independent)
     except SplitError as exc:
         raise InstanceParseError(f"invalid split partition: {exc}", last) from exc
+
+
+# The two random models as they were before they drew into mask rows: the
+# arcs go into a set (the complete model: a dict of oriented pairs, with every
+# pair scanned for each sink), and Digraph rebuilds the rows arc by arc.
+# Kept verbatim, but for the names, as the references that test_instances
+# compares the models' instances and refusals against.  The caps are read
+# from quasikernel.instances at call time, so a patched cap binds both.
+def _check_arc_set(what: str, arcs) -> None:
+    if len(arcs) > instances.MAX_ARCS:
+        raise GenerationError(f"{what}: arc count over the cap MAX_ARCS={instances.MAX_ARCS}")
+
+
+def _orient_pair(rng: random.Random, a: int, b: int, p_digon: float) -> list[Arc]:
+    arcs = [(a, b)] if rng.random() < 0.5 else [(b, a)]
+    if rng.random() < p_digon:
+        arcs.append((arcs[0][1], arcs[0][0]))
+    return arcs
+
+
+def gen_random_split_reference(
+    seed: int,
+    nk: int,
+    ni: int,
+    p_k_to_i: float = 0.25,
+    p_i_to_k: float = 0.25,
+    p_digon_k: float = 0.15,
+    one_way: bool = False,
+    sink_free: bool = False,
+) -> SplitDigraph:
+    if nk < 0 or ni < 0:
+        raise ValueError("part sizes must be nonnegative")
+    instances._check_probabilities(p_k_to_i=p_k_to_i, p_i_to_k=p_i_to_k, p_digon_k=p_digon_k)
+    instances._check_caps("random split", nk + ni, 0)
+    if sink_free:
+        if nk == 0 and ni > 0:
+            raise GenerationError("sink-free impossible: an isolated independent vertex is a sink")
+        if nk == 1 and (one_way or ni == 0):
+            raise GenerationError("sink-free impossible: the lone clique vertex has no legal out-arc")
+    rng = random.Random(seed)
+    indep = range(nk, nk + ni)
+    arcs: set[Arc] = set()
+
+    if sink_free and nk >= 3:
+        for a in range(nk):
+            b = (a + 1) % nk
+            arcs.add((a, b))
+            if rng.random() < p_digon_k:
+                arcs.add((b, a))
+    if sink_free and nk == 2:
+        arcs.update(((0, 1), (1, 0)))
+    # the pairs of that cycle or digon, (a, a + 1) and (0, nk - 1), are taken
+    cycle = sink_free and nk >= 2
+    for a in range(nk):
+        for b in range(a + 1 + cycle, nk - (cycle and a == 0)):
+            arcs.update(_orient_pair(rng, a, b, p_digon_k))
+        _check_arc_set("random split", arcs)
+    if sink_free and nk == 1:
+        arcs.add((0, nk))
+    if sink_free:
+        for s in indep:
+            arcs.add((s, rng.randrange(nk)))
+    for k in range(nk):
+        for s in indep:
+            if not one_way and rng.random() < p_k_to_i:
+                arcs.add((k, s))
+            if rng.random() < p_i_to_k:
+                arcs.add((s, k))
+        _check_arc_set("random split", arcs)
+
+    sd = SplitDigraph(Digraph(nk + ni, arcs), range(nk), indep)
+    flags = sd.classify()
+    if one_way and not flags.one_way:
+        raise GenerationError("construction failed to be one-way")
+    if sink_free and not flags.sink_free:
+        raise GenerationError("construction failed to be sink-free")
+    return sd
+
+
+def gen_random_complete_split_reference(
+    seed: int,
+    nk: int,
+    ni: int,
+    p_digon: float = 0.15,
+    sink_free: bool = False,
+) -> SplitDigraph:
+    if nk < 0 or ni < 0:
+        raise ValueError("part sizes must be nonnegative")
+    instances._check_probabilities(p_digon=p_digon)
+    n = nk + ni
+    # every adjacent pair takes at least one arc
+    instances._check_caps("random complete split", n, math.comb(nk, 2) + nk * ni)
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(nk) for b in range(a + 1, nk)]
+    pairs += [(k, s) for k in range(nk) for s in range(nk, n)]
+    oriented: dict[tuple[int, int], tuple[Arc, ...]] = {
+        pair: tuple(_orient_pair(rng, *pair, p_digon)) for pair in pairs
+    }
+
+    def build() -> SplitDigraph:
+        arcs = [a for arcset in oriented.values() for a in arcset]
+        _check_arc_set("random complete split", arcs)
+        return SplitDigraph(Digraph(n, arcs), range(nk), range(nk, n))
+
+    sd = build()
+    if sink_free:
+        attempts = 0
+        while sd.graph.sinks():
+            if attempts >= 100:
+                raise GenerationError("resampling cap exceeded while enforcing sink-freeness")
+            attempts += 1
+            for v in members(sd.graph.sinks()):
+                for pair in pairs:
+                    if v in pair:
+                        oriented[pair] = tuple(_orient_pair(rng, *pair, p_digon))
+            sd = build()
+    return sd

@@ -87,6 +87,14 @@ def test_gen_exit_code_2_on_bad_probabilities_and_sizes(monkeypatch, capsys):
         assert "over the cap MAX_VERTICES=10" in capsys.readouterr().err
 
 
+def test_gen_refuses_impossible_sink_free_complete_splits(capsys):
+    cases = [(["0", "20000"], "an isolated independent vertex is a sink"),
+             (["1", "0"], "the lone clique vertex has no legal out-arc")]
+    for (nk, ni), reason in cases:
+        assert main(["gen", "random-complete-split", "--seed", "1", "--nk", nk, "--ni", ni, "--sink-free"]) == 2
+        assert capsys.readouterr().err == f"error: sink-free impossible: {reason}\n"
+
+
 def _labelled(generate, n: int) -> str:
     return serialize_instance(
         generate(n), comments=[f"label {name} {idx}" for idx, name in enumerate(family_labels(n))]

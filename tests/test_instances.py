@@ -1,6 +1,10 @@
+import random
+import re
+from types import SimpleNamespace
+
 import pytest
 
-from conftest import strongly_connected
+from conftest import gen_random_complete_split_reference, gen_random_split_reference, strongly_connected
 from quasikernel import (
     GenerationError,
     family_labels,
@@ -8,6 +12,7 @@ from quasikernel import (
     gen_dpn,
     gen_random_complete_split,
     gen_random_split,
+    instance_digest,
     min_quasi_kernel,
 )
 from quasikernel import instances
@@ -138,6 +143,31 @@ def test_random_complete_split_resampling_cap():
         gen_random_complete_split(0, 2, 0, p_digon=0.0, sink_free=True)
 
 
+class CountingRandom(random.Random):
+    """random.Random that counts its random() calls.  Its randrange calls
+    random() too, so it draws other instances when sink_free is set."""
+
+    draws = 0
+
+    def random(self) -> float:
+        CountingRandom.draws += 1
+        return super().random()
+
+
+def test_random_complete_split_refuses_impossible_sink_free_sizes_before_drawing(monkeypatch):
+    # without the refusal, 20,000 isolated sinks took 100 resampling passes
+    monkeypatch.setattr(instances, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(CountingRandom, "draws", 0)
+    with pytest.raises(GenerationError, match="^sink-free impossible: an isolated independent vertex is a sink$"):
+        gen_random_complete_split(0, 0, 20000, sink_free=True)
+    with pytest.raises(GenerationError, match="^sink-free impossible: the lone clique vertex has no legal out-arc$"):
+        gen_random_complete_split(0, 1, 0, sink_free=True)
+    assert CountingRandom.draws == 0
+    monkeypatch.undo()
+    assert gen_random_complete_split(0, 0, 0, sink_free=True).graph.n == 0
+    assert gen_random_complete_split(0, 0, 5).graph.n == 5
+
+
 def test_random_generators_reject_negative_sizes():
     with pytest.raises(ValueError):
         gen_random_split(0, -1, 2)
@@ -219,3 +249,128 @@ def test_random_models_check_the_instance_caps(monkeypatch):
     for gen in (gen_random_split, gen_random_complete_split):
         with pytest.raises(GenerationError, match="11 vertices, over the cap MAX_VERTICES=10"):
             gen(0, 4, 7)
+
+
+def _outcome(generate, *args, **kwargs):
+    try:
+        sd = generate(*args, **kwargs)
+    except (ValueError, GenerationError) as exc:
+        return type(exc), str(exc)
+    return sd, sd.graph.in_masks
+
+
+def _random_model_case(rng: random.Random):
+    """A parameter tuple for one of the random models: sizes 0-9 (now and
+    then -1), probabilities 0, 1 or in between (now and then out of range),
+    and now and then low caps."""
+
+    def size() -> int:
+        return -1 if rng.random() < 0.03 else rng.randint(0, 9)
+
+    def prob() -> float:
+        return rng.choice([0.0, 1.0, rng.random(), rng.random()] + [1.5] * (rng.random() < 0.05))
+
+    caps = {}
+    if rng.random() < 0.25:
+        caps["MAX_ARCS"] = rng.randint(0, 60)
+    if rng.random() < 0.05:
+        caps["MAX_VERTICES"] = rng.randint(0, 12)
+    seed, nk, ni = rng.randrange(10**6), size(), size()
+    if rng.random() < 0.5:
+        kwargs = dict(p_k_to_i=prob(), p_i_to_k=prob(), p_digon_k=prob())
+        kwargs.update(one_way=rng.random() < 0.5, sink_free=rng.random() < 0.5)
+        return gen_random_split, gen_random_split_reference, (seed, nk, ni), kwargs, caps
+    kwargs = dict(p_digon=prob(), sink_free=rng.random() < 0.7)
+    return gen_random_complete_split, gen_random_complete_split_reference, (seed, nk, ni), kwargs, caps
+
+
+def test_random_models_match_the_arc_set_references(monkeypatch):
+    rng = random.Random(2025)
+    seen = set()
+    resampled = 0
+    for _ in range(3000):
+        generate, reference, args, kwargs, caps = _random_model_case(rng)
+        monkeypatch.setattr(instances, "MAX_ARCS", caps.get("MAX_ARCS", instances.MAX_ARCS))
+        monkeypatch.setattr(instances, "MAX_VERTICES", caps.get("MAX_VERTICES", instances.MAX_VERTICES))
+        got, expected = _outcome(generate, *args, **kwargs), _outcome(reference, *args, **kwargs)
+        monkeypatch.undo()
+        case = (generate.__name__, args, kwargs, caps)
+        if got != expected:
+            # refused before any draw where the reference spent its resampling cap
+            nk, ni = args[1:]
+            assert generate is gen_random_complete_split and (nk, ni > 0) in ((0, True), (1, False)), case
+            assert got[0] is GenerationError and got[1].startswith("sink-free impossible"), case
+            assert expected == (GenerationError, "resampling cap exceeded while enforcing sink-freeness"), case
+        kind = re.sub(r"[0-9.]+", "#", got[1]) if got[0] in (ValueError, GenerationError) else "ok"
+        if kind == "ok" and generate is gen_random_complete_split and kwargs["sink_free"]:
+            resampled += bool(generate(*args, kwargs["p_digon"]).graph.sinks())
+        seen.add(f"{generate.__name__}: {kind}")
+    probability = "must be a probability in [#, #], got #"
+    common = [
+        "ok",
+        "part sizes must be nonnegative",
+        "sink-free impossible: an isolated independent vertex is a sink",
+        "sink-free impossible: the lone clique vertex has no legal out-arc",
+    ]
+    split = common + [
+        f"p_k_to_i {probability}",
+        f"p_i_to_k {probability}",
+        f"p_digon_k {probability}",
+        "random split needs # vertices, over the cap MAX_VERTICES=#",
+        "random split: arc count over the cap MAX_ARCS=#",
+    ]
+    complete = common + [
+        f"p_digon {probability}",
+        "random complete split needs # vertices, over the cap MAX_VERTICES=#",
+        "random complete split needs # arcs, over the cap MAX_ARCS=#",
+        "random complete split: arc count over the cap MAX_ARCS=#",
+        "resampling cap exceeded while enforcing sink-freeness",
+    ]
+    assert seen == {f"gen_random_split: {kind}" for kind in split} | {
+        f"gen_random_complete_split: {kind}" for kind in complete
+    }
+    # 99 sink-free draws had sinks to redraw
+    assert resampled >= 90
+
+
+@pytest.mark.parametrize("generate, digest", [
+    (lambda: gen_random_split(1, 200, 200, sink_free=True),
+     "7add576b42c478cdb5064e8f883ec0c26276130fdb08fae668750264aa4204e3"),
+    (lambda: gen_random_split(3, 200, 200, p_i_to_k=0.01, p_k_to_i=0.005),
+     "9b26cbfe51bbaef6dd95eb17db8ba8827fb87286789d46c25118da327bea736d"),
+    (lambda: gen_random_complete_split(3, 100, 100, sink_free=True),
+     "3a47fb3633037a1745bfdfda7c43578c0d78d720fac01ce9d291e4f4a98f8738"),
+    (lambda: gen_random_split(5, 60, 80, p_k_to_i=0.3, p_i_to_k=0.2, one_way=True, sink_free=True),
+     "a5e93ad4fd3f9f103d1c630a36a88afc0180cee560057b4784e5e7e05ba17254"),
+    # the first draw leaves the independent sinks 4, 20, 26, 41 and 42
+    (lambda: gen_random_complete_split(7, 3, 40, sink_free=True),
+     "048ee8eb3574ea5ea97a65b1af2d272ff2a71db36c94a1c5e75a75b23ca6ecda"),
+    # the first draw leaves the sink 4, adjacent to both clique vertices
+    (lambda: gen_random_complete_split(11, 2, 3, p_digon=0.1, sink_free=True),
+     "f820101abda3740db9e2cca5c81031e29b19757d16825a3f156a2d67a187e4a2"),
+])
+def test_random_models_keep_their_instances(generate, digest):
+    # digests of the instances the arc-set models drew for these tuples
+    assert instance_digest(generate()) == f"sha256:{digest}"
+
+
+@pytest.mark.parametrize("nk, ni, options, cap, bound", [
+    # 44,850 clique pairs, one arc and two draws each: the count passes the
+    # cap at pair 5,001, and the row then ends within 299 more pairs
+    (300, 0, dict(p_digon_k=0.0), 5000, 2 * (5001 + 299)),
+    # 45 clique arcs in 90 draws, then a k row of 2,000 draws makes 2,000
+    # arcs: the count passes the cap in the second k row
+    (10, 1000, dict(p_k_to_i=1.0, p_i_to_k=1.0, p_digon_k=0.0), 3000, 90 + 2 * 2000),
+])
+def test_random_split_stops_within_a_row_of_the_arc_cap(monkeypatch, nk, ni, options, cap, bound):
+    monkeypatch.setattr(instances, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(CountingRandom, "draws", 0)
+    monkeypatch.setattr(instances, "MAX_ARCS", cap)
+    with pytest.raises(GenerationError, match=f"^random split: arc count over the cap MAX_ARCS={cap}$"):
+        gen_random_split(0, nk, ni, **options)
+    assert cap < CountingRandom.draws <= bound
+    # the whole model draws many rows more
+    monkeypatch.setattr(CountingRandom, "draws", 0)
+    monkeypatch.setattr(instances, "MAX_ARCS", 10**6)
+    gen_random_split(0, nk, ni, **options)
+    assert CountingRandom.draws >= 4 * bound
