@@ -12,7 +12,6 @@ from .construct import (
     dominate_two_serf,
     quasi_kernel_cl,
     quasi_kernel_rooted,
-    two_serf_semicomplete,
 )
 from .digraph import (
     Arc,
@@ -120,6 +119,5 @@ __all__ = [
     "serialize_instance",
     "split_subset_oracle",
     "to_dot",
-    "two_serf_semicomplete",
     "two_thirds_qk",
 ]

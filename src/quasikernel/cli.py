@@ -23,7 +23,7 @@ from .digraph import (
 )
 from .exact import fpt_by_clique, fpt_by_independent, min_quasi_kernel
 from .files import (
-    BULK_CHUNK,
+    _LINE_END,
     MAX_INSTANCE_BYTES,
     InstanceParseError,
     certificate_document,
@@ -54,11 +54,9 @@ def _line_at(data: bytes, pos: int) -> int:
     """1-based number of the line that holds byte pos of data: one more
     than the str.splitlines line ends before it in the text decoded through
     pos, where a replacement character never ends a line."""
-    # CR and CRLF become LF, as in the read, so no line end spans two
-    # windows; the "x" after each window ends no line
-    text = data[:pos + 1].decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")[:-1]
-    windows = (text[i:i + BULK_CHUNK] + "x" for i in range(0, len(text), BULK_CHUNK))
-    return 1 + sum(len(window.splitlines()) - 1 for window in windows)
+    # CRLF becomes LF, as in the read, so it ends one line, not two
+    text = data[:pos + 1].decode("utf-8", "replace").replace("\r\n", "\n")[:-1]
+    return 1 + sum(1 for _ in _LINE_END.finditer(text))
 
 
 def _read_instance(

@@ -54,23 +54,12 @@ def _require_semicomplete(t: Digraph, within: int | None = None) -> None:
         raise PreconditionError(f"not semicomplete: vertices {pair[0]} and {pair[1]} are non-adjacent")
 
 
-def two_serf_semicomplete(t: Digraph) -> int:
-    """A 2-serf of a semicomplete digraph: a vertex every vertex reaches in <= 2 arcs.
-
-    A maximum in-degree vertex works (smallest index on ties); it is a
-    king of the reversed digraph.
-    """
-    _require_semicomplete(t)
-    if t.n == 0:
-        raise PreconditionError("empty digraph has no 2-serf")
-    best = _max_in_degree(t.in_masks, t.full_mask)
-    if not t.is_two_serf(best):
-        raise VerificationError(f"max in-degree vertex {best} is not a 2-serf")
-    return best
-
-
 def _max_in_degree(inn: Sequence[int], within: int) -> int:
-    """Vertex of mask ``within`` whose in-row has the most bits inside it, smallest on ties."""
+    """Vertex of mask ``within`` whose in-row has the most bits inside it, smallest on ties.
+
+    Where the digraph is semicomplete inside ``within``, this vertex is a
+    2-serf there: a king of the reversed digraph.
+    """
     return max(members(within), key=lambda w: (inn[w] & within).bit_count())
 
 

@@ -8,9 +8,8 @@ shared use across threads is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from collections.abc import Set
 from itertools import chain, compress
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Arc = tuple[int, int]
 # bin() digits to the bytes 0 and 1, for itertools.compress
@@ -116,13 +115,6 @@ class QkCertificate(NamedTuple):
         if self.bound is not None and self.size > self.bound:
             raise VerificationError(f"certificate size {self.size} exceeds its bound {self.bound}")
 
-    def verify(self, d: "Digraph") -> bool:
-        try:
-            self.check(d)
-        except VerificationError:
-            return False
-        return True
-
 
 def members(mask: int) -> list[int]:
     """Positions of the set bits of a vertex mask, ascending.
@@ -200,41 +192,6 @@ def or_rows(rows: Sequence[int], selectors: Iterable[int]) -> list[int]:
     return result
 
 
-class ArcView(Set):
-    """Read-only set of a digraph's arcs, derived from its out-masks.
-
-    Iteration yields (tail, head) pairs in ascending order; set operators
-    with other sets return frozensets.
-    """
-
-    __slots__ = ("_out",)
-
-    def __init__(self, out: tuple[int, ...]):
-        self._out = out
-
-    @classmethod
-    def _from_iterable(cls, it: Iterable[Arc]) -> frozenset[Arc]:
-        return frozenset(it)
-
-    def __contains__(self, arc: object) -> bool:
-        if not isinstance(arc, tuple) or len(arc) != 2:
-            return False
-        t, h = arc
-        return (
-            isinstance(t, int) and isinstance(h, int)
-            and 0 <= t < len(self._out) and h >= 0
-            and self._out[t] >> h & 1 == 1
-        )
-
-    def __iter__(self) -> Iterator[Arc]:
-        for t, row in enumerate(self._out):
-            for h in members(row):
-                yield (t, h)
-
-    def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._out)
-
-
 class Digraph:
     """A loopless simple digraph on vertices 0..n-1.
 
@@ -242,8 +199,9 @@ class Digraph:
     collapse, and a loop, an out-of-range endpoint (ValueError) or a
     non-int or bool endpoint (TypeError) is rejected.  Adjacency is stored
     only as per-vertex int bitmasks: bit h of ``out_masks[t]`` and bit t
-    of ``in_masks[h]`` are set iff (t, h) is an arc.  ``arcs`` is a view
-    derived from the masks.  The neighborhood operators and ``sinks`` take
+    of ``in_masks[h]`` are set iff (t, h) is an arc.  ``arcs`` lists the
+    arcs from the masks, as an ascending tuple of (tail, head) pairs, on
+    each access.  The neighborhood operators and ``sinks`` take
     and return vertex masks: bit v is set iff v is a member.
     """
 
@@ -295,8 +253,8 @@ class Digraph:
         return (1 << self.n) - 1
 
     @property
-    def arcs(self) -> ArcView:
-        return ArcView(self._out)
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple((t, h) for t, row in enumerate(self._out) for h in members(row))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -307,7 +265,7 @@ class Digraph:
         return hash((self.n, self._out))
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
+        return f"Digraph(n={self.n}, arcs={sum(row.bit_count() for row in self._out)})"
 
     def mask_of(self, s: Iterable[int]) -> int:
         """Vertex mask of s; TypeError on a non-int or bool member, ValueError out of range."""

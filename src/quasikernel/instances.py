@@ -99,12 +99,16 @@ def gen_dpn(n: int) -> SplitDigraph:
 # random corpora
 
 
-def _check_sink_free(nk: int, ni: int, one_way: bool = False) -> None:
+def _check_sink_free(nk: int, ni: int, one_way: bool = False, digons: bool = True) -> None:
     """Refuse, before drawing, the part sizes that leave a sink in every draw."""
     if nk == 0 and ni > 0:
         raise GenerationError("sink-free impossible: an isolated independent vertex is a sink")
     if nk == 1 and (one_way or ni == 0):
         raise GenerationError("sink-free impossible: the lone clique vertex has no legal out-arc")
+    # an orientation of a complete split graph is sink-free only on a clique
+    # cycle, or on a clique arc u -> v, an arc v -> s and one s -> u
+    if not digons and (nk == 1 or nk == 2 and ni == 0):
+        raise GenerationError("sink-free impossible: without digons every orientation has a sink")
 
 
 def _orient_row(
@@ -237,9 +241,10 @@ def gen_random_complete_split(
     adjacency gets a random orientation plus a digon with probability
     p_digon, drawn straight into the mask rows.  sink_free redraws the
     pairs that touch each sink, up to 100 passes, then raises
-    GenerationError.  Part sizes that leave a sink in every draw,
-    independent vertices with no clique or a lone clique vertex, are
-    refused before any draw.  The draws and their order are fixed, so a
+    GenerationError.  Part sizes that leave a sink in every draw are
+    refused before any draw: independent vertices with no clique, a lone
+    clique vertex, and, when p_digon is 0, one clique vertex or two with
+    no independent vertex.  The draws and their order are fixed, so a
     seed gives the same instance on every supported Python; instance
     digests in the tests pin it.  A digraph over MAX_VERTICES or MAX_ARCS
     also raises GenerationError.
@@ -251,7 +256,7 @@ def gen_random_complete_split(
     # every adjacent pair takes at least one arc
     _check_caps("random complete split", n, math.comb(nk, 2) + nk * ni)
     if sink_free:
-        _check_sink_free(nk, ni)
+        _check_sink_free(nk, ni, digons=p_digon > 0)
     draw = random.Random(seed).random
     clique, indep = range(nk), range(nk, n)
     out = [0] * n
@@ -328,12 +333,13 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    n, m = d.n, len(d.arcs)
+    # a source refused by the caps is counted, never listed
+    n, m = d.n, sum(row.bit_count() for row in d.out_masks)
     b = 2 * q + 3
     total = n + m + 2 * b + 1
     total_arcs = math.comb(m + b, 2) + 3 * m + 2 * b
     _check_caps("gadget", total, total_arcs)
-    arc_order = tuple(d.arcs)
+    arc_order = d.arcs
 
     s = 0
     s1 = {v: 1 + v for v in range(n)}
@@ -369,7 +375,7 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     indep = [s] + sorted(s1.values()) + sorted(s2.values())
     host = SplitDigraph(Digraph(total, arcs), clique, indep)
 
-    if len(host.graph.arcs) != total_arcs:
+    if sum(row.bit_count() for row in host.graph.out_masks) != total_arcs:
         raise VerificationError("gadget arc count formula violated")
     if not host.classify().orientation:
         raise VerificationError("gadget is not an orientation")

@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -89,9 +88,11 @@ def test_gen_exit_code_2_on_bad_probabilities_and_sizes(monkeypatch, capsys):
 
 def test_gen_refuses_impossible_sink_free_complete_splits(capsys):
     cases = [(["0", "20000"], "an isolated independent vertex is a sink"),
-             (["1", "0"], "the lone clique vertex has no legal out-arc")]
-    for (nk, ni), reason in cases:
-        assert main(["gen", "random-complete-split", "--seed", "1", "--nk", nk, "--ni", ni, "--sink-free"]) == 2
+             (["1", "0"], "the lone clique vertex has no legal out-arc"),
+             (["1", "5", "--p-digon", "0"], "without digons every orientation has a sink")]
+    for (nk, ni, *rest), reason in cases:
+        argv = ["gen", "random-complete-split", "--seed", "1", "--nk", nk, "--ni", ni, "--sink-free", *rest]
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: sink-free impossible: {reason}\n"
 
 
@@ -397,15 +398,13 @@ def test_read_errors_count_lines_as_the_parser_does(tmp_path, monkeypatch, capsy
         min_size=1,
         max_size=12,
     ).map(b"".join),
-    window=st.integers(1, 4),
 )
-def test_line_at_numbers_lines_as_splitlines_does(data, window):
+def test_line_at_numbers_lines_as_splitlines_does(data):
     # the line of byte pos is the last str.splitlines line of the text
-    # decoded through pos, whatever window the line ends are counted in
-    with mock.patch.object(quasikernel.cli, "BULK_CHUNK", window):
-        for pos in range(len(data)):
-            expected = len(data[:pos + 1].decode("utf-8", "replace").splitlines())
-            assert quasikernel.cli._line_at(data, pos) == expected
+    # decoded through pos
+    for pos in range(len(data)):
+        expected = len(data[:pos + 1].decode("utf-8", "replace").splitlines())
+        assert quasikernel.cli._line_at(data, pos) == expected
 
 
 @pytest.mark.parametrize("argv", [

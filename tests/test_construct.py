@@ -7,8 +7,8 @@ from quasikernel import (
     dominate_two_serf,
     quasi_kernel_cl,
     quasi_kernel_rooted,
-    two_serf_semicomplete,
 )
+from quasikernel.construct import _max_in_degree
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -44,13 +44,19 @@ def test_cl_empty_and_basic():
     assert quasi_kernel_cl(Digraph(2, [(0, 1)])) == {1}
 
 
+def max_in_degree(t: Digraph) -> int:
+    return _max_in_degree(t.in_masks, t.full_mask)
+
+
 def test_two_serf_transitive_tournament():
     t = Digraph(3, [(0, 1), (0, 2), (1, 2)])
-    assert two_serf_semicomplete(t) == 2
+    assert max_in_degree(t) == 2
+    assert t.is_two_serf(2)
 
 
 def test_two_serf_three_cycle_tie_rule():
-    assert two_serf_semicomplete(THREE_CYCLE) == 0
+    assert max_in_degree(THREE_CYCLE) == 0
+    assert THREE_CYCLE.is_two_serf(0)
 
 
 def test_two_serf_sink_always_wins():
@@ -59,20 +65,19 @@ def test_two_serf_sink_always_wins():
         t = random_semicomplete(seed, max_n=8)
         sinks = t.sinks()
         if sinks:
-            assert 1 << two_serf_semicomplete(t) == sinks
+            assert 1 << max_in_degree(t) == sinks
 
 
 def test_two_serf_rejects_non_semicomplete():
     with pytest.raises(PreconditionError, match="not semicomplete"):
-        two_serf_semicomplete(Digraph(2))
-    with pytest.raises(PreconditionError):
-        two_serf_semicomplete(Digraph(0))
+        dominate_two_serf(Digraph(2), 0)
 
 
 def test_two_serf_campaign():
+    # a maximum in-degree vertex of a semicomplete digraph is a 2-serf
     for seed in range(300):
         t = random_semicomplete(seed, max_n=12)
-        assert t.is_two_serf(two_serf_semicomplete(t))
+        assert t.is_two_serf(max_in_degree(t))
 
 
 def test_dominate_transitive():

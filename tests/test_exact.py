@@ -239,7 +239,7 @@ def test_min_dominating_set_examples():
 def test_fpt_by_clique_examples():
     assert fpt_by_clique(gen_dn(1), 2).size == 2
     assert fpt_by_clique(gen_dn(1), 1) is None
-    assert fpt_by_clique(gen_dn(1), 2).verify(gen_dn(1).graph)
+    fpt_by_clique(gen_dn(1), 2).check(gen_dn(1).graph)
 
 
 def test_fpt_by_independent_examples():

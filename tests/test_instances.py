@@ -23,7 +23,7 @@ def test_dn1_exact_structure():
     sd = gen_dn(1)
     assert sd.graph.n == 6
     expected = {(0, 1), (1, 2), (2, 0), (3, 0), (4, 1), (5, 2)}
-    assert sd.graph.arcs == expected
+    assert set(sd.graph.arcs) == expected
     assert sd.clique == 0b111
 
 
@@ -56,7 +56,7 @@ def test_dn_minimum_sizes():
 
 def test_dpn1_adds_two_arcs():
     base, strong = gen_dn(1), gen_dpn(1)
-    assert strong.graph.arcs - base.graph.arcs == {(0, 4), (0, 5)}
+    assert set(strong.graph.arcs) - set(base.graph.arcs) == {(0, 4), (0, 5)}
 
 
 def test_dpn_connectivity_structure():
@@ -138,9 +138,10 @@ def test_random_complete_split_deterministic():
 
 
 def test_random_complete_split_resampling_cap():
-    # two clique vertices, no digons possible: one of them is always a sink
+    # two clique vertices are sink-free only as a digon, which seed 0 never
+    # draws at this p_digon
     with pytest.raises(GenerationError, match="resampling cap"):
-        gen_random_complete_split(0, 2, 0, p_digon=0.0, sink_free=True)
+        gen_random_complete_split(0, 2, 0, p_digon=1e-9, sink_free=True)
 
 
 class CountingRandom(random.Random):
@@ -162,10 +163,16 @@ def test_random_complete_split_refuses_impossible_sink_free_sizes_before_drawing
         gen_random_complete_split(0, 0, 20000, sink_free=True)
     with pytest.raises(GenerationError, match="^sink-free impossible: the lone clique vertex has no legal out-arc$"):
         gen_random_complete_split(0, 1, 0, sink_free=True)
+    # without digons the lone clique vertex, or one of two, is a sink;
+    # (1, 19999) took 100 resampling passes, 1.7 s
+    for nk, ni in ((1, 1), (1, 19999), (2, 0)):
+        with pytest.raises(GenerationError, match="^sink-free impossible: without digons every orientation has a sink$"):
+            gen_random_complete_split(0, nk, ni, p_digon=0.0, sink_free=True)
     assert CountingRandom.draws == 0
     monkeypatch.undo()
     assert gen_random_complete_split(0, 0, 0, sink_free=True).graph.n == 0
     assert gen_random_complete_split(0, 0, 5).graph.n == 5
+    assert not gen_random_complete_split(0, 2, 1, p_digon=0.0, sink_free=True).graph.sinks()
 
 
 def test_random_generators_reject_negative_sizes():
@@ -298,7 +305,8 @@ def test_random_models_match_the_arc_set_references(monkeypatch):
         if got != expected:
             # refused before any draw where the reference spent its resampling cap
             nk, ni = args[1:]
-            assert generate is gen_random_complete_split and (nk, ni > 0) in ((0, True), (1, False)), case
+            impossible = [(0, True), (1, False)] + [(1, True), (2, False)] * (kwargs["p_digon"] == 0)
+            assert generate is gen_random_complete_split and (nk, ni > 0) in impossible, case
             assert got[0] is GenerationError and got[1].startswith("sink-free impossible"), case
             assert expected == (GenerationError, "resampling cap exceeded while enforcing sink-freeness"), case
         kind = re.sub(r"[0-9.]+", "#", got[1]) if got[0] in (ValueError, GenerationError) else "ok"
@@ -325,6 +333,7 @@ def test_random_models_match_the_arc_set_references(monkeypatch):
         "random complete split needs # arcs, over the cap MAX_ARCS=#",
         "random complete split: arc count over the cap MAX_ARCS=#",
         "resampling cap exceeded while enforcing sink-freeness",
+        "sink-free impossible: without digons every orientation has a sink",
     ]
     assert seen == {f"gen_random_split: {kind}" for kind in split} | {
         f"gen_random_complete_split: {kind}" for kind in complete

@@ -39,10 +39,9 @@ from quasikernel import (
     min_quasi_kernel,
     quasi_kernel_cl,
     quasi_kernel_rooted,
-    two_serf_semicomplete,
 )
 from quasikernel import exact
-from quasikernel.construct import _dominate
+from quasikernel.construct import _dominate, _max_in_degree
 from quasikernel.digraph import members, or_rows, reach_within
 
 
@@ -110,7 +109,7 @@ def test_rooted_quasi_kernel_property(d, rnd):
 
 @given(semicomplete(min_n=1, max_n=8))
 def test_semicomplete_two_serf(t):
-    v = two_serf_semicomplete(t)
+    v = _max_in_degree(t.in_masks, t.full_mask)
     assert t.is_two_serf(v)
     # independence forces singleton quasi-kernels in semicomplete digraphs
     assert len(quasi_kernel_cl(t)) == 1

@@ -1,9 +1,11 @@
-"""The public value records and the modules a CLI process loads.
+"""The public names, the public value records and the modules a CLI
+process loads.
 
-The five records are NamedTuples: fixed field names, immutable, equal
-when their fields are, and shown as ``Name(field=value, ...)``.  A fresh
-``qkdg`` process imports neither ``dataclasses`` (with ``inspect``) nor
-``hashlib`` until it makes a digest.
+Every name in ``quasikernel.__all__`` resolves.  The five records are
+NamedTuples: fixed field names, immutable, equal when their fields are,
+and shown as ``Name(field=value, ...)``.  A fresh ``qkdg`` process
+imports neither ``dataclasses`` (with ``inspect``) nor ``hashlib`` until
+it makes a digest.
 """
 import json
 import os
@@ -62,6 +64,19 @@ def test_certificate_bound_defaults_to_none():
     cert = QkCertificate(frozenset({0}), {}, "test")
     assert cert.bound is None
     assert cert.size == 1 and len(cert) == 4
+
+
+def test_public_names_resolve_and_the_removed_ones_are_gone():
+    for name in quasikernel.__all__:
+        getattr(quasikernel, name)
+    # the arc view, the 2-serf wrapper and the boolean check that only
+    # tests reached
+    assert not hasattr(quasikernel.digraph, "ArcView")
+    assert not hasattr(quasikernel, "two_serf_semicomplete")
+    assert not hasattr(quasikernel.construct, "two_serf_semicomplete")
+    assert not hasattr(QkCertificate, "verify")
+    arcs = Digraph(3, [(2, 0), (0, 2), (0, 1), (0, 1)]).arcs
+    assert type(arcs) is tuple and arcs == ((0, 1), (0, 2), (2, 0))
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
