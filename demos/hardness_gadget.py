@@ -28,16 +28,19 @@ def main() -> None:
           f"({', '.join(art.names[v] for v in sorted(lifted))})")
 
     # the host has no smaller quasi-kernel: q alone is not enough
-    print(f"host has quasi-kernel of size {q}? "
-          f"{qk.has_qk_of_size_at_most(host, q)}")
-    print(f"host has quasi-kernel of size {q + 1}? "
-          f"{qk.has_qk_of_size_at_most(host, q + 1)}")
+    at_q = qk.has_qk_of_size_at_most(host, q)
+    at_q1 = qk.has_qk_of_size_at_most(host, q + 1)
+    print(f"host has quasi-kernel of size {q}? {at_q}")
+    print(f"host has quasi-kernel of size {q + 1}? {at_q1}")
+    assert not at_q and at_q1
 
     # backward map: any small enough quasi-kernel projects to a dominating set
     found = qk.min_quasi_kernel(host, budget=q + 1).certificate
+    assert found.size == q + 1
     projected = qk.project_qk(art, found.vertices)
-    print(f"projected dominating set: {sorted(projected)} "
-          f"(dominates: {qk.is_dominating(source, projected)})")
+    dominates = qk.is_dominating(source, projected)
+    print(f"projected dominating set: {sorted(projected)} (dominates: {dominates})")
+    assert dominates
 
 
 if __name__ == "__main__":

@@ -8,14 +8,47 @@ predicates.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import quasikernel
 from quasikernel import Digraph, GenerationError, SplitDigraph, dominate_two_serf, instances
 from quasikernel.digraph import Arc, SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
+
+
+# the command that the qkdg entry point, quasikernel.cli:app, runs
+QKDG = ("-c", "from quasikernel.cli import app; app()")
+
+
+def run_python(*args: str, cwd=None, address_space: int | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports the
+    quasikernel under test, and capture its output as text.
+    address_space caps the child's memory (RLIMIT_AS) in bytes."""
+    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    preexec_fn = None
+    if address_space is not None:
+        import resource
+
+        def preexec_fn():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        preexec_fn=preexec_fn,
+    )
 
 
 def qk_by_bfs(d: Digraph, s) -> bool:
@@ -185,6 +218,14 @@ def fpt_by_clique_reference(sd: SplitDigraph, k: int) -> frozenset[int] | None:
                 if len(chosen) + len(opt) <= k:
                     stack.append((idx + 1, chosen | opt))
     return None
+
+
+def near_transitive_ladder(k: int) -> SplitDigraph:
+    """Clique i->j for i<j with (k-3, k-1) reversed; independent k+i -> i."""
+    arcs = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (k - 3, k - 1)]
+    arcs.append((k - 1, k - 3))
+    arcs += [(k + i, i) for i in range(k)]
+    return SplitDigraph(Digraph(2 * k, arcs), range(k), range(k, 2 * k))
 
 
 def relabel(d: Digraph, perm: list[int]) -> Digraph:

@@ -1,7 +1,6 @@
 import functools
 import os
-import subprocess
-import sys
+import random
 import threading
 import tracemalloc
 from pathlib import Path
@@ -10,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digraphs, distinct_class_split, gnp, split_digraphs
+from conftest import (
+    QKDG,
+    digraphs,
+    distinct_class_split,
+    gnp,
+    near_transitive_ladder,
+    relabel_split,
+    run_python,
+    split_digraphs,
+)
 
 import quasikernel
 from quasikernel import (
@@ -298,6 +306,34 @@ def test_solve_exact_on_45_vertices(tmp_path, capsys):
         code, out = run(capsys, "solve", str(path), "--algo", "exact")
         assert code == 0
         assert "size: 17\n" in out and "minimum: true\n" in out
+    # fpt-i decides sizes from k down on the same search: none of 16
+    # vertices, and at k = 17 the minimum, which it reports as one
+    code, out = run(capsys, "solve", str(split), "--algo", "fpt-i", "--k", "16")
+    assert code == 1 and out == "no quasi-kernel of size <= 16\n"
+    code, out = run(capsys, "solve", str(split), "--algo", "fpt-i", "--k", "17")
+    assert code == 0
+    assert "size: 17\n" in out and "minimum: true\n" in out
+
+
+def test_solve_exact_on_gen_dpn_20(tmp_path, capsys):
+    # 861 vertices, within MAX_SEARCH_STEPS: one failed decision, at size 380
+    path = tmp_path / "dpn20.qkdg"
+    assert main(["gen", "dpn", "--n", "20", "--out", str(path)]) == 0
+    code, out = run(capsys, "solve", str(path), "--algo", "exact")
+    assert code == 0
+    assert "size: 381\n" in out and "minimum: true\n" in out
+
+
+def test_solve_fpt_k_proves_the_minimum_of_gen_dn_6(tmp_path, capsys):
+    # 91 vertices: the reachability cut proves that no quasi-kernel of 36
+    # vertices exists, within MAX_SEARCH_STEPS; a refusal over the step
+    # limit also exits 1, so the check is on the message
+    path = tmp_path / "dn6.qkdg"
+    assert main(["gen", "dn", "--n", "6", "--out", str(path)]) == 0
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "36")
+    assert code == 1 and out == "no quasi-kernel of size <= 36\n"
+    code, out = run(capsys, "solve", str(path), "--algo", "fpt-k", "--k", "37")
+    assert code == 0 and "size: 37\n" in out
 
 
 def test_solve_exact_on_a_sparse_120_vertex_digraph(tmp_path, capsys):
@@ -444,21 +480,10 @@ def test_endless_instance_file_exit_2():
     # /dev/zero never ends.  The command runs in a child process whose
     # address space is capped at 512 MiB, so an uncapped read fails fast
     # instead of filling the memory.
-    resource = pytest.importorskip("resource")
+    pytest.importorskip("resource")
     if not os.path.exists("/dev/zero"):
         pytest.skip("no /dev/zero")
-    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
-    paths = [package_root, os.environ.get("PYTHONPATH", "")]
-    limit = 1 << 29
-    script = "import sys; from quasikernel.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "solve", "/dev/zero"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = run_python(*QKDG, "solve", "/dev/zero", address_space=1 << 29)
     assert proc.returncode == 2
     assert f"over the cap MAX_INSTANCE_BYTES={files.MAX_INSTANCE_BYTES}" in proc.stderr
     assert proc.stdout == ""
@@ -480,21 +505,10 @@ def test_reduce_over_the_arc_cap_exit_1(tmp_path):
     # q = 10**9 asks for about 2e18 arcs.  The command runs in a child
     # process whose address space is capped at 1 GiB, so a gadget built
     # before the cap is checked fails fast instead of filling the memory.
-    resource = pytest.importorskip("resource")
+    pytest.importorskip("resource")
     src = tmp_path / "arc.qkdg"
     src.write_text("qkdg 1\nn 2\na 0 1\n")
-    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
-    paths = [package_root, os.environ.get("PYTHONPATH", "")]
-    limit = 1 << 30
-    script = "import sys; from quasikernel.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "reduce", str(src), "--q", "1000000000"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = run_python(*QKDG, "reduce", str(src), "--q", "1000000000", address_space=1 << 30)
     assert proc.returncode == 1
     assert "over the cap MAX_ARCS=2000000" in proc.stderr
     assert proc.stdout == ""
@@ -541,6 +555,32 @@ def test_bounds_includes_peel_row_for_sinks(tmp_path, capsys):
     assert code == 0
     peel_row = [l for l in out.splitlines() if l.startswith("peel")][0]
     assert "bound=8/3" in peel_row
+
+
+@pytest.mark.parametrize("algo, make, seed", [
+    ("one-way", lambda: near_transitive_ladder(150), 12),
+    ("peel", lambda: gen_random_split(3, 150, 150, p_i_to_k=0.01, p_k_to_i=0.005), 14),
+])
+def test_solve_and_bounds_agree_off_a_prefix(tmp_path, capsys, algo, make, seed):
+    # a one-way ladder and a random split with sinks, relabelled so that
+    # the clique is not a vertex prefix: auto picks the construction,
+    # bounds achieves the same size, and the set verifies
+    sd = make()
+    perm = list(range(sd.graph.n))
+    random.Random(seed).shuffle(perm)
+    sd = relabel_split(sd, perm)
+    assert sd.clique != (1 << sd.clique.bit_count()) - 1
+    path = tmp_path / "split.qkdg"
+    path.write_text(serialize_instance(sd))
+    code, out = run(capsys, "solve", str(path))
+    assert code == 0 and f"algorithm: {algo}\n" in out
+    size = next(line for line in out.splitlines() if line.startswith("size: "))[len("size: "):]
+    vertices = next(line for line in out.splitlines() if line.startswith("set: "))[len("set: "):]
+    code, out = run(capsys, "bounds", str(path))
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith(f"{algo} "))
+    assert row.endswith(f" achieved={size} verified=yes")
+    assert main(["verify", str(path), vertices.replace(" ", ",")]) == 0
 
 
 def test_dot_subcommand(tmp_path, capsys):

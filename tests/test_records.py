@@ -8,12 +8,10 @@ imports neither ``dataclasses`` (with ``inspect``) nor ``hashlib`` until
 it makes a digest.
 """
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 import quasikernel
 from quasikernel import (
@@ -96,15 +94,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
         "seen.append([m for m in names if m in sys.modules])\n"
         "print(json.dumps(seen))\n"
     )
-    package_root = str(Path(quasikernel.__file__).resolve().parents[1])
-    paths = [package_root, os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-    )
+    proc = run_python("-c", script, str(path))
     assert proc.returncode == 0, proc.stderr
     after_import, after_solve, after_digest = json.loads(proc.stdout.splitlines()[-1])
     assert after_import == []

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import one_way_reference, peel_reference, relabel_split, two_thirds_reference
+from conftest import (
+    near_transitive_ladder,
+    one_way_reference,
+    peel_reference,
+    relabel_split,
+    two_thirds_reference,
+)
 from quasikernel import (
     Digraph,
     NotQuasiKernelError,
@@ -31,14 +37,6 @@ def one_way_bound_holds(n: int, size: int) -> bool:
 
 
 # -- one_way_qk -------------------------------------------------------------
-
-
-def near_transitive_ladder(k: int) -> SplitDigraph:
-    """Clique i->j for i<j with (k-3, k-1) reversed; independent k+i -> i."""
-    arcs = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (k - 3, k - 1)]
-    arcs.append((k - 1, k - 3))
-    arcs += [(k + i, i) for i in range(k)]
-    return SplitDigraph(Digraph(2 * k, arcs), range(k), range(k, 2 * k))
 
 
 def count_calls(monkeypatch, cls, *names) -> dict[str, list]:
