@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .digraph import Digraph, PreconditionError, VerificationError, lowest, members, reach_within
+from .digraph import Digraph, PreconditionError, VerificationError, lowest, members
 
 
 def quasi_kernel_rooted(d: Digraph, r: int) -> frozenset[int]:
@@ -74,27 +74,32 @@ def dominate_two_serf(t: Digraph, v: int) -> int:
     _require_semicomplete(t)
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range for n={t.n}")
-    u = _dominate(t.in_masks, v, t.full_mask, t.reach_in_two(v))
+    u = _dominate(t.in_masks, t.out_masks, v, t.full_mask, t.reach_in_two(v))
     if not t.is_two_serf(u):
         raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
     return u
 
 
-def _dominate(inn: Sequence[int], v: int, within: int, reach_v: int) -> int:
+def _dominate(inn: Sequence[int], out: Sequence[int], v: int, within: int, reach_v: int) -> int:
     """dominate_two_serf in the subdigraph that mask ``within`` induces, read
-    from a digraph's in-rows ``inn``, in its own indices, building no digraph.
+    from a digraph's in-rows ``inn`` and out-rows ``out``, in its own
+    indices, building no digraph.
 
     ``reach_v`` must be ``reach_within(inn, v, within)``.  The caller checks,
     once for all its calls, that the digraph is semicomplete inside
     ``within``, and that u reaches all of ``within`` in two arcs.  That the
     rest is nonempty, that u is a 2-serf of the rest, and that N-[v] within
-    ``within`` lies in N-(u) are re-verified here.
+    ``within`` lies in N-(u) are re-verified here.  u is a 2-serf of the
+    rest when every vertex of the rest outside N-[u] has an out-arc into
+    N-(u): that side is read, since u's in-row usually holds nearly all of
+    the rest.
     """
     rest = within & ~reach_v
     if not rest:
         raise PreconditionError(f"vertex {v} is already a 2-serf")
     u = _max_in_degree(inn, rest)
-    if reach_within(inn, u, rest) != rest:
+    near = inn[u] & rest
+    if any(not out[w] & near for w in members(rest & ~(near | 1 << u))):
         raise VerificationError(f"max in-degree vertex {u} is not a 2-serf of the rest")
     if (inn[v] | 1 << v) & within & ~inn[u]:
         raise VerificationError(f"closed in-neighborhood of {v} not dominated by {u}")

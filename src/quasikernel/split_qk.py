@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .construct import _dominate, _require_semicomplete
@@ -86,24 +87,33 @@ def _check_one_way_bound(n: int, size: int) -> None:
 def _spanning_tournament(d: Digraph, clique: int) -> tuple[tuple[int, ...], list[int], list[int]]:
     """Spanning tournament of the clique mask, each digon kept lower->higher,
     as row lists: the clique ascending, and the tournament's out- and
-    in-rows over positions in it.  Each out-row is shifted down by the
-    clique's lowest index, so it is listed at clique width, not host
-    width, and renumbered bit by bit, filling the in-rows in the same
-    pass."""
+    in-rows over positions in it.
+
+    Each row is squeezed out of one host row: out-row i from u's out-row
+    without the digons to lower vertices, in-row j from v's in-row without
+    the digons from higher ones.  When the clique is one run of bits, the
+    squeeze is a shift down by its lowest index; otherwise one C-level
+    gather of the row's binary digits at the clique's offsets.  So every
+    row is listed at clique width, not host width.
+    """
     order = tuple(members(clique))
-    low = order[0] if order else 0
-    pos = {k - low: idx for idx, k in enumerate(order)}
+    low, width = (order[0] if order else 0), clique.bit_length()
+    if width - low == len(order):
+
+        def squeeze(row: int) -> int:
+            return row >> low
+
+    else:
+        # bin(row | top) is "0b1" then width digits, bit p at index width + 2 - p
+        top = 1 << width
+        pick = itemgetter(*[width + 2 - v for v in reversed(order)])
+
+        def squeeze(row: int) -> int:
+            return int("".join(pick(bin(row | top))), 2)
+
     out, inn = d.out_masks, d.in_masks
-    t_out = [0] * len(order)
-    t_in = [0] * len(order)
-    for i, u in enumerate(order):
-        bit = 1 << i
-        row = 0
-        for h in members((out[u] & clique & ~(inn[u] & ((1 << u) - 1))) >> low):
-            j = pos[h]
-            row |= 1 << j
-            t_in[j] |= bit
-        t_out[i] = row
+    t_out = [squeeze(out[u] & clique & ~(inn[u] & ((1 << u) - 1))) for u in order]
+    t_in = [squeeze(inn[v] & clique & ~(out[v] & ~((2 << v) - 1))) for v in order]
     return order, t_out, t_in
 
 
@@ -164,7 +174,7 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     for i, union in enumerate(reached):
         src = i
         if reach[i] != full:
-            src = _dominate(t_in, i, full, reach[i])
+            src = _dominate(t_in, t_out, i, full, reach[i])
             _require(reach[src] == full, f"candidate {src} is not a 2-serf of the tournament")
         q = (reached[src] | 1 << order[src]) & ~d_in[order[src]]
         _require(
@@ -260,7 +270,7 @@ def _two_thirds(d: Digraph, clique: int, region: int) -> int:
         reach_v = d.reach_in_two(v, clique)
         if reach_v != clique:
             _require_semicomplete(d, clique)
-            v = _dominate(inn, v, clique, reach_v)
+            v = _dominate(inn, out, v, clique, reach_v)
             _require(d.reach_in_two(v, clique) == clique, f"{v} is not a 2-serf of the clique")
             _require(bk >> v & 1 == 1, "dominating 2-serf left the remainder clique side")
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))

@@ -18,7 +18,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import quasikernel
-from quasikernel import Digraph, GenerationError, SplitDigraph, dominate_two_serf, instances
+from quasikernel import Digraph, GenerationError, SplitDigraph, instances
 from quasikernel.digraph import Arc, SplitError, lowest, members
 from quasikernel.files import INSTANCE_MAGIC, MAX_ARCS, MAX_VERTICES, InstanceParseError
 
@@ -439,9 +439,9 @@ def first_cover_reference(
 
 # one_way_qk and two_thirds_qk as they were before the tournament, the
 # induced digraphs and the reach masks were built from mask rows: the
-# tournament and the one-way classes through an arc list, one
-# dominate_two_serf call per non-2-serf clique vertex, and a copy of the
-# clique.  Kept as the references that test_split_qk compares the
+# tournament and the one-way classes through an arc list, the dominating
+# 2-serf of each non-2-serf clique vertex by an arc scan
+# (dominating_two_serf_by_scan), and a copy of the clique.  Kept as the references that test_split_qk compares the
 # constructions' vertex sets against.
 def one_way_reference(sd: SplitDigraph) -> frozenset[int]:
     d = sd.graph
@@ -475,7 +475,9 @@ def one_way_reference(sd: SplitDigraph) -> frozenset[int]:
             union |= classes[j]
         reached.append(union)
     prelim = [(reached[i] | 1 << order[i]) & ~inn[order[i]] for i in range(nk)]
-    candidates = [prelim[i if t.is_two_serf(i) else dominate_two_serf(t, i)] for i in range(nk)]
+    candidates = [
+        prelim[i if t.is_two_serf(i) else dominating_two_serf_by_scan(nk, arcs, i)] for i in range(nk)
+    ]
     best = min(range(nk), key=lambda i: (candidates[i].bit_count(), i))
     return frozenset(members(candidates[best]))
 
@@ -514,10 +516,11 @@ def two_thirds_reference(sd: SplitDigraph) -> frozenset[int]:
         cand_qp = i_m | bi
     else:
         k_order = members(clique)
-        kt = Digraph(len(k_order), induced_by_filter(d.arcs, k_order))
+        k_arcs = induced_by_filter(d.arcs, k_order)
+        kt = Digraph(len(k_order), k_arcs)
         pos = {k: idx for idx, k in enumerate(k_order)}
         if not kt.is_two_serf(pos[v]):
-            v = k_order[dominate_two_serf(kt, pos[v])]
+            v = k_order[dominating_two_serf_by_scan(len(k_order), k_arcs, pos[v])]
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))
     chosen = cand_q if cand_q.bit_count() <= cand_qp.bit_count() else cand_qp
     return frozenset(members(chosen))

@@ -29,6 +29,7 @@ from quasikernel import (
     Digraph,
     NotQuasiKernelError,
     PreconditionError,
+    VerificationError,
     dominate_two_serf,
     fpt_by_independent,
     gen_dn,
@@ -160,9 +161,42 @@ def test_dominate_two_serf_matches_scan_reference(case, data):
         reach_v = t.reach_in_two(v, mask)
         if reach_v == mask:
             with pytest.raises(PreconditionError):
-                _dominate(t.in_masks, v, mask, reach_v)
+                _dominate(t.in_masks, t.out_masks, v, mask, reach_v)
             continue
-        assert _dominate(t.in_masks, v, mask, reach_v) == old_of_new[dominate_two_serf(sub, new_of_old[v])]
+        u = _dominate(t.in_masks, t.out_masks, v, mask, reach_v)
+        assert u == old_of_new[dominate_two_serf(sub, new_of_old[v])]
+
+
+@given(digraphs_with_subsets(max_n=8))
+@settings(max_examples=200)
+def test_dominate_refuses_exactly_a_vertex_that_misses_the_rest(case):
+    # on any digraph, semicomplete or not, _dominate refuses its maximum
+    # in-degree vertex u as "not a 2-serf of the rest" exactly when the arc
+    # scan inside the rest finds a vertex of the rest that does not reach u
+    # within two arcs
+    d, s = case
+    within = d.mask_of(s)
+    arcs = d.arcs
+    for v in s:
+        reach_v = reach_within(d.in_masks, v, within)
+        rest = within & ~reach_v
+        if not rest:
+            continue
+        u = _max_in_degree(d.in_masks, rest)
+        inside = [(t, h) for t, h in arcs if rest >> t & 1 and rest >> h & 1]
+        misses = reaching_within_two(inside, u) != set(members(rest))
+        try:
+            answer = str(_dominate(d.in_masks, d.out_masks, v, within, reach_v))
+        except VerificationError as exc:
+            answer = str(exc)
+        assert (answer == f"max in-degree vertex {u} is not a 2-serf of the rest") == misses
+
+
+def test_dominate_refuses_a_rest_with_no_arcs():
+    # the rest of 0 is {1, 2} with no arc: 1 wins the tie and misses 2
+    d = Digraph(3)
+    with pytest.raises(VerificationError, match="max in-degree vertex 1 is not a 2-serf of the rest"):
+        _dominate(d.in_masks, d.out_masks, 0, d.full_mask, reach_within(d.in_masks, 0, d.full_mask))
 
 
 @given(digraphs_with_subsets())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,7 +29,7 @@ from quasikernel import (
     split_subset_oracle,
     two_thirds_qk,
 )
-from quasikernel import split_qk
+from quasikernel import construct, digraph, split_qk
 
 
 def one_way_bound_holds(n: int, size: int) -> bool:
@@ -58,7 +59,9 @@ def test_one_way_builds_no_digraph(monkeypatch):
     # all clique vertices but the last three are no 2-serfs of the
     # tournament; it is kept as row lists, so no Digraph is built, the clique
     # is checked once, and none of those vertices costs more than one
-    # reach_in_two scan
+    # reach_in_two scan.  Each of their dominations confirms its 2-serf from
+    # the few vertices of the rest that its in-row misses, so none runs a
+    # reach_within scan over the rest
     sd = near_transitive_ladder(60)
     calls = count_calls(
         monkeypatch,
@@ -69,6 +72,15 @@ def test_one_way_builds_no_digraph(monkeypatch):
         "semicomplete_violation",
         "reach_in_two",
     )
+    scans = []
+
+    def scan(*args, _original=digraph.reach_within):
+        scans.append(args)
+        return _original(*args)
+
+    # count reach_within in every module the one-way path could call it from
+    for module in (digraph, construct, split_qk):
+        monkeypatch.setattr(module, "reach_within", scan, raising=False)
     cert = one_way_qk(sd)
     assert one_way_bound_holds(sd.graph.n, cert.size)
     assert not calls["induced"]
@@ -76,28 +88,48 @@ def test_one_way_builds_no_digraph(monkeypatch):
     assert not calls["_from_masks"]
     assert len(calls["semicomplete_violation"]) == 1
     assert len(calls["reach_in_two"]) <= 60
+    assert not scans
 
 
-def test_spanning_tournament_of_a_clique_above_the_independent_part():
-    # the clique's rows are listed shifted down by its lowest index, 300
-    # here; they are the rows of the clique's induced copy, with each
-    # digon kept lower->higher
-    ni, k = 300, 40
-    rng = random.Random(8)
+def random_clique_split(n: int, clique: list[int], rng: random.Random) -> SplitDigraph:
+    """Split digraph whose clique pairs are each an arc either way or a
+    digon, and whose other vertices each have one arc into the clique."""
     arcs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            arcs += [[(i, j)], [(j, i)], [(i, j), (j, i)]][rng.randrange(3)]
-    arcs = [(ni + t, ni + h) for t, h in arcs] + [(v, ni + rng.randrange(k)) for v in range(ni)]
-    sd = SplitDigraph(Digraph(ni + k, arcs), range(ni, ni + k), range(ni))
+    for i, j in combinations(clique, 2):
+        arcs += [[(i, j)], [(j, i)], [(i, j), (j, i)]][rng.randrange(3)]
+    independent = sorted(set(range(n)) - set(clique))
+    if clique:
+        arcs += [(v, rng.choice(clique)) for v in independent]
+    return SplitDigraph(Digraph(n, arcs), clique, independent)
+
+
+@pytest.mark.parametrize(
+    "n, clique",
+    [
+        (340, list(range(300, 340))),
+        (80, list(range(0, 80, 2))),
+        (9, [3, 7]),
+        (9, [4]),
+        (5, []),
+    ],
+    ids=["above", "interleaved", "gapped-pair", "single", "empty"],
+)
+def test_spanning_tournament_matches_the_induced_copy(n, clique):
+    # rows of a clique that is one run of bits, such as one above the
+    # independent part, are shifted down by its lowest index; those of any
+    # other clique (the span of the even vertices is not their count) are
+    # gathered digit by digit.  Either way they are the rows of the
+    # clique's induced copy, each digon kept lower->higher, and where the
+    # split is sink-free one_way_qk answers as its reference does
+    sd = random_clique_split(n, clique, random.Random(len(clique)))
     order, t_out, t_in = split_qk._spanning_tournament(sd.graph, sd.clique)
-    sub, old_of_new, _ = sd.graph.induced(range(ni, ni + k))
+    sub, old_of_new, _ = sd.graph.induced(clique)
     arcs = set(sub.arcs)
-    kept = [(t, h) for t, h in sub.arcs if t < h or (h, t) not in arcs]
+    tournament = Digraph(len(clique), [(t, h) for t, h in arcs if t < h or (h, t) not in arcs])
     assert order == old_of_new
-    tournament = Digraph(k, kept)
     assert (t_out, t_in) == (list(tournament.out_masks), list(tournament.in_masks))
-    assert one_way_qk(sd).vertices == one_way_reference(sd)
+    if not sd.graph.sinks():
+        assert one_way_qk(sd).vertices == one_way_reference(sd)
 
 
 def test_two_thirds_copies_only_the_remainder(monkeypatch):
