@@ -149,7 +149,7 @@ def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple
         return graph.certify(quasi_kernel_cl(graph), "cl"), False
     if algo == "exact":
         report = min_quasi_kernel(inst, budget=k)
-        return report.certificate, report.optimal
+        return report.certificate, report.certificate is not None
     if not isinstance(inst, SplitDigraph):
         raise PreconditionError(f"algorithm '{algo}' needs a split partition (k line)")
     if algo == "one-way":

@@ -373,6 +373,7 @@ class Digraph:
 
         The failure report names the first offending vertex in ascending
         order.  Witness choice is deterministic (smallest usable indices).
+        A quasi-kernel over its recorded ``bound`` then raises VerificationError.
         """
         fs = frozenset(s)
         mask = self.mask_of(fs)
@@ -397,6 +398,8 @@ class Digraph:
                 )
             w = lowest(mid)
             witnesses[v] = (v, w, lowest(out[w] & mask))
+        if bound is not None and len(fs) > bound:
+            raise VerificationError(f"certificate size {len(fs)} exceeds its bound {bound}")
         return QkCertificate(fs, witnesses, algorithm, bound)
 
 

@@ -51,15 +51,14 @@ def _over_limit() -> CapExceededError:
 class SolveReport(NamedTuple):
     """Outcome of an exact search.
 
-    ``optimal`` is True only when the search proves no smaller
-    quasi-kernel exists; ``explored`` counts the nodes of every decision
-    search of the call, the ones that descend from the budget to one below
-    the minimum and the prefix-fixing ones: each node is one candidate set
-    whose cover the search decided or branched on.
+    ``certificate`` is a quasi-kernel the search proves minimum, or None
+    when none fits the budget.  ``explored`` counts the nodes of every
+    decision search of the call, the ones that descend from the budget to
+    one below the minimum and the prefix-fixing ones: each node is one
+    candidate set whose cover the search decided or branched on.
     """
 
     certificate: QkCertificate | None
-    optimal: bool
     explored: int
 
 
@@ -119,40 +118,23 @@ def _decide(
     order; branch i excludes the earlier ones, so no set is reached twice.
     The first set found in that order is returned.  An explicit stack holds
     one frame per depth (the free mask, the cover and u's untried
-    coverers), so memory and depth never depend on the number of vertices.
-    Each node and each bit its scan takes off the uncovered mask is a step;
-    a node that takes ``steps`` below zero raises CapExceededError.
+    coverers), so memory and depth never depend on the number of vertices;
+    it starts empty, the root at depth -1.  One block visits every node,
+    the root too, and charges it a step plus one per bit its scan takes
+    off the uncovered mask; a node that takes ``steps`` below zero raises
+    CapExceededError.
     """
     conflict, reach, covers = tables
-    missing = full & ~cover
-    todo, scanned = _scan(covers, free, missing, need)
-    steps -= 1 + scanned
-    if steps < 0:
-        raise _over_limit()
-    if not missing:
-        return (), 1, steps
-    nodes = 1
+    nodes = 0
     chosen = [0] * need
     # at each depth: the vertices still free there, the cover of the members
     # above it, and the coverers of its branching vertex not yet tried
-    free_at = [free] + [0] * (need - 1)
-    cov_at = [cover] + [0] * (need - 1)
-    todo_at = [todo] + [0] * (need - 1)
-    depth = 0 if todo else -1
-    while depth >= 0:
-        todo = todo_at[depth]
-        if not todo:
-            depth -= 1
-            continue
-        low = todo & -todo
-        todo_at[depth] = todo ^ low
-        free = free_at[depth] = free_at[depth] ^ low
-        v = low.bit_length() - 1
-        chosen[depth] = v
+    free_at, cov_at, todo_at = [0] * need, [0] * need, [0] * need
+    depth = -1
+    while True:
+        # visit the node that holds chosen[: depth + 1]
         nodes += 1
-        cover = cov_at[depth] | reach[v]
         missing = full & ~cover
-        free &= ~conflict[v]
         todo, scanned = _scan(covers, free, missing, need - depth - 1)
         steps -= 1 + scanned
         if steps < 0:
@@ -164,7 +146,18 @@ def _decide(
             free_at[depth] = free
             cov_at[depth] = cover
             todo_at[depth] = todo
-    return None, nodes, steps
+        while depth >= 0 and not todo_at[depth]:
+            depth -= 1
+        if depth < 0:
+            return None, nodes, steps
+        todo = todo_at[depth]
+        low = todo & -todo
+        todo_at[depth] = todo ^ low
+        free = free_at[depth] = free_at[depth] ^ low
+        v = low.bit_length() - 1
+        chosen[depth] = v
+        cover = cov_at[depth] | reach[v]
+        free &= ~conflict[v]
 
 
 def _least_cover(
@@ -235,28 +228,23 @@ def _least_cover(
     return (*fixed, *witness), explored
 
 
-def _steps_after_tables(d: Digraph) -> int:
-    """MAX_SEARCH_STEPS less the two per-arc scans of _qk_tables(d), a step
-    per arc each, taken before they run: a digraph too large for the
-    limit is refused before its tables are built."""
-    steps = MAX_SEARCH_STEPS - 2 * sum(row.bit_count() for row in d.out_masks)
-    if steps < 0:
-        raise _over_limit()
-    return steps
-
-
-def _qk_tables(d: Digraph) -> _Tables:
+def _qk_tables(d: Digraph) -> tuple[_Tables, int]:
     """Per-vertex conflict masks (out | in), reach-in-two masks and their
     mirror (the vertices each vertex reaches in at most two arcs): an
-    independent set is a quasi-kernel iff its reach masks OR to full_mask.
-    Each is the two-step closure of the in-rows or out-rows, one arc scan."""
+    independent set is a quasi-kernel iff its reach masks OR to full_mask;
+    and the steps MAX_SEARCH_STEPS leaves.  The reach masks and their
+    mirror are two arc scans, charged a step per arc each before anything
+    is built, so a digraph too large for the limit is refused first."""
     out, inn = d.out_masks, d.in_masks
+    steps = MAX_SEARCH_STEPS - 2 * sum(row.bit_count() for row in out)
+    if steps < 0:
+        raise _over_limit()
     full = d.full_mask
     return _Tables(
         [o | i for o, i in zip(out, inn)],
         [reach_within(inn, v, full) for v in range(d.n)],
         [reach_within(out, u, full) for u in range(d.n)],
-    )
+    ), steps
 
 
 def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> SolveReport:
@@ -268,11 +256,9 @@ def min_quasi_kernel(d: Digraph | SplitDigraph, budget: int | None = None) -> So
     SplitDigraph is searched as its plain graph.
     """
     d = d.graph if isinstance(d, SplitDigraph) else d
-    steps = _steps_after_tables(d)
-    hit, explored = _least_cover(_qk_tables(d), [(d.full_mask, 0, ())], budget, steps)
-    if hit is None:
-        return SolveReport(None, False, explored)
-    return SolveReport(d.certify(hit, "exact"), True, explored)
+    tables, steps = _qk_tables(d)
+    hit, explored = _least_cover(tables, [(d.full_mask, 0, ())], budget, steps)
+    return SolveReport(None if hit is None else d.certify(hit, "exact"), explored)
 
 
 def has_qk_of_size_at_most(d: Digraph | SplitDigraph, q: int) -> bool:
@@ -281,8 +267,8 @@ def has_qk_of_size_at_most(d: Digraph | SplitDigraph, q: int) -> bool:
     d = d.graph if isinstance(d, SplitDigraph) else d
     if q < 0:
         return False
-    steps = _steps_after_tables(d)
-    hit, _, _ = _decide(min(q, d.n), _qk_tables(d), d.full_mask, 0, d.full_mask, steps)
+    tables, steps = _qk_tables(d)
+    hit, _, _ = _decide(min(q, d.n), tables, d.full_mask, 0, d.full_mask, steps)
     if hit is None:
         return False
     d.certify(hit, "exact")
@@ -414,8 +400,7 @@ def fpt_by_independent(sd: SplitDigraph, k: int) -> QkCertificate | None:
     searches share MAX_SEARCH_STEPS with the building of their tables.
     """
     d = sd.graph
-    steps = _steps_after_tables(d)
-    tables = _qk_tables(d)
+    tables, steps = _qk_tables(d)
     indep = sd.independent
     starts = [(indep, 0, ())] + [
         (indep & ~tables.conflict[c], tables.reach[c], (c,)) for c in members(sd.clique)

@@ -301,10 +301,11 @@ def gen_random_complete_split(
 class ReductionArtifact(NamedTuple):
     """The dominating-set gadget: a split host digraph plus name maps.
 
-    Host vertex layout (all offsets derived from source_n, source_m and
-    b = 2q+3): the apex s, then one s1 vertex per source vertex, b s2
-    vertices, one k1 vertex per source arc (in ascending arc order), and b k2
-    vertices.  ``labels`` maps names like "s1_3" or "k1_0_2" to host
+    Host vertex layout, with n = source_n, m = source_m and b = 2q+3: the
+    apex s at 0, s1_v at 1 + v for each source vertex v, s2_1..s2_b from
+    1 + n, one k1 vertex per source arc (in ascending arc order) from
+    1 + n + b, and k2_1..k2_b from 1 + n + b + m; the k1 and k2 vertices
+    are the clique.  ``labels`` maps names like "s1_3" or "k1_0_2" to host
     indices; ``names`` is the inverse.
     """
 
@@ -341,29 +342,19 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     _check_caps("gadget", total, total_arcs)
     arc_order = d.arcs
 
-    s = 0
-    s1 = {v: 1 + v for v in range(n)}
-    s2 = {i: 1 + n + (i - 1) for i in range(1, b + 1)}
-    k1 = {a: 1 + n + b + r for r, a in enumerate(arc_order)}
-    k2 = {i: 1 + n + b + m + (i - 1) for i in range(1, b + 1)}
+    # the first host index of each part: s, s1, s2, k1 and k2
+    s, s1, s2, k1, k2 = 0, 1, 1 + n, 1 + n + b, 1 + n + b + m
 
-    arcs: list[Arc] = []
-    arcs += [(s, k1[a]) for a in arc_order]
-    arcs += [(k2[i], s) for i in range(1, b + 1)]
-    for (v, w) in arc_order:
-        arcs.append((s1[v], k1[(v, w)]))
-        arcs.append((k1[(v, w)], s1[w]))
-    arcs += [(s2[i], k2[i]) for i in range(1, b + 1)]
-    for r, a in enumerate(arc_order):
-        for a2 in arc_order[r + 1 :]:
-            arcs.append((k1[a], k1[a2]))
-    arcs += [(k1[a], k2[i]) for a in arc_order for i in range(1, b + 1)]
-    for i in range(1, b + 1):
-        for j in range(i + 1, b + 1):
-            if i % 2 == j % 2:
-                arcs.append((k2[i], k2[j]))
-            else:
-                arcs.append((k2[j], k2[i]))
+    arcs: list[Arc] = [(s, k1 + r) for r in range(m)]
+    arcs += [(k2 + i, s) for i in range(b)]
+    arcs += [(s1 + v, k1 + r) for r, (v, _) in enumerate(arc_order)]
+    arcs += [(k1 + r, s1 + w) for r, (_, w) in enumerate(arc_order)]
+    arcs += [(s2 + i, k2 + i) for i in range(b)]
+    arcs += [(k1 + r, k1 + r2) for r in range(m) for r2 in range(r + 1, m)]
+    arcs += [(k1 + r, k2 + i) for r in range(m) for i in range(b)]
+    for i in range(b):
+        for j in range(i + 1, b):
+            arcs.append((k2 + i, k2 + j) if i % 2 == j % 2 else (k2 + j, k2 + i))
 
     names = ["s"]
     names += [f"s1_{v}" for v in range(n)]
@@ -371,9 +362,7 @@ def reduce_dds_to_qk(d: Digraph, q: int) -> ReductionArtifact:
     names += [f"k1_{v}_{w}" for (v, w) in arc_order]
     names += [f"k2_{i}" for i in range(1, b + 1)]
 
-    clique = sorted(k1.values()) + sorted(k2.values())
-    indep = [s] + sorted(s1.values()) + sorted(s2.values())
-    host = SplitDigraph(Digraph(total, arcs), clique, indep)
+    host = SplitDigraph(Digraph(total, arcs), range(k1, total), range(k1))
 
     if sum(row.bit_count() for row in host.graph.out_masks) != total_arcs:
         raise VerificationError("gadget arc count formula violated")

@@ -77,13 +77,6 @@ def _one_way_size_cap(n: int) -> int:
     return (n + 3 - s) // 2
 
 
-def _check_one_way_bound(n: int, size: int) -> None:
-    t = n + 3 - 2 * size
-    _require(t >= 0 and t * t >= 4 * n, f"one-way bound violated: size {size} for n={n}")
-    if n >= 3:
-        _require(size <= n // 2, f"half bound violated: size {size} for n={n}")
-
-
 def _spanning_tournament(d: Digraph, clique: int) -> tuple[tuple[int, ...], list[int], list[int]]:
     """Spanning tournament of the clique mask, each digon kept lower->higher,
     as row lists: the clique ascending, and the tournament's out- and
@@ -130,12 +123,8 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     row-OR each (``or_rows``), not from a scan per vertex.
     """
     d = sd.graph
-    n = d.n
     q = _one_way(d, sd.clique, d.full_mask)
-    bound = Fraction(_one_way_size_cap(n) if n else 0)
-    cert = d.certify(members(q), "one-way", bound=bound)
-    _check_one_way_bound(n, cert.size)
-    return cert
+    return d.certify(members(q), "one-way", bound=Fraction(_one_way_size_cap(d.n) if d.n else 0))
 
 
 def _one_way(d: Digraph, clique: int, region: int) -> int:
@@ -183,7 +172,8 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
         )
         candidates.append(q)
     q = min(candidates, key=int.bit_count)
-    _check_one_way_bound(region.bit_count(), q.bit_count())
+    n, size = region.bit_count(), q.bit_count()
+    _require(size <= _one_way_size_cap(n), f"one-way bound violated: size {size} for n={n}")
     _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")
     return q
 
@@ -199,11 +189,8 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     of the digraph's own masks: nothing is copied.
     """
     d = sd.graph
-    n = d.n
     q = _two_thirds(d, sd.clique, d.full_mask)
-    cert = d.certify(members(q), "two-thirds", bound=Fraction(2 * n, 3))
-    _require(3 * cert.size <= 2 * n, "two-thirds bound violated")
-    return cert
+    return d.certify(members(q), "two-thirds", bound=Fraction(2 * d.n, 3))
 
 
 def _two_thirds(d: Digraph, clique: int, region: int) -> int:
@@ -348,7 +335,6 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
     cert = d.certify(members(acc), "peel", bound=bound)
     _require(not sinks & ~acc, "sink set not contained in the result")
     _require(not acc & into, "result contains an in-neighbor of the sink set")
-    _require(cert.size <= bound, "peeling bound violated")
     return cert
 
 

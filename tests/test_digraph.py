@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -194,6 +195,16 @@ def test_certify_reports_first_offender():
     with pytest.raises(NotQuasiKernelError) as exc:
         Digraph(2, [(0, 1)]).certify({0, 1}, "test")
     assert exc.value.vertex == 0
+
+
+def test_certify_refuses_a_set_over_its_bound():
+    d = gen_dn(1).graph
+    assert d.certify({0, 4}, "test", bound=Fraction(2)).bound == 2
+    with pytest.raises(VerificationError, match="size 2 exceeds its bound 3/2"):
+        d.certify({0, 4}, "test", bound=Fraction(3, 2))
+    # a set that is no quasi-kernel is refused as one, whatever its bound
+    with pytest.raises(NotQuasiKernelError):
+        d.certify({0}, "test", bound=Fraction(0))
 
 
 def test_certificate_check_rejects_tampering():

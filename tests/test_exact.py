@@ -32,7 +32,7 @@ THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
 def test_min_qk_dn1():
     rep = min_quasi_kernel(gen_dn(1))
-    assert rep.optimal
+    assert rep.certificate is not None
     assert rep.certificate.size == 2
     assert rep.certificate.sorted_vertices() == (0, 4)  # lexicographically least
 
@@ -55,7 +55,6 @@ def test_min_qk_empty():
 def test_min_qk_budget_refusal_reports_none():
     rep = min_quasi_kernel(gen_dn(1), budget=1)
     assert rep.certificate is None
-    assert not rep.optimal
     assert rep.explored > 0
 
 
@@ -72,7 +71,7 @@ def test_min_qk_and_dominating_set_at_the_budget_edges(seed):
     for budget in _budget_edges(d.n, unbounded.certificate.size):
         rep = min_quasi_kernel(d, budget)
         if budget is not None and budget < unbounded.certificate.size:
-            assert rep.certificate is None and not rep.optimal
+            assert rep.certificate is None
         else:
             assert rep == unbounded
     dominating = min_dominating_set(d)
@@ -108,7 +107,7 @@ def test_min_qk_on_45_vertices():
     # |I| = 36; the search takes about 1k of MAX_SEARCH_STEPS
     for inst in (gen_dn(4), gen_dn(4).graph):
         rep = min_quasi_kernel(inst)
-        assert rep.optimal
+        assert rep.certificate is not None
         assert rep.certificate.size == 17
 
 
@@ -128,6 +127,30 @@ def test_search_steps_are_shared_by_the_scans_of_one_call(monkeypatch):
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 2 * max(used))
     with pytest.raises(CapExceededError, match="MAX_SEARCH_STEPS"):
         min_quasi_kernel(gen_dpn(3))
+
+
+def test_search_steps_are_pinned(monkeypatch):
+    # what the first decision is handed, the limit less two steps per arc
+    # for the tables (none for the dominating set), and what the whole call
+    # takes, tables included
+    handed = []
+    core = exact._decide
+
+    def recording(need, tables, free, cover, full, steps):
+        hit, nodes, left = core(need, tables, free, cover, full, steps)
+        handed.append((steps, left))
+        return hit, nodes, left
+
+    monkeypatch.setattr(exact, "_decide", recording)
+    limit = exact.MAX_SEARCH_STEPS
+    for solve, first, total in (
+        (lambda: min_quasi_kernel(gen_dpn(3)), 120, 562),
+        (lambda: fpt_by_independent(gen_dpn(6), 31), 456, 3069),
+        (lambda: min_dominating_set(gen_dpn(2).graph), 0, 148),
+    ):
+        handed.clear()
+        solve()
+        assert (limit - handed[0][0], limit - handed[-1][1]) == (first, total)
 
 
 def test_fpt_and_dominating_set_searches_stop_at_the_step_limit(monkeypatch):
@@ -154,7 +177,7 @@ def test_min_qk_decides_sizes_from_the_budget_down(monkeypatch):
     # each size from 0 up, 90 of them failed, would take about 0.76M
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 100_000)
     rep = min_quasi_kernel(gen_dpn(10))
-    assert rep.optimal and rep.certificate.size == 91
+    assert rep.certificate.size == 91
 
 
 def test_fpt_by_independent_decides_no_refused_group_again(monkeypatch):
@@ -183,7 +206,7 @@ def test_tables_are_charged_to_the_step_limit_before_they_are_built(monkeypatch)
             arcs.add((t, h))
     big = Digraph(2_000, arcs)
     built = []
-    monkeypatch.setattr(exact, "_qk_tables", lambda d: built.append(d))
+    monkeypatch.setattr(exact, "reach_within", lambda *args: built.append(args))
     monkeypatch.setattr(exact, "MAX_SEARCH_STEPS", 1_000)
     with pytest.raises(CapExceededError, match="MAX_SEARCH_STEPS=1000"):
         min_quasi_kernel(big)
@@ -419,5 +442,5 @@ def test_min_qk_size_matches_an_integer_program(n, p, seed, size):
     )
     assert result.success
     report = min_quasi_kernel(d)
-    assert report.optimal
+    assert report.certificate is not None
     assert round(result.fun) == report.certificate.size == size

@@ -239,7 +239,7 @@ def test_reach_within_matches_an_arc_scan(case, data):
     # search's covers), each within a vertex mask holding v
     n, arcs = case
     d = Digraph(n, arcs)
-    tables = exact._qk_tables(d)
+    tables, _ = exact._qk_tables(d)
     reversed_arcs = [(h, t) for t, h in arcs]
     for v in range(n):
         assert tables.reach[v] == d.mask_of(reaching_within_two(arcs, v))
@@ -424,7 +424,7 @@ def test_searches_from_the_budget_down_match_the_size_by_size_reference(seed):
             report = min_quasi_kernel(inst, budget)
             expected = within(least, budget)
             assert (report.certificate and report.certificate.vertices) == expected
-            assert report.optimal == (expected is not None)
+            assert (report.certificate is not None) == (expected is not None)
     for budget in (None, 0, len(least_dominating) - 1, len(least_dominating)):
         assert min_dominating_set(d, budget) == within(least_dominating, budget)
     m = len(fpt_by_independent_by_bfs(sd, sd.graph.n))
@@ -443,8 +443,8 @@ def exact_answers(d, sd, k):
     dominating = min_dominating_set(d)
     fpt = fpt_by_independent(sd, k)
     return (
-        (report.certificate.sorted_vertices(), report.optimal),
-        (below.certificate, below.optimal, at.certificate.sorted_vertices()),
+        (report.certificate.sorted_vertices(), report.certificate is not None),
+        (below.certificate, below.certificate is not None, at.certificate.sorted_vertices()),
         (has_qk_of_size_at_most(d, m - 1), has_qk_of_size_at_most(d, m)),
         (dominating, min_dominating_set(d, budget=len(dominating) - 1)),
         min_quasi_kernel(sd).certificate.sorted_vertices(),
@@ -467,7 +467,7 @@ def first_by_reference(tables, sizes, banned=0, cover=0):
 def reference_answers(d, sd, k):
     """exact_answers by the lexicographic reference core, run size by size
     and, for fpt_by_independent, group by group."""
-    tables = exact._qk_tables(d)
+    tables, _ = exact._qk_tables(d)
     least = first_by_reference(tables, range(d.n + 1))
     m = len(least)
     closed = exact._Tables(
@@ -476,7 +476,7 @@ def reference_answers(d, sd, k):
         [row | 1 << v for v, row in enumerate(d.out_masks)],
     )
     dominating = frozenset(first_by_reference(closed, range(d.n + 1)))
-    split_tables = exact._qk_tables(sd.graph)
+    split_tables, _ = exact._qk_tables(sd.graph)
     k_mask = sd.clique
     fpt = None
     for size in range(min(k, sd.graph.n) + 1):

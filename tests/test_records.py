@@ -31,7 +31,7 @@ def _records():
     return {
         "SplitFlags": (sd.classify(), ("one_way", "complete_split", "orientation", "sink_free")),
         "QkCertificate": (cert, ("vertices", "witnesses", "algorithm", "bound")),
-        "SolveReport": (min_quasi_kernel(sd), ("certificate", "optimal", "explored")),
+        "SolveReport": (min_quasi_kernel(sd), ("certificate", "explored")),
         "CertificateDocument": (
             certificate_document(cert, sd),
             ("algorithm", "digest", "vertices", "bound", "witnesses"),

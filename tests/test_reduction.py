@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from quasikernel import (
     min_quasi_kernel,
     project_qk,
     reduce_dds_to_qk,
+    serialize_instance,
 )
 from quasikernel import instances
 from quasikernel.digraph import members
@@ -24,6 +26,17 @@ def all_three_vertex_digraphs():
     pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
     for bits in range(64):
         yield Digraph(3, [pairs[i] for i in range(6) if bits >> i & 1])
+
+
+def test_hosts_of_the_three_vertex_sources_are_pinned():
+    # one digest over the 128 hosts at q = 1, 2, each serialized with its
+    # names as comments: a change to the numbering or to an arc moves it
+    digest = hashlib.sha256()
+    for d in all_three_vertex_digraphs():
+        for q in (1, 2):
+            art = reduce_dds_to_qk(d, q)
+            digest.update(serialize_instance(art.host, art.names).encode())
+    assert digest.hexdigest() == "1cd0fbdb20f04c894b296f07c310dce157f1fba1889d465508e2ab759bd7757d"
 
 
 def test_counts_on_single_arc_q1():

@@ -211,6 +211,20 @@ def test_one_way_rejects_bad_inputs():
     one_way_qk(sd).check(sd.graph)
 
 
+def test_one_way_size_cap_is_the_largest_size_within_the_bound():
+    for n in range(5_001):
+        cap = split_qk._one_way_size_cap(n)
+        assert one_way_bound_holds(n, cap) and not one_way_bound_holds(n, cap + 1)
+    # (n+3)/2 - sqrt(n) <= n/2 once sqrt(n) >= 3/2
+    assert all(split_qk._one_way_size_cap(n) <= n // 2 for n in range(3, 100_001))
+
+
+def test_one_way_refuses_a_set_over_its_cap(monkeypatch):
+    monkeypatch.setattr(split_qk, "_one_way_size_cap", lambda n: 2)
+    with pytest.raises(VerificationError, match="one-way bound violated: size 5 for n=15"):
+        one_way_qk(gen_dn(2))
+
+
 def test_one_way_empty():
     cert = one_way_qk(SplitDigraph(Digraph(0), [], []))
     assert cert.size == 0
@@ -489,6 +503,14 @@ def test_split_subset_oracle_reads_the_host_it_is_handed():
         expected = peel_split(b)
         assert cert.vertices == expected.vertices
         assert cert.witnesses == expected.witnesses
+
+
+def test_peel_sinks_refuses_an_oracle_set_over_its_bound():
+    # sink-free, so the bound is alpha * n = 3/2, and the digons 0-2 and
+    # 1-2 have the quasi-kernel {0, 1}
+    d = Digraph(3, [(0, 2), (2, 0), (1, 2), (2, 1)])
+    with pytest.raises(VerificationError, match="size 2 exceeds its bound 3/2"):
+        peel_sinks(d, lambda host, region: 0b011, Fraction(1, 2))
 
 
 def test_peel_sinks_guards_the_oracle_set():
