@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
-from pathlib import Path
 
 from .construct import quasi_kernel_cl
 from .digraph import (
@@ -91,9 +91,20 @@ def _read_instance(
     return parse_instance(text, digest=digest)
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path as UTF-8 over the old bytes, then cut a regular
+    file at the new end. Without O_TRUNC, ext4 (auto_da_alloc) starts no
+    writeback on close for the next overwrite to wait on; a device, FIFO or
+    tty is written but not cut, as O_TRUNC leaves it too."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -193,7 +204,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # so a failed write prints no report
     if args.out:
         doc = certificate_document(cert, inst, digest)
-        Path(args.out).write_text(serialize_certificate(doc), encoding="utf-8")
+        _write(args.out, serialize_certificate(doc))
     else:
         cert.check(inst.graph if isinstance(inst, SplitDigraph) else inst)
     _print_certificate_report(cert, minimum)

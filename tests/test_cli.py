@@ -763,6 +763,79 @@ def test_solve_out_peaks_as_solve_does(tmp_path, capsys):
     assert written <= 1.1 * plain
 
 
+# --- --out files: written in place, cut at the new end ---------------------
+
+# each command that takes --out, by the arguments before it; "{dn1}" is the
+# path of a gen_dn(1) instance, where 0,4 is a quasi-kernel
+WRITERS = {
+    "gen": ["gen", "dn", "--n", "2"],
+    "solve": ["solve", "{dn1}"],
+    "verify": ["verify", "{dn1}", "0,4"],
+    "reduce": ["reduce", "{dn1}", "--q", "1"],
+    "dot": ["dot", "{dn1}"],
+}
+
+
+def _writer_argv(command: str, dn1: Path, out: str) -> list[str]:
+    return [arg.format(dn1=dn1) for arg in WRITERS[command]] + ["--out", out]
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_out_over_a_longer_file_equals_a_fresh_write(tmp_path, capsys, command):
+    dn1 = write_dn1(tmp_path)
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    assert main(_writer_argv(command, dn1, str(fresh))) == 0
+    fresh_bytes = fresh.read_bytes()
+    old.write_bytes(b"x" * (len(fresh_bytes) + 100_000))
+    old.chmod(0o600)
+    link = tmp_path / "link.out"
+    os.link(old, link)
+    inode = old.stat().st_ino
+    assert main(_writer_argv(command, dn1, str(old))) == 0
+    # the same bytes, in the same inode, with its mode and its links
+    assert old.read_bytes() == fresh_bytes
+    assert link.read_bytes() == fresh_bytes
+    assert old.stat().st_ino == inode and old.stat().st_nlink == 2
+    assert old.stat().st_mode & 0o777 == 0o600
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_out_to_dev_null_is_written_but_not_cut(tmp_path, capsys, command):
+    dn1 = write_dn1(tmp_path)
+    capsys.readouterr()
+    code, out = run(capsys, *_writer_argv(command, dn1, str(tmp_path / "regular.out")))
+    assert code == 0
+    # /dev/null cannot be truncated: a cut there would exit 2
+    assert run(capsys, *_writer_argv(command, dn1, "/dev/null")) == (0, out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_certificate_write_that_fails_exits_2_with_no_report(tmp_path, capsys, command):
+    dn1 = write_dn1(tmp_path)
+    capsys.readouterr()
+    assert main(_writer_argv(command, dn1, "/dev/full")) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 28]")
+    assert captured.out == ""
+
+
+def test_a_new_out_file_gets_the_mode_open_gives_it(tmp_path, capsys):
+    dn1 = write_dn1(tmp_path)
+    old_umask = os.umask(0o027)
+    try:
+        assert main(_writer_argv("solve", dn1, str(tmp_path / "new.qkcert"))) == 0
+        with open(tmp_path / "by_open.txt", "w"):
+            pass
+    finally:
+        os.umask(old_umask)
+    mode = (tmp_path / "new.qkcert").stat().st_mode & 0o777
+    assert mode == 0o666 & ~0o027 == (tmp_path / "by_open.txt").stat().st_mode & 0o777
+    capsys.readouterr()
+
+
 # --- fuzz of main(argv) ----------------------------------------------------
 
 ALGOS = ["auto", "cl", "one-way", "two-thirds", "peel", "complete-split", "fpt-k", "fpt-i", "exact"]

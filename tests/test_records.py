@@ -5,7 +5,7 @@ Every name in ``quasikernel.__all__`` resolves.  The five records are
 NamedTuples: fixed field names, immutable, equal when their fields are,
 and shown as ``Name(field=value, ...)``.  A fresh ``qkdg`` process
 imports neither ``dataclasses`` (with ``inspect``) nor ``hashlib`` until
-it makes a digest.
+it makes a digest, and never ``pathlib``.
 """
 import json
 
@@ -78,6 +78,8 @@ def test_public_names_resolve_and_the_removed_ones_are_gone():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
+    # nor pathlib, also not in the commands that write --out files; -S
+    # keeps out what site's .pth hooks import
     path = tmp_path / "dn1.qkdg"
     path.write_text(serialize_instance(gen_dn(1)), encoding="utf-8")
     script = (
@@ -85,18 +87,25 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
         "import quasikernel.cli\n"
         "from quasikernel.cli import main\n"
         "from quasikernel.files import instance_digest, parse_instance\n"
-        "names = ('dataclasses', 'inspect', 'hashlib')\n"
+        "names = ('dataclasses', 'inspect', 'hashlib', 'pathlib')\n"
         "seen = [[m for m in names if m in sys.modules]]\n"
-        "main(['solve', sys.argv[1]])\n"
-        "main(['bounds', sys.argv[1]])\n"
+        "inst, out = sys.argv[1], sys.argv[2]\n"
+        "main(['solve', inst])\n"
+        "main(['bounds', inst])\n"
         "seen.append([m for m in names if m in sys.modules])\n"
-        "instance_digest(parse_instance(open(sys.argv[1]).read()))\n"
+        "for argv in (['gen', 'dn', '--n', '1'], ['solve', inst], ['verify', inst, '0,4'],\n"
+        "             ['reduce', inst, '--q', '1'], ['dot', inst]):\n"
+        "    assert main([*argv, '--out', out]) == 0\n"
+        "seen.append([m for m in names if m in sys.modules])\n"
+        "instance_digest(parse_instance(open(inst).read()))\n"
         "seen.append([m for m in names if m in sys.modules])\n"
         "print(json.dumps(seen))\n"
     )
-    proc = run_python("-c", script, str(path))
+    proc = run_python("-S", "-c", script, str(path), str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    after_import, after_solve, after_digest = json.loads(proc.stdout.splitlines()[-1])
+    after_import, after_solve, after_writes, after_digest = json.loads(proc.stdout.splitlines()[-1])
     assert after_import == []
     assert after_solve == []
+    # a certificate names its instance's digest
+    assert after_writes == ["hashlib"]
     assert after_digest == ["hashlib"]
