@@ -94,8 +94,10 @@ def _read_instance(
 def _write(path: str, text: str) -> None:
     """Write text to path as UTF-8 over the old bytes, then cut a regular
     file at the new end. Without O_TRUNC, ext4 (auto_da_alloc) starts no
-    writeback on close for the next overwrite to wait on; a device, FIFO or
-    tty is written but not cut, as O_TRUNC leaves it too."""
+    writeback on close, which costs this write and holds up the next
+    overwrite; a device, FIFO or tty is written but not cut, as O_TRUNC leaves it
+    too. A failed or killed write leaves new bytes before old ones (README,
+    "Output files")."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(text.encode("utf-8"))
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
