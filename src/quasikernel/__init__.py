@@ -36,7 +36,6 @@ from .exact import (
     min_quasi_kernel,
 )
 from .files import (
-    CertificateDocument,
     CertificateParseError,
     InstanceParseError,
     certificate_document,
@@ -65,7 +64,6 @@ from .split_qk import (
     one_way_qk,
     peel_sinks,
     peel_split,
-    split_subset_oracle,
     two_thirds_qk,
 )
 
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc",
     "CapExceededError",
-    "CertificateDocument",
     "CertificateParseError",
     "Digraph",
     "GenerationError",
@@ -117,7 +114,6 @@ __all__ = [
     "reduce_dds_to_qk",
     "serialize_certificate",
     "serialize_instance",
-    "split_subset_oracle",
     "to_dot",
     "two_thirds_qk",
 ]

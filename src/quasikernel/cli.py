@@ -29,7 +29,6 @@ from .files import (
     certificate_document,
     format_bound,
     parse_instance,
-    serialize_certificate,
     serialize_instance,
     to_dot,
 )
@@ -48,6 +47,9 @@ from .split_qk import complete_split_min_qk, one_way_qk, peel_split, two_thirds_
 EXACT_BOUNDS_LIMIT = 18
 # the algorithms that take a size budget --k
 BUDGETED = ("exact", "fpt-k", "fpt-i")
+# the algorithms whose certificates are minima: a split digraph's quasi-kernels
+# are independent, so each lies in an fpt-i group, all refused every smaller size
+MINIMA = ("exact", "complete-split", "fpt-i")
 
 
 def _line_at(data: bytes, pos: int) -> int:
@@ -111,12 +113,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _print_certificate_report(cert: QkCertificate, minimum: bool) -> None:
+def _print_certificate_report(cert: QkCertificate) -> None:
     print(f"algorithm: {cert.algorithm}")
     print(f"size: {cert.size}")
     print("set: " + " ".join(str(v) for v in cert.sorted_vertices()))
     print(f"bound: {format_bound(cert.bound)}")
-    print(f"minimum: {'true' if minimum else 'false'}")
+    print(f"minimum: {'true' if cert.algorithm in MINIMA else 'false'}")
     print("verified: true")
 
 
@@ -155,32 +157,28 @@ def _split_constructions(inst: Digraph | SplitDigraph) -> list[str]:
     return algos
 
 
-def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> tuple[QkCertificate | None, bool]:
-    """Run one algorithm; returns (certificate or None, minimality flag)."""
+def _solve_with(inst: Digraph | SplitDigraph, algo: str, k: int | None) -> QkCertificate | None:
+    """Run one algorithm; its certificate, or None when none fits the budget."""
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
     if algo == "cl":
-        return graph.certify(quasi_kernel_cl(graph), "cl"), False
+        return graph.certify(quasi_kernel_cl(graph), "cl")
     if algo == "exact":
-        report = min_quasi_kernel(inst, budget=k)
-        return report.certificate, report.certificate is not None
+        return min_quasi_kernel(inst, budget=k).certificate
     if not isinstance(inst, SplitDigraph):
         raise PreconditionError(f"algorithm '{algo}' needs a split partition (k line)")
     if algo == "one-way":
-        return one_way_qk(inst), False
+        return one_way_qk(inst)
     if algo == "two-thirds":
-        return two_thirds_qk(inst), False
+        return two_thirds_qk(inst)
     if algo == "peel":
-        return peel_split(inst), False
+        return peel_split(inst)
     if algo == "complete-split":
-        return complete_split_min_qk(inst), True
+        return complete_split_min_qk(inst)
     if k is None:
         raise PreconditionError("--k is required for fpt algorithms")
     if algo == "fpt-k":
-        return fpt_by_clique(inst, k), False
-    # a quasi-kernel of a split digraph is independent, so it lies in one
-    # of fpt-i's groups, each of which was refused every smaller size
-    cert = fpt_by_independent(inst, k)
-    return cert, cert is not None
+        return fpt_by_clique(inst, k)
+    return fpt_by_independent(inst, k)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -198,18 +196,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     algo = args.algo
     if algo == "auto":
         algo = (_split_constructions(inst) or ["cl"])[0]
-    cert, minimum = _solve_with(inst, algo, args.k)
+    cert = _solve_with(inst, algo, args.k)
     if cert is None:
         print(f"no quasi-kernel of size <= {args.k}")
         return 1
     # the document is checked as it is built; the report follows the write,
     # so a failed write prints no report
     if args.out:
-        doc = certificate_document(cert, inst, digest)
-        _write(args.out, serialize_certificate(doc))
+        _write(args.out, certificate_document(cert, inst, digest))
     else:
         cert.check(inst.graph if isinstance(inst, SplitDigraph) else inst)
-    _print_certificate_report(cert, minimum)
+    _print_certificate_report(cert)
     return 0
 
 
@@ -230,8 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = certificate_document(cert, inst, digest)
-    _emit(serialize_certificate(doc), args.out)
+    _emit(certificate_document(cert, inst, digest), args.out)
     return 0
 
 
@@ -254,7 +250,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     algos = ["cl", *_split_constructions(inst)]
     if graph.n <= EXACT_BOUNDS_LIMIT:
         algos.append("exact")
-    rows = [(algo, _solve_with(inst, algo, None)[0]) for algo in algos]
+    rows = [(algo, _solve_with(inst, algo, None)) for algo in algos]
     for name, cert in rows:
         cert.check(graph)
         print(f"{name} bound={format_bound(cert.bound)} achieved={cert.size} verified=yes")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress, groupby
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .digraph import (
     _BIT_BYTES,
@@ -421,56 +421,38 @@ def instance_digest(obj: Digraph | SplitDigraph) -> str:
     return "sha256:" + _sha256(serialize_instance(obj).encode()).hexdigest()
 
 
-class CertificateDocument(NamedTuple):
-    algorithm: str
-    digest: str
-    vertices: tuple[int, ...]
-    bound: Fraction | None
-    witnesses: Mapping[int, tuple[int, ...]]
-
-    def to_certificate(self) -> QkCertificate:
-        return QkCertificate(
-            frozenset(self.vertices), dict(self.witnesses), self.algorithm, self.bound
-        )
-
-
 def certificate_document(
     cert: QkCertificate, instance: Digraph | SplitDigraph, digest: str | None = None
-) -> CertificateDocument:
-    """The document of a certificate, checked against its instance.
+) -> str:
+    """The file text of a certificate, checked against its instance.
     ``digest`` is the instance's ``instance_digest`` when the caller has
     it already, as ``parse_instance(text, digest=True)`` gives it; when
     None, the instance is serialized again to make it."""
-    graph = instance.graph if isinstance(instance, SplitDigraph) else instance
-    cert.check(graph)
-    return CertificateDocument(
-        algorithm=cert.algorithm,
-        digest=digest or instance_digest(instance),
-        vertices=cert.sorted_vertices(),
-        bound=cert.bound,
-        witnesses=dict(sorted(cert.witnesses.items())),
-    )
+    cert.check(instance.graph if isinstance(instance, SplitDigraph) else instance)
+    return serialize_certificate(cert, digest or instance_digest(instance))
 
 
 def format_bound(bound: Fraction | None) -> str:
     return "null" if bound is None else f"{bound.numerator}/{bound.denominator}"
 
 
-def serialize_certificate(doc: CertificateDocument) -> str:
+def serialize_certificate(cert: QkCertificate, digest: str) -> str:
+    """The file text of a certificate of the instance with ``digest``."""
     lines = [
         CERTIFICATE_MAGIC,
-        f"algorithm {doc.algorithm}",
-        f"instance {doc.digest}",
-        ("set " + " ".join(str(v) for v in doc.vertices)).rstrip(),
-        f"bound {format_bound(doc.bound)}",
+        f"algorithm {cert.algorithm}",
+        f"instance {digest}",
+        ("set " + " ".join(str(v) for v in cert.sorted_vertices())).rstrip(),
+        f"bound {format_bound(cert.bound)}",
         "verified true",
     ]
-    for v in sorted(doc.witnesses):
-        lines.append("w " + " ".join(str(u) for u in doc.witnesses[v]))
+    for _, path in sorted(cert.witnesses.items()):
+        lines.append("w " + " ".join(str(u) for u in path))
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> CertificateDocument:
+def parse_certificate(text: str) -> tuple[QkCertificate, str]:
+    """The certificate in a certificate text and the instance digest it names."""
     lines = [
         (no, raw.strip())
         for no, raw in enumerate(text.splitlines(), start=1)
@@ -520,21 +502,18 @@ def parse_certificate(text: str) -> CertificateDocument:
             raise CertificateParseError("bound must be 'p/q' or 'null'", field_lines["bound"]) from None
     if fields["verified"] != "true":
         raise CertificateParseError("verified line must be 'verified true'", field_lines["verified"])
-    return CertificateDocument(
-        algorithm=fields["algorithm"],
-        digest=fields["instance"],
-        vertices=vertices,
-        bound=bound,
-        witnesses=witnesses,
-    )
+    cert = QkCertificate(frozenset(vertices), witnesses, fields["algorithm"], bound)
+    return cert, fields["instance"]
 
 
-def check_certificate(doc: CertificateDocument, instance: Digraph | SplitDigraph) -> None:
-    """Re-verify a certificate document against its instance (digest included)."""
-    if doc.digest != instance_digest(instance):
+def check_certificate(text: str, instance: Digraph | SplitDigraph) -> QkCertificate:
+    """The certificate in a certificate text, re-verified against its
+    instance, digest included."""
+    cert, digest = parse_certificate(text)
+    if digest != instance_digest(instance):
         raise VerificationError("instance digest mismatch")
-    graph = instance.graph if isinstance(instance, SplitDigraph) else instance
-    doc.to_certificate().check(graph)
+    cert.check(instance.graph if isinstance(instance, SplitDigraph) else instance)
+    return cert
 
 
 def to_dot(obj: Digraph | SplitDigraph, name: str = "instance") -> str:

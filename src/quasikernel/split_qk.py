@@ -338,19 +338,9 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
     return cert
 
 
-def split_subset_oracle(sd: SplitDigraph) -> SinkFreeOracle:
-    """Adapt two_thirds_qk to the region-mask oracle protocol of peel_sinks.
-
-    The two-thirds construction runs on the region through the rows of the
-    host digraph it is handed, with sd's clique mask (the rest of the
-    region is its independent part) and no induced copy; its set is checked
-    to be a quasi-kernel of the region there, and peel_sinks certifies the
-    union on the host.
-    """
-    clique = sd.clique
-    return lambda host, region: _two_thirds(host, clique, region)
-
-
 def peel_split(sd: SplitDigraph) -> QkCertificate:
-    """peel_sinks over two_thirds_qk, so alpha = 2/3."""
-    return peel_sinks(sd.graph, split_subset_oracle(sd), Fraction(2, 3))
+    """peel_sinks over two_thirds_qk, so alpha = 2/3: each sink-free residue
+    is solved as a region of the host's rows, with sd's clique mask."""
+    return peel_sinks(
+        sd.graph, lambda host, region: _two_thirds(host, sd.clique, region), Fraction(2, 3)
+    )

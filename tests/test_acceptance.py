@@ -25,7 +25,6 @@ from quasikernel import (
     min_dominating_set,
     min_quasi_kernel,
     one_way_qk,
-    parse_certificate,
     parse_instance,
     peel_split,
     quasi_kernel_rooted,
@@ -282,7 +281,7 @@ def test_criterion_10_cli_round_trips(tmp_path, capsys):
             notes.append(f"solve failed: {argv}")
             continue
         try:
-            check_certificate(parse_certificate(cert_path.read_text()), inst)
+            check_certificate(cert_path.read_text(), inst)
         except Exception as exc:  # noqa: BLE001 - acceptance tallies any failure
             ok = False
             notes.append(f"certificate re-verification failed: {exc}")

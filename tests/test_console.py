@@ -41,16 +41,18 @@ def test_certificates_written_by_one_process_check_in_another(tmp_path):
     path = tmp_path / "dn2.qkdg"
     assert main(["gen", "dn", "--n", "2", "--out", str(path)]) == 0
     assert run_python(*QKDG, "solve", "dn2.qkdg", "--out", "solve.qkcert", cwd=tmp_path).returncode == 0
-    solved = parse_certificate((tmp_path / "solve.qkcert").read_text(encoding="utf-8"))
-    literal = ",".join(map(str, solved.vertices))
+    solved_text = (tmp_path / "solve.qkcert").read_text(encoding="utf-8")
+    solved, solved_digest = parse_certificate(solved_text)
+    literal = ",".join(map(str, solved.sorted_vertices()))
     verify = run_python(*QKDG, "verify", "dn2.qkdg", literal, "--out", "verify.qkcert", cwd=tmp_path)
     assert verify.returncode == 0
-    verified = parse_certificate((tmp_path / "verify.qkcert").read_text(encoding="utf-8"))
+    verified_text = (tmp_path / "verify.qkcert").read_text(encoding="utf-8")
+    verified, verified_digest = parse_certificate(verified_text)
     assert verified.algorithm == "verify"
-    assert verified.digest == solved.digest
+    assert verified_digest == solved_digest
     instance = parse_instance(path.read_text(encoding="utf-8"))
-    for doc in (solved, verified):
-        check_certificate(doc, instance)
+    for text in (solved_text, verified_text):
+        check_certificate(text, instance)
 
 
 @pytest.mark.parametrize("demo", ["bounds_tour.py", "hardness_gadget.py"])

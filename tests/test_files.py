@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from unittest.mock import patch
 
 import conftest
@@ -15,16 +16,24 @@ from quasikernel import (
     VerificationError,
     certificate_document,
     check_certificate,
+    complete_split_min_qk,
+    fpt_by_clique,
+    fpt_by_independent,
     gen_dn,
     gen_dpn,
     gen_random_complete_split,
     gen_random_split,
     instance_digest,
+    min_quasi_kernel,
+    one_way_qk,
     parse_certificate,
     parse_instance,
+    peel_split,
+    quasi_kernel_cl,
     serialize_certificate,
     serialize_instance,
     to_dot,
+    two_thirds_qk,
 )
 from quasikernel import files
 from quasikernel.digraph import members
@@ -128,32 +137,51 @@ def test_digest_is_canonical():
     assert instance_digest(parse_instance(with_comments)) == instance_digest(sd)
 
 
-def test_certificate_round_trip():
-    sd = gen_dn(1)
-    cert = sd.graph.certify({0, 4}, "verify")
-    doc = certificate_document(cert, sd)
-    text = serialize_certificate(doc)
-    parsed = parse_certificate(text)
-    assert parsed == doc
-    assert "\nverified true\n" in text
-    assert serialize_certificate(parsed) == text
-    check_certificate(parsed, sd)
+# a sink-free split digraph, one with the sinks 1 and 2 under the clique
+# vertex 0, and a complete split digraph
+DN1 = gen_dn(1)
+WITH_SINKS = SplitDigraph(Digraph(3, [(0, 1), (0, 2)]), [0, 1], [2])
+COMPLETE = SplitDigraph(Digraph(3, [(0, 1), (0, 2)]), [0], [1, 2])
+# every label the CLI writes, with an instance, the certificate solve or
+# verify writes for it, and its bound line: null, k/1 and the 2n/3 and peel
+# fractions
+CERTIFIED = {
+    "cl": (WITH_SINKS, lambda sd: sd.graph.certify(quasi_kernel_cl(sd.graph), "cl"), "null"),
+    "one-way": (DN1, one_way_qk, "2/1"),
+    "two-thirds": (DN1, two_thirds_qk, "4/1"),
+    "peel": (WITH_SINKS, peel_split, "8/3"),
+    "complete-split": (COMPLETE, complete_split_min_qk, "2/1"),
+    "exact": (DN1, lambda sd: min_quasi_kernel(sd).certificate, "null"),
+    "fpt-k": (DN1, lambda sd: fpt_by_clique(sd, 2), "null"),
+    "fpt-i": (DN1, lambda sd: fpt_by_independent(sd, 2), "null"),
+    "verify": (DN1, lambda sd: sd.graph.certify({0, 4}, "verify"), "null"),
+}
+
+
+@pytest.mark.parametrize("label", list(CERTIFIED))
+def test_certificate_round_trip(label):
+    inst, solve, bound = CERTIFIED[label]
+    cert = solve(inst)
+    assert cert.algorithm == label
+    text = certificate_document(cert, inst)
+    assert f"\nbound {bound}\nverified true\n" in text
+    assert parse_certificate(text) == (cert, instance_digest(inst))
+    assert serialize_certificate(*parse_certificate(text)) == text
+    assert check_certificate(text, inst) == cert
 
 
 def test_certificate_digest_mismatch_detected():
     sd = gen_dn(1)
-    doc = certificate_document(sd.graph.certify({0, 4}, "verify"), sd)
+    text = certificate_document(sd.graph.certify({0, 4}, "verify"), sd)
     with pytest.raises(VerificationError, match="digest"):
-        check_certificate(doc, gen_dpn(1))
+        check_certificate(text, gen_dpn(1))
 
 
 def test_certificate_bound_formats():
     sd = gen_dn(1)
-    cert = sd.graph.certify({0, 4}, "one-way", bound=__import__("fractions").Fraction(2))
-    doc = certificate_document(cert, sd)
-    text = serialize_certificate(doc)
+    text = certificate_document(sd.graph.certify({0, 4}, "one-way", bound=Fraction(2)), sd)
     assert "bound 2/1" in text
-    assert parse_certificate(text).bound == 2
+    assert parse_certificate(text)[0].bound == 2
 
 
 @pytest.mark.parametrize(
@@ -170,7 +198,7 @@ def test_certificate_bound_formats():
 )
 def test_certificate_parse_errors_carry_line_numbers(old, new, line, pattern):
     sd = gen_dn(1)
-    text = serialize_certificate(certificate_document(sd.graph.certify({0, 4}, "verify"), sd))
+    text = certificate_document(sd.graph.certify({0, 4}, "verify"), sd)
     assert old in text
     text = "# leading comment\n" + text.replace(old, new)
     with pytest.raises(CertificateParseError, match=pattern) as exc:
@@ -180,10 +208,10 @@ def test_certificate_parse_errors_carry_line_numbers(old, new, line, pattern):
 
 def test_certificate_tamper_detected():
     sd = gen_dn(1)
-    doc = certificate_document(sd.graph.certify({0, 4}, "verify"), sd)
-    text = serialize_certificate(doc).replace("w 5 2 0", "w 5 1 0")
+    text = certificate_document(sd.graph.certify({0, 4}, "verify"), sd)
+    text = text.replace("w 5 2 0", "w 5 1 0")
     with pytest.raises(VerificationError):
-        check_certificate(parse_certificate(text), sd)
+        check_certificate(text, sd)
 
 
 def test_to_dot_mentions_all_arcs():

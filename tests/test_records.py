@@ -1,7 +1,7 @@
 """The public names, the public value records and the modules a CLI
 process loads.
 
-Every name in ``quasikernel.__all__`` resolves.  The five records are
+Every name in ``quasikernel.__all__`` resolves.  The four records are
 NamedTuples: fixed field names, immutable, equal when their fields are,
 and shown as ``Name(field=value, ...)``.  A fresh ``qkdg`` process
 imports neither ``dataclasses`` (with ``inspect``) nor ``hashlib`` until
@@ -17,7 +17,6 @@ import quasikernel
 from quasikernel import (
     Digraph,
     QkCertificate,
-    certificate_document,
     gen_dn,
     min_quasi_kernel,
     reduce_dds_to_qk,
@@ -32,10 +31,6 @@ def _records():
         "SplitFlags": (sd.classify(), ("one_way", "complete_split", "orientation", "sink_free")),
         "QkCertificate": (cert, ("vertices", "witnesses", "algorithm", "bound")),
         "SolveReport": (min_quasi_kernel(sd), ("certificate", "explored")),
-        "CertificateDocument": (
-            certificate_document(cert, sd),
-            ("algorithm", "digest", "vertices", "bound", "witnesses"),
-        ),
         "ReductionArtifact": (
             reduce_dds_to_qk(Digraph(2, [(0, 1)]), 1),
             ("host", "source", "q", "b", "source_n", "source_m", "labels", "names"),
@@ -73,6 +68,12 @@ def test_public_names_resolve_and_the_removed_ones_are_gone():
     assert not hasattr(quasikernel, "two_serf_semicomplete")
     assert not hasattr(quasikernel.construct, "two_serf_semicomplete")
     assert not hasattr(QkCertificate, "verify")
+    # the second certificate record, a QkCertificate plus a digest, and the
+    # oracle adapter that only peel_split called
+    assert not hasattr(quasikernel, "CertificateDocument")
+    assert not hasattr(quasikernel.files, "CertificateDocument")
+    assert not hasattr(quasikernel, "split_subset_oracle")
+    assert not hasattr(quasikernel.split_qk, "split_subset_oracle")
     arcs = Digraph(3, [(2, 0), (0, 2), (0, 1), (0, 1)]).arcs
     assert type(arcs) is tuple and arcs == ((0, 1), (0, 2), (2, 0))
 

@@ -26,7 +26,6 @@ from quasikernel import (
     one_way_qk,
     peel_sinks,
     peel_split,
-    split_subset_oracle,
     two_thirds_qk,
 )
 from quasikernel import construct, digraph, split_qk
@@ -412,7 +411,7 @@ def test_peel_two_layer_example():
 def test_peel_rejects_small_alpha():
     sd = SplitDigraph(Digraph(2, [(0, 1)]), [0, 1], [])
     with pytest.raises(PreconditionError, match="alpha"):
-        peel_sinks(sd.graph, split_subset_oracle(sd), Fraction(1, 3))
+        peel_sinks(sd.graph, lambda host, region: 0, Fraction(1, 3))
 
 
 def test_peel_structural_properties_campaign():
@@ -492,17 +491,6 @@ def test_peel_sinks_on_sink_free_input_delegates(monkeypatch):
         assert cert.vertices == expected.vertices
         assert cert.witnesses == expected.witnesses
         assert cert.bound == expected.bound
-
-
-def test_split_subset_oracle_reads_the_host_it_is_handed():
-    # an oracle built from one split and handed another host with the same
-    # partition solves the host's residues, not those of the split it came from
-    for seed in range(30):
-        a, b = gen_random_split(seed, 6, 10), gen_random_split(seed + 1000, 6, 10)
-        cert = peel_sinks(b.graph, split_subset_oracle(a), Fraction(2, 3))
-        expected = peel_split(b)
-        assert cert.vertices == expected.vertices
-        assert cert.witnesses == expected.witnesses
 
 
 def test_peel_sinks_refuses_an_oracle_set_over_its_bound():
