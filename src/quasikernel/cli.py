@@ -7,10 +7,12 @@ within the requested size, precondition, cap or MAX_SEARCH_STEPS refusal),
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import os
 import stat
 import sys
+from typing import BinaryIO, Iterator
 
 from .construct import quasi_kernel_cl
 from .digraph import (
@@ -26,9 +28,9 @@ from .files import (
     _LINE_END,
     MAX_INSTANCE_BYTES,
     InstanceParseError,
+    _parse_blocks,
     certificate_document,
     format_bound,
-    parse_instance,
     serialize_instance,
     to_dot,
 )
@@ -50,6 +52,8 @@ BUDGETED = ("exact", "fpt-k", "fpt-i")
 # the algorithms whose certificates are minima: a split digraph's quasi-kernels
 # are independent, so each lies in an fpt-i group, all refused every smaller size
 MINIMA = ("exact", "complete-split", "fpt-i")
+# the most bytes of an instance file read at once
+_READ_BLOCK = 1 << 14
 
 
 def _line_at(data: bytes, pos: int) -> int:
@@ -61,36 +65,126 @@ def _line_at(data: bytes, pos: int) -> int:
     return 1 + sum(1 for _ in _LINE_END.finditer(text))
 
 
+def _file_text(f: BinaryIO, size: int, cap: int, count: bool) -> Iterator[str]:
+    """The text of a file read unbuffered, a block at a time, to one byte
+    past ``cap``, decoded as UTF-8 and with CR and CRLF turned into LF, as
+    a text-mode read would: its blocks, in order.
+
+    ``size``, the file's stat size, sizes the reads: a read is at most
+    _READ_BLOCK bytes, and the reads take the file to one byte past its
+    size, so a file read whole takes one read and one more that finds its
+    end.  A file longer than its size (a device or a FIFO reports size 0)
+    goes on in whole blocks.  The first byte that is not UTF-8 ends the
+    text; the file is read on, to its end or the cap, and the error of its
+    line is raised then, unless the file is over the cap: that error comes
+    first.  Those line numbers come from line ends counted as they go by,
+    with ``count``; without it, nothing is counted, and the file is read
+    again from its start to number a byte (``_line_in_file``), which only
+    a regular file allows.
+    """
+    got = lines = 0
+    cr = ended = False
+    errors = "strict"
+    bad = None
+    # the bytes of a character that the last block cut
+    pending = b""
+
+    def line_at(data: bytes, base: int, pos: int) -> int:
+        # the line of byte pos of data, which starts at byte base of the file
+        if not count:
+            return _line_in_file(f, base + pos)
+        # a CR before data ends a line that an LF at its start goes with
+        prefix = b"\r" if cr else b""
+        return lines - len(prefix) + _line_at(prefix + data, pos + len(prefix))
+
+    while not ended:
+        # to one byte past the stat size, then, if the file goes on, past the cap
+        block = f.read(min((min(size, cap) if got <= size else cap) + 1 - got, _READ_BLOCK))
+        ended = not block
+        base = got - len(pending)
+        got += len(block)
+        data = pending + block
+        del block
+        if got > cap:
+            raise InstanceParseError(
+                f"file over the cap MAX_INSTANCE_BYTES={cap}", line_at(data, base, cap - base)
+            )
+        # the step of the UTF-8 incremental decoder, without its object: the
+        # bytes of a character that the block cuts stay undecoded, unless final
+        try:
+            text, used = codecs.utf_8_decode(data, errors, ended)
+        except UnicodeDecodeError as exc:
+            bad = InstanceParseError(
+                f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line_at(data, base, exc.start)
+            )
+            # the rest is decoded only to count its line ends
+            errors = "replace"
+            text, used = codecs.utf_8_decode(data, errors, ended)
+        pending = data[used:]
+        del data
+        if text:
+            lf = cr and text[0] == "\n"
+            cr = text[-1] == "\r"
+            if lf:
+                text = text[1:]
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # no byte after the last block needs a line number
+        if count and not ended:
+            # the line ends other than LF are rare: five membership tests
+            # rule them out of ASCII text, where a scan takes ten times as long
+            if text.isascii() and not any(end in text for end in "\v\f\x1c\x1d\x1e"):
+                lines += text.count("\n")
+            else:
+                lines += len(_LINE_END.findall(text))
+        if text and bad is None:
+            yield text
+    if bad is not None:
+        raise bad
+
+
+def _line_in_file(f: BinaryIO, pos: int) -> int:
+    """The line of byte pos of a regular file, read again from its start
+    with its line ends counted: the line that a cap at pos names."""
+    where = f.tell()
+    f.seek(0)
+    try:
+        for _ in _file_text(f, pos, pos, True):
+            pass
+    except InstanceParseError as exc:
+        return exc.line
+    finally:
+        f.seek(where)
+    raise OSError(f"{f.name}: the file got shorter while it was read")
+
+
 def _read_instance(
     path: str, *, digest: bool = False
 ) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
-    """The instance in a file, as parse_instance reads it, with or without
-    ``digest``."""
-    with open(path, "rb") as f:
-        # stat only sizes the first read, as a device or a FIFO reports size
-        # 0; a first read that fills up goes on to one byte past the cap
-        want = min(os.fstat(f.fileno()).st_size, MAX_INSTANCE_BYTES) + 1
-        data = f.read(want)
-        if len(data) == want:
-            data += f.read(MAX_INSTANCE_BYTES + 1 - want)
-    if len(data) > MAX_INSTANCE_BYTES:
-        raise InstanceParseError(
-            f"file over the cap MAX_INSTANCE_BYTES={MAX_INSTANCE_BYTES}",
-            _line_at(data, MAX_INSTANCE_BYTES),
-        )
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InstanceParseError(
-            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", _line_at(data, exc.start)
-        ) from None
-    # the parse holds the text alone, not the bytes too
-    del data
-    # as a text-mode read would: CR and CRLF end lines as LF does; the
-    # membership test is cheap, the rewrite a copy of the whole text
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_instance(text, digest=digest)
+    """The instance in a file, as parse_instance reads its text, with or
+    without ``digest``.  The parser takes the text a block at a time
+    (``_file_text``), so the read holds a block of the file, never the
+    whole of it, and the parser its unread partial line.  The density test
+    uses the file's stat size: a FIFO's, 0, sends it to the line reader,
+    which gives the same instance.  Counting line ends as they go by would
+    cost about 2% of a read of a dense file, so only a file that cannot be
+    read again counts them; a regular file is read again to number a read
+    error.
+
+    A file over the cap, then a file that is not UTF-8, is refused before
+    a parse error: after a parse error, the file is read on to its end."""
+    # unbuffered, by position: a keyword argument would make the first call
+    # build, and keep, the argument parser's keyword table
+    with open(path, "rb", 0) as f:
+        st = os.fstat(f.fileno())
+        blocks = _file_text(f, st.st_size, MAX_INSTANCE_BYTES, not stat.S_ISREG(st.st_mode))
+        try:
+            return _parse_blocks(blocks, st.st_size, digest)
+        except InstanceParseError as exc:
+            error = exc
+        for _ in blocks:
+            pass
+    raise error
 
 
 def _write(path: str, text: str) -> None:

@@ -2,9 +2,9 @@
 
 Instance files ("qkdg 1"): a vertex-count line, an optional clique-part
 line turning the file into a split digraph, and one line per arc, in any
-order when read and ascending when written.  The text is read once, in
-chunks of whole lines: the arc lines of a dense file written so in bulk,
-any other text line by line.  Certificate files ("qkcert 1") carry the
+order when read and ascending when written.  The text is read once,
+from blocks of any size, in chunks of whole lines: the arc lines of a
+dense file written so in bulk, any other text line by line.  Certificate files ("qkcert 1") carry the
 algorithm label, the vertex set, per-vertex witness paths, the bound in
 force, and a digest of the instance they certify.  Both formats are
 line-based and human-diffable; they are written LF-terminated and read
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress, groupby
+from itertools import chain, compress, groupby, repeat
 from typing import Any, Iterable, Mapping, Sequence
 
 from .digraph import (
@@ -106,8 +106,9 @@ class _Reading:
         self.out: list[int] = []
         self.inn: list[int] = []
         self.arc_count = 0
-        # canonical spelling of each vertex -> vertex
-        self.index: dict[str, int] = {}
+        # canonical spelling of each vertex -> vertex, built by the line
+        # reader at its first arc line
+        self.index: dict[str, int] | None = None
         # for a digest, while every arc line so far was read in bulk and
         # is canonical: the sha256 of the canonical text up to it, and the
         # tail of the last arc hashed; else None
@@ -142,39 +143,111 @@ def parse_instance(
     If every chunk to the end of the text is, the text's arc block is
     ``serialize_instance``'s, and the hash is the digest; a chunk read
     line by line or not canonical drops the hash, and the digest is None.
+
+    The text is the one block of ``_parse_blocks``, which the file reader
+    of the command line feeds a block at a time, so this call copies
+    nothing of it.
+    """
+    return _parse_blocks([text], len(text), digest)
+
+
+def _parse_blocks(
+    blocks: Iterable[str], size: int, digest: bool
+) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
+    """``parse_instance`` of the text that is the concatenation of blocks,
+    read as they come.  Only the text not yet cut into chunks is held
+    between blocks: the unread partial line, and up to a chunk more when
+    the text read so far cannot yet tell where the next chunk ends.  The
+    chunks are those of the whole text, so the outcome is too.
+
+    ``size`` stands in for the text's length in the density test, which
+    is taken when the first arc line is reached: a text read from a file
+    passes the file's size, 0 when it has none, and is then read line by
+    line.  Either reader gives the same digraph, and the digest a
+    certificate names is the same.
     """
     reading = _Reading()
-    arcs = text.find("\na ") + 1
     dense = transposed = False
     bits: dict[bytes, int] = {}
-    pos = 0
-    while pos < len(text):
-        limit = min(arcs if pos < arcs else len(text), pos + BULK_CHUNK)
-        end = _chunk_end(text, pos, limit)
-        if pos == arcs:
-            n = reading.n
-            # the rest holds up to len / 6 arc lines; at n**2 <= 16 * that,
-            # one transpose costs less than setting in-mask bits arc by arc
-            dense = (n is not None and n >= 64 and not reading.arc_count
-                     and n * n * 6 <= 16 * (len(text) - arcs))
-            if dense:
-                bits = {str(v).encode(): 1 << v for v in range(n)}
-                if digest:
-                    clique = reading.clique
-                    head = [INSTANCE_MAGIC, *_size_lines(n, None if clique is None else sorted(clique))]
-                    reading.sha = _sha256("\n".join(head).encode() + b"\n")
-        if dense and _read_dense(text[pos:end], reading, bits):
-            transposed = True
-        else:
-            dense = False
-            reading.sha = None
-            _read_lines(reading, text[pos:end].splitlines())
-        pos = end
+    # the text held, to be cut into chunks from pos on, and the offset of
+    # text[0] in the whole text
+    text = ""
+    pos = start = 0
+    # the offset of the first arc line once found, else -1; until then,
+    # the last two characters read, for a '\na ' across two blocks
+    arcs = -1
+    tail = ""
+    # the characters read, the last of them, and the blocks read since the
+    # last one that holds a line end, joined to the text when one does
+    read = 0
+    final = ""
+    held: list[str] = []
+    for block in chain(blocks, [None]):
+        done = block is None
+        if not done:
+            if not block:
+                continue
+            if arcs < 0:
+                found = (tail + block[:2]).find("\na ") if tail else -1
+                if found >= 0:
+                    arcs = read - len(tail) + found + 1
+                elif (found := block.find("\na ")) >= 0:
+                    arcs = read + found + 1
+                else:
+                    tail = (tail + block[-2:])[-2:]
+            read += len(block)
+            final = block[-1]
+            held.append(block)
+            # a block without a line end is held until one with a line end
+            # comes, so that a long line is joined once, not once a block
+            if not _LINE_END.search(block):
+                continue
+        if held:
+            # one block alone is taken as it is, not copied
+            text = "".join([text[pos:], *held] if pos < len(text) else held)
+            start += pos
+            pos = 0
+            held = []
+        while pos < len(text):
+            # the chunk's limit and end must not depend on text not yet read
+            if pos < arcs - start:
+                limit = min(arcs - start, pos + BULK_CHUNK)
+            elif done:
+                limit = min(len(text), pos + BULK_CHUNK)
+            elif pos + BULK_CHUNK < len(text):
+                limit = pos + BULK_CHUNK
+            else:
+                break
+            end = _chunk_end(text, pos, limit)
+            if end == len(text) and not done:
+                break
+            if start + pos == arcs:
+                n = reading.n
+                # the rest holds up to len / 6 arc lines; at n**2 <= 16 * that,
+                # one transpose costs less than setting in-mask bits arc by arc
+                dense = (n is not None and n >= 64 and not reading.arc_count
+                         and n * n * 6 <= 16 * (size - arcs))
+                if dense:
+                    bits = {str(v).encode(): 1 << v for v in range(n)}
+                    if digest:
+                        clique = reading.clique
+                        head = [INSTANCE_MAGIC, *_size_lines(n, None if clique is None else sorted(clique))]
+                        reading.sha = _sha256("\n".join(head).encode() + b"\n")
+            if dense and _read_dense(text[pos:end], reading, bits):
+                transposed = True
+            else:
+                dense = False
+                reading.sha = None
+                _read_lines(reading, text[pos:end].splitlines())
+            pos = end
+    # the text and the bit table go first: on a large dense file the
+    # transpose peaks above the read
+    del text, bits
     if transposed:
         reading.inn = _transpose(reading.out, reading.n)
 
     # the line after the last line end, counted as splitlines counts lines
-    last = reading.lines + 1 if _LINE_END.match(text[-1:]) else max(reading.lines, 1)
+    last = reading.lines + 1 if _LINE_END.match(final) else max(reading.lines, 1)
     if not reading.header_seen:
         raise InstanceParseError(f"missing header '{INSTANCE_MAGIC}'", 1)
     n = reading.n
@@ -225,6 +298,8 @@ def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
                 raise InstanceParseError(f"arc count over the cap MAX_ARCS={MAX_ARCS}", lineno)
             if len(fields) != 3:
                 raise InstanceParseError("arc line must be 'a <tail> <head>'", lineno)
+            if index is None:
+                index = {str(v): v for v in range(n)}
             t = index.get(fields[1])
             h = index.get(fields[2])
             if t is None or h is None:
@@ -267,7 +342,6 @@ def _read_lines(reading: _Reading, lines: Iterable[str]) -> None:
             n = int(digits)
             out = [0] * n
             inn = [0] * n
-            index = {str(v): v for v in range(n)}
         elif tag == "k":
             if n is None:
                 raise InstanceParseError("k line before n line", lineno)
@@ -386,11 +460,13 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     swaps bit s of the row with bit s of the column for s = width / 2, ...,
     1: one delta swap of the whole int each, moving the bits (r, c) with s
     clear in r and set in c to (r + s, c - s), s * (width - 1) positions
-    up.
+    up.  Each step holds at most four ints of the matrix's size at once:
+    the matrix, the swap, and the two operands of the step's last
+    operation.
     """
     width = max(8, 1 << (n - 1).bit_length())
     size = width // 8
-    matrix = int.from_bytes(b"".join(row.to_bytes(size, "little") for row in rows), "little")
+    matrix = int.from_bytes(b"".join(map(int.to_bytes, rows, repeat(size), repeat("little"))), "little")
     s = width // 2
     while s:
         # the columns with bit s set, in one row, then the rows with bit s clear
@@ -398,12 +474,15 @@ def _transpose(rows: list[int], n: int) -> list[int]:
             cols = bytes([_LOW_COLUMNS[s]]) * size
         else:
             cols = (bytes(s // 8) + b"\xff" * (s // 8)) * (width // (2 * s))
-        mask = int.from_bytes((cols * s + bytes(size * s)) * (width // (2 * s)), "little")
         delta = s * (width - 1)
-        swap = (matrix >> delta ^ matrix) & mask
-        matrix ^= swap ^ swap << delta
+        swap = matrix >> delta ^ matrix
+        swap &= int.from_bytes((cols * s + bytes(size * s)) * (width // (2 * s)), "little")
+        swap ^= swap << delta
+        matrix ^= swap
         s //= 2
-    data = matrix.to_bytes(size * width, "little")
+    # the rows from n on hold no bit
+    data = matrix.to_bytes(size * n, "little")
+    del matrix, swap
     return [int.from_bytes(data[h * size:(h + 1) * size], "little") for h in range(n)]
 
 

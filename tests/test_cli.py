@@ -4,6 +4,7 @@ import random
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from quasikernel import (
     serialize_instance,
 )
 from quasikernel import files
+from quasikernel.files import InstanceParseError
 from quasikernel.cli import main
 
 
@@ -486,6 +488,181 @@ def test_endless_instance_file_exit_2():
     assert proc.returncode == 2
     assert f"over the cap MAX_INSTANCE_BYTES={files.MAX_INSTANCE_BYTES}" in proc.stderr
     assert proc.stdout == ""
+
+
+# --- instance files read a block at a time ---------------------------------
+
+
+def _outcome(read, *args, **kwargs):
+    try:
+        return ("ok", read(*args, **kwargs))
+    except InstanceParseError as exc:
+        return ("error", str(exc))
+
+
+def _whole_file_outcome(data: bytes, cap: int = files.MAX_INSTANCE_BYTES):
+    """What a read of the whole file at once gives: the cap error, then
+    the UTF-8 error, then parse_instance's outcome on the text with CR and
+    CRLF turned into LF."""
+    if len(data) > cap:
+        return ("error", f"line {quasikernel.cli._line_at(data, cap)}: file over the cap MAX_INSTANCE_BYTES={cap}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = quasikernel.cli._line_at(data, exc.start)
+        return ("error", f"line {line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})")
+    return _outcome(parse_instance, text.replace("\r\n", "\n").replace("\r", "\n"), digest=True)
+
+
+def _block_outcome(path: Path, data: bytes, block: int, cap: int = files.MAX_INSTANCE_BYTES, fifo=False):
+    """The outcome of reading data from a regular file at path, which is
+    read again to number a read error, or from a FIFO next to it, whose
+    line ends are counted as they are read."""
+    with patch.object(quasikernel.cli, "_READ_BLOCK", block), \
+            patch.object(quasikernel.cli, "MAX_INSTANCE_BYTES", cap):
+        if not fifo:
+            path.write_bytes(data)
+            return _outcome(quasikernel.cli._read_instance, str(path), digest=True)
+        path = path.with_suffix(".fifo")
+        if not path.exists():
+            os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return _outcome(quasikernel.cli._read_instance, str(path), digest=True)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+
+# the comments hold a two- and a three-byte character; the line ends are
+# LF, CRLF, a lone CR, U+2028 and NEL
+MIXED = "qkdg 1\r\n# é €\rn 4\u2028k 0 1\x85a 0 1\r\na 1 0\ra 2 0\na 3 1\u2028# end é\r\n"
+
+
+@pytest.mark.parametrize("fifo", [False, True])
+@pytest.mark.parametrize("bad_line", ["", "a 0 9\n", "# \xff\n"])
+def test_blocks_split_characters_and_line_ends_as_a_whole_read_does(tmp_path, bad_line, fifo):
+    # every block size puts a block end inside each character and each
+    # line end once
+    data = MIXED.encode() + bad_line.encode("latin-1")
+    expected = _whole_file_outcome(data)
+    assert expected[0] == ("error" if bad_line else "ok")
+    for block in range(1, len(data) + 2):
+        assert _block_outcome(tmp_path / "mixed.qkdg", data, block, fifo=fifo) == expected, block
+
+
+def test_a_dense_file_read_in_small_blocks_keeps_its_chunks(tmp_path):
+    # the parser cuts the chunks of the whole text from any blocks, so the
+    # bulk reader reads them and the digest is made as read
+    sd = gen_random_split(5, 32, 32)
+    text = serialize_instance(sd)
+    expected = parse_instance(text, digest=True)
+    assert expected[1] == instance_digest(sd)
+    for form in (text, text.replace("\n", "\r\n")):
+        for block in (1, 7, 100, files.BULK_CHUNK + 1, len(form)):
+            assert _block_outcome(tmp_path / "dense.qkdg", form.encode(), block) == ("ok", expected)
+
+
+@pytest.mark.parametrize("fifo", [False, True])
+def test_read_errors_come_in_the_order_of_a_whole_read(tmp_path, fifo):
+    # a parse error in the first block, a byte that is not UTF-8 on line
+    # 24: the file is read on, and the byte is reported; over a cap, the
+    # cap is reported, though the byte comes before it
+    path = tmp_path / "bad.qkdg"
+    head = b"qkdg 1\nn 2\nbogus\n" + b"# pad\n" * 20
+    data = head + b"# \xff\n" + b"# pad\n" * 3
+    for cap in (files.MAX_INSTANCE_BYTES, len(data)):
+        assert _block_outcome(path, data, 16, cap, fifo) == (
+            "error", "line 24: not UTF-8: byte 0xff (invalid start byte)")
+    assert _block_outcome(path, data, 16, len(data) - 1, fifo) == (
+        "error", f"line 27: file over the cap MAX_INSTANCE_BYTES={len(data) - 1}")
+    # the same parse error, with the file read to its end
+    assert _block_outcome(path, head, 16, fifo=fifo) == ("error", "line 3: unknown directive 'bogus'")
+
+
+PIECES = [b"qkdg 1", b"n 3", b"n 70", b"k 0 1", b"a 0 1", b"a 1 2", b"a 2 0", b"a 0 0", b"# \xc3\xa9",
+          b"# \xe2\x82\xac", b"", b" ", b"bogus", b"\xff", b"\xe2\x82"]
+ENDS = [b"\n", b"\r", b"\r\n", b"\x0b", b"\xc2\x85", b"\xe2\x80\xa8"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(ENDS)), max_size=10),
+    header=st.booleans(),
+    block=st.integers(1, 12),
+    fifo=st.booleans(),
+    data=st.data(),
+)
+def test_reading_in_blocks_is_reading_whole(tmp_path_factory, lines, header, block, fifo, data):
+    content = (b"qkdg 1\n" if header else b"") + b"".join(piece + end for piece, end in lines)
+    cap = data.draw(st.just(files.MAX_INSTANCE_BYTES) | st.integers(0, len(content) + 1))
+    path = tmp_path_factory.getbasetemp() / "blocks.qkdg"
+    assert _block_outcome(path, content, block, cap, fifo) == _whole_file_outcome(content, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.lists(
+        st.sampled_from([b"a", b"\n", b"\r", b"\r\n", b"\x0b", b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80", b"\xff"]),
+        min_size=1,
+        max_size=12,
+    ).map(b"".join),
+    block=st.integers(1, 5),
+    fifo=st.booleans(),
+)
+def test_the_cap_numbers_its_line_as_splitlines_does_in_any_block(tmp_path_factory, data, block, fifo):
+    # test_line_at_numbers_lines_as_splitlines_does, through the reader:
+    # the byte just past the cap is on the last line of the text through it
+    path = tmp_path_factory.getbasetemp() / "cap.qkdg"
+    for pos in range(len(data)):
+        expected = len(data[:pos + 1].decode("utf-8", "replace").splitlines())
+        message = f"line {expected}: file over the cap MAX_INSTANCE_BYTES={pos}"
+        assert _block_outcome(path, data, block, pos, fifo) == ("error", message)
+
+
+def test_a_fifo_instance_names_the_digest_a_file_does(tmp_path):
+    # a FIFO reports size 0, so its text is read line by line; the
+    # certificate is the one the file gets from the bulk reader
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs")
+    text = serialize_instance(gen_random_split(3, 40, 40))
+    path = tmp_path / "instance.qkdg"
+    path.write_text(text)
+    fifo = tmp_path / "instance.fifo"
+    os.mkfifo(fifo)
+    certificates = []
+    for source in (path, fifo):
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        if source == fifo:
+            writer.start()
+        out = tmp_path / f"{source.suffix[1:]}.qkcert"
+        try:
+            assert main(["solve", str(source), "--out", str(out)]) == 0
+        finally:
+            if source == fifo:
+                writer.join(timeout=10)
+        certificates.append(out.read_text())
+    assert certificates[0] == certificates[1]
+    assert _written_digest(certificates[0]) == instance_digest(parse_instance(text))
+
+
+def test_a_read_peaks_below_the_file_size(tmp_path):
+    # the file is read and decoded a block at a time, so the read holds a
+    # block of the file, not the whole, for LF and CRLF line ends alike
+    text = serialize_instance(gen_random_split(3, 200, 200, sink_free=True))
+    for name, form in (("lf", text), ("crlf", text.replace("\n", "\r\n"))):
+        path = tmp_path / f"{name}.qkdg"
+        path.write_bytes(form.encode())
+        # the lazy imports are made outside the traced read
+        quasikernel.cli._read_instance(str(path), digest=True)
+        tracemalloc.start()
+        try:
+            quasikernel.cli._read_instance(str(path), digest=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 def test_reduce_counts_and_labels(tmp_path, capsys):

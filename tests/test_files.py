@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -377,6 +378,51 @@ def test_chunks_keep_the_lines_of_any_line_end(case, data, chunk):
     with patch.object(files, "BULK_CHUNK", chunk):
         got = parse_outcome(parse_instance, text)
     assert got == parse_outcome(conftest.parse_instance_reference, text)
+
+
+def _chunks_read(text_or_blocks, size=None):
+    """The outcome of parse_instance on a text, or of the parser's core on
+    blocks, and each chunk it read: ('bulk', chunk) or ('lines', lines)."""
+    chunks = []
+    read_dense, read_lines = files._read_dense, files._read_lines
+
+    def dense(chunk, reading, bits):
+        chunks.append(("bulk", chunk))
+        return read_dense(chunk, reading, bits)
+
+    def lines(reading, chunk_lines):
+        chunk_lines = list(chunk_lines)
+        chunks.append(("lines", chunk_lines))
+        read_lines(reading, chunk_lines)
+
+    with patch.object(files, "_read_dense", dense), patch.object(files, "_read_lines", lines):
+        if size is None:
+            outcome = parse_outcome(functools.partial(parse_instance, digest=True), text_or_blocks)
+        else:
+            outcome = parse_outcome(lambda blocks: files._parse_blocks(blocks, size, True), text_or_blocks)
+    return outcome, chunks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instance_texts(), st.integers(0, 10_000)), st.data(), st.integers(4, 48))
+def test_blocks_give_the_chunks_of_the_whole_text(case, data, chunk):
+    # the core cuts the chunks of the whole text from blocks cut anywhere,
+    # even between a CR and its LF, before the first arc line or inside a
+    # chunk, and so reads them as parse_instance reads the text: the same
+    # chunks, by the same reader, with the same outcome and digest
+    if isinstance(case, int):
+        sd = gen_random_split(case, 32, 32)
+        text = serialize_instance(data.draw(st.sampled_from([sd, sd.graph])))
+        text = data.draw(st.sampled_from([text, text.replace("\n", "\r\n"), text + "# end"]))
+    else:
+        lines = case[0].splitlines()
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r", "\r\n", "\v", "\u2028"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + end for line, end in zip(lines, ends))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=12)))
+    blocks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    with patch.object(files, "BULK_CHUNK", chunk):
+        assert _chunks_read(blocks, len(text)) == _chunks_read(text)
 
 
 def test_parser_builds_no_digraph_through_init(monkeypatch):
