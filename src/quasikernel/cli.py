@@ -65,22 +65,21 @@ def _line_at(data: bytes, pos: int) -> int:
     return 1 + sum(1 for _ in _LINE_END.finditer(text))
 
 
-def _file_text(f: BinaryIO, size: int, cap: int, count: bool) -> Iterator[str]:
+def _file_text(f: BinaryIO, size: int, cap: int) -> Iterator[str]:
     """The text of a file read unbuffered, a block at a time, to one byte
     past ``cap``, decoded as UTF-8 and with CR and CRLF turned into LF, as
     a text-mode read would: its blocks, in order.
 
     ``size``, the file's stat size, sizes the reads: a read is at most
     _READ_BLOCK bytes, and the reads take the file to one byte past its
-    size, so a file read whole takes one read and one more that finds its
-    end.  A file longer than its size (a device or a FIFO reports size 0)
-    goes on in whole blocks.  The first byte that is not UTF-8 ends the
-    text; the file is read on, to its end or the cap, and the error of its
-    line is raised then, unless the file is over the cap: that error comes
-    first.  Those line numbers come from line ends counted as they go by,
-    with ``count``; without it, nothing is counted, and the file is read
-    again from its start to number a byte (``_line_in_file``), which only
-    a regular file allows.
+    size, so a file that holds its size takes reads that come to its size
+    and come short of the byte past it.  A file longer than its size (a
+    device or a FIFO reports size 0) goes on in whole blocks until a read
+    finds nothing.  The first byte that is not UTF-8 ends the text; the
+    file is read on, to its end or the cap, and the error of its line is
+    raised then, unless the file is over the cap: that error comes first.
+    Those line numbers come from the line ends counted as the blocks go
+    by.
     """
     got = lines = 0
     cr = ended = False
@@ -89,25 +88,25 @@ def _file_text(f: BinaryIO, size: int, cap: int, count: bool) -> Iterator[str]:
     # the bytes of a character that the last block cut
     pending = b""
 
-    def line_at(data: bytes, base: int, pos: int) -> int:
-        # the line of byte pos of data, which starts at byte base of the file
-        if not count:
-            return _line_in_file(f, base + pos)
+    def line_at(data: bytes, pos: int) -> int:
+        # the line of byte pos of data, which follows the line ends counted;
         # a CR before data ends a line that an LF at its start goes with
         prefix = b"\r" if cr else b""
         return lines - len(prefix) + _line_at(prefix + data, pos + len(prefix))
 
     while not ended:
         # to one byte past the stat size, then, if the file goes on, past the cap
-        block = f.read(min((min(size, cap) if got <= size else cap) + 1 - got, _READ_BLOCK))
-        ended = not block
-        base = got - len(pending)
+        want = min((min(size, cap) if got <= size else cap) + 1 - got, _READ_BLOCK)
+        block = f.read(want)
         got += len(block)
+        # a read that comes to the stat size and short of the byte past it
+        # found the end, as a read that finds nothing does
+        ended = len(block) < want and (got == size or not block)
         data = pending + block
         del block
         if got > cap:
             raise InstanceParseError(
-                f"file over the cap MAX_INSTANCE_BYTES={cap}", line_at(data, base, cap - base)
+                f"file over the cap MAX_INSTANCE_BYTES={cap}", line_at(data, len(data) - (got - cap))
             )
         # the step of the UTF-8 incremental decoder, without its object: the
         # bytes of a character that the block cuts stay undecoded, unless final
@@ -115,7 +114,7 @@ def _file_text(f: BinaryIO, size: int, cap: int, count: bool) -> Iterator[str]:
             text, used = codecs.utf_8_decode(data, errors, ended)
         except UnicodeDecodeError as exc:
             bad = InstanceParseError(
-                f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line_at(data, base, exc.start)
+                f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line_at(data, exc.start)
             )
             # the rest is decoded only to count its line ends
             errors = "replace"
@@ -130,7 +129,7 @@ def _file_text(f: BinaryIO, size: int, cap: int, count: bool) -> Iterator[str]:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         # no byte after the last block needs a line number
-        if count and not ended:
+        if not ended:
             # the line ends other than LF are rare: five membership tests
             # rule them out of ASCII text, where a scan takes ten times as long
             if text.isascii() and not any(end in text for end in "\v\f\x1c\x1d\x1e"):
@@ -143,43 +142,26 @@ def _file_text(f: BinaryIO, size: int, cap: int, count: bool) -> Iterator[str]:
         raise bad
 
 
-def _line_in_file(f: BinaryIO, pos: int) -> int:
-    """The line of byte pos of a regular file, read again from its start
-    with its line ends counted: the line that a cap at pos names."""
-    where = f.tell()
-    f.seek(0)
-    try:
-        for _ in _file_text(f, pos, pos, True):
-            pass
-    except InstanceParseError as exc:
-        return exc.line
-    finally:
-        f.seek(where)
-    raise OSError(f"{f.name}: the file got shorter while it was read")
-
-
 def _read_instance(
     path: str, *, digest: bool = False
 ) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
     """The instance in a file, as parse_instance reads its text, with or
     without ``digest``.  The parser takes the text a block at a time
-    (``_file_text``), so the read holds a block of the file, never the
-    whole of it, and the parser its unread partial line.  The density test
-    uses the file's stat size: a FIFO's, 0, sends it to the line reader,
-    which gives the same instance.  Counting line ends as they go by would
-    cost about 2% of a read of a dense file, so only a file that cannot be
-    read again counts them; a regular file is read again to number a read
-    error.
+    (``_file_text``), so the read holds a block of the file and the
+    parser the text it has not yet read: the partial line, which a long
+    line makes long, up to the byte cap.  The density test uses the
+    file's stat size: a FIFO's, 0, sends it to the line reader, which
+    gives the same instance.
 
     A file over the cap, then a file that is not UTF-8, is refused before
     a parse error: after a parse error, the file is read on to its end."""
     # unbuffered, by position: a keyword argument would make the first call
     # build, and keep, the argument parser's keyword table
     with open(path, "rb", 0) as f:
-        st = os.fstat(f.fileno())
-        blocks = _file_text(f, st.st_size, MAX_INSTANCE_BYTES, not stat.S_ISREG(st.st_mode))
+        size = os.fstat(f.fileno()).st_size
+        blocks = _file_text(f, size, MAX_INSTANCE_BYTES)
         try:
-            return _parse_blocks(blocks, st.st_size, digest)
+            return _parse_blocks(blocks, size, digest)
         except InstanceParseError as exc:
             error = exc
         for _ in blocks:

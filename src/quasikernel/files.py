@@ -4,9 +4,10 @@ Instance files ("qkdg 1"): a vertex-count line, an optional clique-part
 line turning the file into a split digraph, and one line per arc, in any
 order when read and ascending when written.  The text is read once,
 from blocks of any size, in chunks of whole lines: the arc lines of a
-dense file written so in bulk, any other text line by line.  Certificate files ("qkcert 1") carry the
-algorithm label, the vertex set, per-vertex witness paths, the bound in
-force, and a digest of the instance they certify.  Both formats are
+dense file written so in bulk, any other text line by line.
+Certificate files ("qkcert 1") carry the algorithm label, the vertex
+set, per-vertex witness paths, the bound in force, and a digest of the
+instance they certify.  Both formats are
 line-based and human-diffable; they are written LF-terminated and read
 with any line ending.
 """
@@ -156,9 +157,10 @@ def _parse_blocks(
 ) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
     """``parse_instance`` of the text that is the concatenation of blocks,
     read as they come.  Only the text not yet cut into chunks is held
-    between blocks: the unread partial line, and up to a chunk more when
-    the text read so far cannot yet tell where the next chunk ends.  The
-    chunks are those of the whole text, so the outcome is too.
+    between blocks: the unread partial line, held whole however many
+    blocks it spans, and up to a chunk more when the text read so far
+    cannot yet tell where the next chunk ends.  The chunks are those of
+    the whole text, so the outcome is too.
 
     ``size`` stands in for the text's length in the density test, which
     is taken when the first arc line is reached: a text read from a file

@@ -1,4 +1,5 @@
 import functools
+import io
 import os
 import random
 import threading
@@ -515,9 +516,8 @@ def _whole_file_outcome(data: bytes, cap: int = files.MAX_INSTANCE_BYTES):
 
 
 def _block_outcome(path: Path, data: bytes, block: int, cap: int = files.MAX_INSTANCE_BYTES, fifo=False):
-    """The outcome of reading data from a regular file at path, which is
-    read again to number a read error, or from a FIFO next to it, whose
-    line ends are counted as they are read."""
+    """The outcome of reading data from a regular file at path, or from a
+    FIFO next to it, which reports size 0 and may return short reads."""
     with patch.object(quasikernel.cli, "_READ_BLOCK", block), \
             patch.object(quasikernel.cli, "MAX_INSTANCE_BYTES", cap):
         if not fifo:
@@ -645,6 +645,36 @@ def test_a_fifo_instance_names_the_digest_a_file_does(tmp_path):
         certificates.append(out.read_text())
     assert certificates[0] == certificates[1]
     assert _written_digest(certificates[0]) == instance_digest(parse_instance(text))
+
+
+class _CountedReads(io.BytesIO):
+    """A file whose reads are listed by the number of bytes each returned."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.reads: list[int] = []
+
+    def read(self, size=-1):
+        block = super().read(size)
+        self.reads.append(len(block))
+        return block
+
+
+@pytest.mark.parametrize("block", [7, 100, 1 << 14])
+def test_a_file_is_read_to_its_size_whatever_size_it_reports(block):
+    # a file that holds its stat size ends at the read that comes to it;
+    # one that reports less (a FIFO or a device reports 0) or more (it
+    # got shorter) goes on until a read finds nothing
+    data = serialize_instance(gen_dn(3)).encode()
+    for size in (len(data), 0, len(data) // 2, len(data) + 5):
+        f = _CountedReads(data)
+        with patch.object(quasikernel.cli, "_READ_BLOCK", block):
+            text = "".join(quasikernel.cli._file_text(f, size, files.MAX_INSTANCE_BYTES))
+        assert text == data.decode()
+        assert sum(f.reads) == len(data)
+        assert (f.reads[-1] == 0) == (size != len(data))
+        if block > len(data):
+            assert len(f.reads) == 1 + (size != len(data)) + (size < len(data))
 
 
 def test_a_read_peaks_below_the_file_size(tmp_path):
