@@ -5,7 +5,7 @@ surfaces as a VerificationError instead of a silently wrong answer.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .digraph import Digraph, PreconditionError, VerificationError, lowest, members
 
@@ -54,13 +54,45 @@ def _require_semicomplete(t: Digraph, within: int | None = None) -> None:
         raise PreconditionError(f"not semicomplete: vertices {pair[0]} and {pair[1]} are non-adjacent")
 
 
-def _max_in_degree(inn: Sequence[int], within: int) -> int:
-    """Vertex of mask ``within`` whose in-row has the most bits inside it, smallest on ties.
+class _Ranking(NamedTuple):
+    """The vertices of a mask ``within`` by in-degree inside it, highest
+    first and lowest index on ties; those in-degrees; and whether the
+    digraph is semicomplete inside ``within``."""
 
-    Where the digraph is semicomplete inside ``within``, this vertex is a
-    2-serf there: a king of the reversed digraph.
+    order: list[int]
+    degree: dict[int, int]
+    semicomplete: bool
+
+
+def _rank(inn: Sequence[int], out: Sequence[int], within: int) -> _Ranking:
+    """The ranking of ``within``, read from the in- and out-rows in one pass."""
+    degree = {}
+    semicomplete = True
+    for w in members(within):
+        degree[w] = (inn[w] & within).bit_count()
+        semicomplete = semicomplete and not within & ~(inn[w] | out[w] | 1 << w)
+    return _Ranking(sorted(degree, key=degree.__getitem__, reverse=True), degree, semicomplete)
+
+
+def _max_in_degree(inn: Sequence[int], rest: int, ranking: _Ranking, floor: int) -> int:
+    """Vertex of mask ``rest`` whose in-row has the most bits inside it, smallest on ties.
+
+    ``ranking`` ranks a mask that holds ``rest``, and each vertex w of the
+    rest has at least ``floor`` in-neighbours there outside the rest, so at
+    most its ranked degree minus ``floor`` inside it.  The rest is scanned in
+    ranked order, and the scan stops at the first vertex whose bound, or
+    whose bound and index, cannot beat the best found: every later vertex
+    has a bound no higher, and on an equal bound a higher index.  Where the
+    digraph is semicomplete inside ``rest``, this vertex is a 2-serf there:
+    a king of the reversed digraph.
     """
-    return max(members(within), key=lambda w: (inn[w] & within).bit_count())
+    best = (-1, 0)
+    for w in ranking.order:
+        if rest >> w & 1:
+            if (ranking.degree[w] - floor, -w) < best:
+                break
+            best = max(best, ((inn[w] & rest).bit_count(), -w))
+    return -best[1]
 
 
 def dominate_two_serf(t: Digraph, v: int) -> int:
@@ -74,33 +106,47 @@ def dominate_two_serf(t: Digraph, v: int) -> int:
     _require_semicomplete(t)
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range for n={t.n}")
-    u = _dominate(t.in_masks, t.out_masks, v, t.full_mask, t.reach_in_two(v))
+    inn, out, full = t.in_masks, t.out_masks, t.full_mask
+    u = _dominate(inn, out, v, full, t.reach_in_two(v), _rank(inn, out, full))
     if not t.is_two_serf(u):
         raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
     return u
 
 
-def _dominate(inn: Sequence[int], out: Sequence[int], v: int, within: int, reach_v: int) -> int:
+def _dominate(
+    inn: Sequence[int], out: Sequence[int], v: int, within: int, reach_v: int, ranking: _Ranking
+) -> int:
     """dominate_two_serf in the subdigraph that mask ``within`` induces, read
     from a digraph's in-rows ``inn`` and out-rows ``out``, in its own
     indices, building no digraph.
 
-    ``reach_v`` must be ``reach_within(inn, v, within)``.  The caller checks,
-    once for all its calls, that the digraph is semicomplete inside
-    ``within``, and that u reaches all of ``within`` in two arcs.  That the
-    rest is nonempty, that u is a 2-serf of the rest, and that N-[v] within
-    ``within`` lies in N-(u) are re-verified here.  u is a 2-serf of the
-    rest when every vertex of the rest outside N-[u] has an out-arc into
-    N-(u): that side is read, since u's in-row usually holds nearly all of
-    the rest.
+    ``reach_v`` must be ``reach_within(inn, v, within)`` and ``ranking``
+    must be ``_rank(inn, out, within)``, which a caller builds once for all
+    its calls.  The caller checks, once for all its calls, that the digraph
+    is semicomplete inside ``within``, and that u reaches all of ``within``
+    in two arcs.  That the rest is nonempty, that u is a 2-serf of the rest,
+    and that N-[v] within ``within`` lies in N-(u) are re-verified here.  u
+    is a 2-serf of the rest when every vertex of the rest outside N-[u] has
+    an out-arc into N-(u): that side is read, since u's in-row usually holds
+    nearly all of the rest.
+
+    u is found by ``_max_in_degree`` with the floor 1 + d(v), d the
+    in-degree inside ``within``, when the ranking proved ``within``
+    semicomplete, and 0 otherwise.  In a semicomplete ``within`` v and each
+    in-neighbour of v point at every w of the rest, or else w would reach v
+    within two arcs; none of them is in the rest, so w has at most
+    d(w) - 1 - d(v) in-neighbours there.  The floor only stops the scan
+    early, so u is the full scan's on any digraph.
     """
     rest = within & ~reach_v
     if not rest:
         raise PreconditionError(f"vertex {v} is already a 2-serf")
-    u = _max_in_degree(inn, rest)
-    near = inn[u] & rest
+    floor = 1 + ranking.degree[v] if ranking.semicomplete else 0
+    u = _max_in_degree(inn, rest, ranking, floor)
+    in_u = inn[u]
+    near = in_u & rest
     if any(not out[w] & near for w in members(rest & ~(near | 1 << u))):
         raise VerificationError(f"max in-degree vertex {u} is not a 2-serf of the rest")
-    if (inn[v] | 1 << v) & within & ~inn[u]:
+    if (inn[v] | 1 << v) & within & ~in_u:
         raise VerificationError(f"closed in-neighborhood of {v} not dominated by {u}")
     return u

@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .construct import _dominate, _require_semicomplete
+from .construct import _dominate, _rank, _require_semicomplete
 from .digraph import (
     Digraph,
     PreconditionError,
@@ -136,6 +136,11 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     lowest-index choice and tie-break agrees.  The preconditions, the
     per-vertex size inequality, the one-way bound and that the set is a
     quasi-kernel of D[region] are checked on the region.
+
+    A clique vertex that is not a 2-serf of the tournament is steered
+    through ``_dominate``, which finds its 2-serf by scanning the
+    tournament's ranking (``_rank``, its positions by in-degree, highest
+    first): built once, at the first such vertex, and only if there is one.
     """
     d_in = d.in_masks
     indep = region & ~clique
@@ -160,10 +165,12 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
         row | second | 1 << i for i, (row, second) in enumerate(zip(t_in, or_rows(t_in, t_in)))
     ]
     candidates: list[int] = []
+    ranking = None
     for i, union in enumerate(reached):
         src = i
         if reach[i] != full:
-            src = _dominate(t_in, t_out, i, full, reach[i])
+            ranking = ranking or _rank(t_in, t_out, full)
+            src = _dominate(t_in, t_out, i, full, reach[i], ranking)
             _require(reach[src] == full, f"candidate {src} is not a 2-serf of the tournament")
         q = (reached[src] | 1 << order[src]) & ~d_in[order[src]]
         _require(
@@ -257,7 +264,7 @@ def _two_thirds(d: Digraph, clique: int, region: int) -> int:
         reach_v = d.reach_in_two(v, clique)
         if reach_v != clique:
             _require_semicomplete(d, clique)
-            v = _dominate(inn, out, v, clique, reach_v)
+            v = _dominate(inn, out, v, clique, reach_v, _rank(inn, out, clique))
             _require(d.reach_in_two(v, clique) == clique, f"{v} is not a 2-serf of the clique")
             _require(bk >> v & 1 == 1, "dominating 2-serf left the remainder clique side")
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))

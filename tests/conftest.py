@@ -145,6 +145,12 @@ def dominating_two_serf_by_scan(n: int, arcs, v: int) -> int:
     return min(rest, key=lambda w: (-sum(1 for t, h in arcs if h == w and t in rest), w))
 
 
+def max_in_degree_by_scan(arcs, rest) -> int:
+    """Reference for _max_in_degree: the vertex of the set rest with the most
+    in-arcs from rest, smallest index on ties."""
+    return min(rest, key=lambda w: (-sum(1 for t, h in arcs if h == w and t in rest), w))
+
+
 def induced_by_filter(arcs, s) -> set[tuple[int, int]]:
     """Arcs of the subdigraph on s, relabelled by rank in sorted(s)."""
     rank = {v: i for i, v in enumerate(sorted(s))}

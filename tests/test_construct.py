@@ -8,7 +8,8 @@ from quasikernel import (
     quasi_kernel_cl,
     quasi_kernel_rooted,
 )
-from quasikernel.construct import _max_in_degree
+from quasikernel.construct import _dominate, _max_in_degree, _rank
+from quasikernel.digraph import reach_within
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -45,7 +46,7 @@ def test_cl_empty_and_basic():
 
 
 def max_in_degree(t: Digraph) -> int:
-    return _max_in_degree(t.in_masks, t.full_mask)
+    return _max_in_degree(t.in_masks, t.full_mask, _rank(t.in_masks, t.out_masks, t.full_mask), 0)
 
 
 def test_two_serf_transitive_tournament():
@@ -107,6 +108,34 @@ def test_dominate_campaign():
             u = dominate_two_serf(t, v)
             assert t.is_two_serf(u)
             assert not (t.in_masks[v] | 1 << v) & ~t.in_masks[u]
+
+
+class CountingRows(list):
+    """Rows that count how many times one is read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_dominate_reads_a_few_in_rows_per_vertex_on_a_near_transitive_tournament():
+    # the one-way ladder's clique: i -> j for i < j with (k-3, k-1) reversed,
+    # so 0..k-4 are not 2-serfs; scanning every vertex of each rest would
+    # read about k^2/2 in-rows, the ranked scan a few per vertex
+    k = 200
+    arcs = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (k - 3, k - 1)]
+    t = Digraph(k, [*arcs, (k - 1, k - 3)])
+    ranking = _rank(t.in_masks, t.out_masks, t.full_mask)
+    inn = CountingRows(t.in_masks)
+    picks = []
+    for v in range(k):
+        reach_v = reach_within(t.in_masks, v, t.full_mask)
+        if reach_v != t.full_mask:
+            picks.append(_dominate(inn, t.out_masks, v, t.full_mask, reach_v, ranking))
+    assert picks == [k - 3] * (k - 3)
+    assert inn.reads < 4 * k
 
 
 def test_semicomplete_quasi_kernels_are_singletons():

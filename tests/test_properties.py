@@ -16,6 +16,7 @@ from conftest import (
     fpt_by_independent_by_bfs,
     gnp,
     induced_by_filter,
+    max_in_degree_by_scan,
     qk_by_bfs,
     reaching_within_two,
     relabel_split,
@@ -42,7 +43,7 @@ from quasikernel import (
     quasi_kernel_rooted,
 )
 from quasikernel import exact
-from quasikernel.construct import _dominate, _max_in_degree
+from quasikernel.construct import _dominate, _max_in_degree, _rank
 from quasikernel.digraph import members, or_rows, reach_within
 
 
@@ -110,7 +111,7 @@ def test_rooted_quasi_kernel_property(d, rnd):
 
 @given(semicomplete(min_n=1, max_n=8))
 def test_semicomplete_two_serf(t):
-    v = _max_in_degree(t.in_masks, t.full_mask)
+    v = _max_in_degree(t.in_masks, t.full_mask, _rank(t.in_masks, t.out_masks, t.full_mask), 0)
     assert t.is_two_serf(v)
     # independence forces singleton quasi-kernels in semicomplete digraphs
     assert len(quasi_kernel_cl(t)) == 1
@@ -157,13 +158,14 @@ def test_dominate_two_serf_matches_scan_reference(case, data):
     within = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
     sub, old_of_new, new_of_old = t.induced(within)
     mask = t.mask_of(within)
+    ranking = _rank(t.in_masks, t.out_masks, mask)
     for v in sorted(within):
         reach_v = t.reach_in_two(v, mask)
         if reach_v == mask:
             with pytest.raises(PreconditionError):
-                _dominate(t.in_masks, t.out_masks, v, mask, reach_v)
+                _dominate(t.in_masks, t.out_masks, v, mask, reach_v, ranking)
             continue
-        u = _dominate(t.in_masks, t.out_masks, v, mask, reach_v)
+        u = _dominate(t.in_masks, t.out_masks, v, mask, reach_v, ranking)
         assert u == old_of_new[dominate_two_serf(sub, new_of_old[v])]
 
 
@@ -176,17 +178,18 @@ def test_dominate_refuses_exactly_a_vertex_that_misses_the_rest(case):
     # within two arcs
     d, s = case
     within = d.mask_of(s)
+    ranking = _rank(d.in_masks, d.out_masks, within)
     arcs = d.arcs
     for v in s:
         reach_v = reach_within(d.in_masks, v, within)
         rest = within & ~reach_v
         if not rest:
             continue
-        u = _max_in_degree(d.in_masks, rest)
+        u = _max_in_degree(d.in_masks, rest, ranking, 0)
         inside = [(t, h) for t, h in arcs if rest >> t & 1 and rest >> h & 1]
         misses = reaching_within_two(inside, u) != set(members(rest))
         try:
-            answer = str(_dominate(d.in_masks, d.out_masks, v, within, reach_v))
+            answer = str(_dominate(d.in_masks, d.out_masks, v, within, reach_v, ranking))
         except VerificationError as exc:
             answer = str(exc)
         assert (answer == f"max in-degree vertex {u} is not a 2-serf of the rest") == misses
@@ -196,7 +199,48 @@ def test_dominate_refuses_a_rest_with_no_arcs():
     # the rest of 0 is {1, 2} with no arc: 1 wins the tie and misses 2
     d = Digraph(3)
     with pytest.raises(VerificationError, match="max in-degree vertex 1 is not a 2-serf of the rest"):
-        _dominate(d.in_masks, d.out_masks, 0, d.full_mask, reach_within(d.in_masks, 0, d.full_mask))
+        _dominate(
+            d.in_masks,
+            d.out_masks,
+            0,
+            d.full_mask,
+            reach_within(d.in_masks, 0, d.full_mask),
+            _rank(d.in_masks, d.out_masks, d.full_mask),
+        )
+
+
+def assert_ranked_scan_matches_brute_force(d: Digraph, s) -> None:
+    # the floor is the one _dominate uses; every vertex of the rest has at
+    # most its ranked degree minus that floor in-neighbours there, and the
+    # scan names the arc scan's maximum in-degree vertex of the rest
+    within = d.mask_of(s)
+    ranking = _rank(d.in_masks, d.out_masks, within)
+    assert ranking.semicomplete == (d.semicomplete_violation(within) is None)
+    assert ranking.order == sorted(s, key=lambda w: (-ranking.degree[w], w))
+    arcs = d.arcs
+    for v in s:
+        rest = set(members(within & ~reach_within(d.in_masks, v, within)))
+        if not rest:
+            continue
+        floor = 1 + ranking.degree[v] if ranking.semicomplete else 0
+        for w in rest:
+            assert sum(1 for t, h in arcs if h == w and t in rest) <= ranking.degree[w] - floor
+        expected = max_in_degree_by_scan(arcs, rest)
+        assert _max_in_degree(d.in_masks, d.mask_of(rest), ranking, floor) == expected
+        assert _max_in_degree(d.in_masks, d.mask_of(rest), ranking, 0) == expected
+
+
+@given(semicomplete(min_n=1, max_n=12), st.data())
+@settings(max_examples=200)
+def test_ranked_scan_names_the_maximum_in_degree_vertex_of_a_semicomplete_rest(t, data):
+    s = data.draw(st.frozensets(st.integers(0, t.n - 1), min_size=1))
+    assert_ranked_scan_matches_brute_force(t, s)
+
+
+@given(digraphs_with_subsets(max_n=10))
+@settings(max_examples=200)
+def test_ranked_scan_names_the_maximum_in_degree_vertex_of_any_rest(case):
+    assert_ranked_scan_matches_brute_force(*case)
 
 
 @given(digraphs_with_subsets())
