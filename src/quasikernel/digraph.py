@@ -90,28 +90,38 @@ class QkCertificate(NamedTuple):
             if out[v] & inside:
                 raise VerificationError(f"certificate set not independent at vertex {v}")
         witnesses = self.witnesses
-        # a path is read by len, index and slice, which a set, a mapping or
-        # an iterator fails with TypeError or KeyError
+        # a path is read by len and index, which a set, a mapping or an
+        # iterator fails with TypeError or KeyError
         if not {tuple, list}.issuperset(map(type, witnesses.values())):
             v, path = next((v, p) for v, p in witnesses.items() if type(p) not in (tuple, list))
             raise VerificationError(f"witness for {v} is {path!r}, not an int tuple or list")
         # bool is an int: True would pass for vertex 1 and be written as True
-        if not {int}.issuperset(map(type, chain(witnesses, *witnesses.values()))):
-            bad = next(u for u in chain(witnesses, *witnesses.values()) if type(u) is not int)
+        paths = witnesses.values()
+        if not {int}.issuperset(map(type, chain(witnesses, chain.from_iterable(paths)))):
+            bad = next(u for u in chain(witnesses, chain.from_iterable(paths)) if type(u) is not int)
             raise VerificationError(f"witness entry {bad!r} is not an int (bool is rejected)")
-        outside = d.full_mask & ~inside
-        if len(self.witnesses) != outside.bit_count() or not all(
-            0 <= v < d.n and outside >> v & 1 for v in self.witnesses
-        ):
+        # the keys are distinct ints, so in range their bits sum to their mask
+        n = d.n
+        in_range = not witnesses or 0 <= min(witnesses) and max(witnesses) < n
+        if not in_range or sum(map((1).__lshift__, witnesses)) != d.full_mask & ~inside:
             raise VerificationError("witness table does not cover exactly the outside vertices")
-        for v, path in self.witnesses.items():
-            if not 2 <= len(path) <= 3:
-                raise VerificationError(f"witness for {v} has invalid length {len(path)}")
-            if path[0] != v or path[-1] not in self.vertices:
+        # v is in range, and each path's last vertex is a set member, so in
+        # range too: only a middle vertex needs a range test
+        vertices = self.vertices
+        for v, path in witnesses.items():
+            length = len(path)
+            if not 2 <= length <= 3:
+                raise VerificationError(f"witness for {v} has invalid length {length}")
+            q = path[-1]
+            if path[0] != v or q not in vertices:
                 raise VerificationError(f"witness for {v} has wrong endpoints")
-            for a, b in zip(path, path[1:]):
-                if not (0 <= a < d.n and 0 <= b < d.n and out[a] >> b & 1):
-                    raise VerificationError(f"witness arc ({a},{b}) for {v} not in the digraph")
+            a = v
+            if length == 3:
+                a = path[1]
+                if not (0 <= a < n and out[v] >> a & 1):
+                    raise VerificationError(f"witness arc ({v},{a}) for {v} not in the digraph")
+            if not out[a] >> q & 1:
+                raise VerificationError(f"witness arc ({a},{q}) for {v} not in the digraph")
         if self.bound is not None and self.size > self.bound:
             raise VerificationError(f"certificate size {self.size} exceeds its bound {self.bound}")
 

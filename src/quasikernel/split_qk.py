@@ -119,8 +119,11 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     tournament out-neighbors, minus its in-neighborhood, steered through a
     dominating 2-serf when the vertex itself is not one) and the smallest
     candidate wins.  The clique is checked for semicompleteness once, and
-    every vertex's reach-in-two mask and class union come from one bulk
-    row-OR each (``or_rows``), not from a scan per vertex.
+    every vertex's reach-in-two mask comes from one bulk row-OR
+    (``or_rows``), not from a scan per vertex.  A second row-OR builds the
+    class unions of only the 2-serfs that the candidates use; a steered
+    vertex's union is needed only for its size, which is read from bit
+    planes of the class sizes.
     """
     d = sd.graph
     q = _one_way(d, sd.clique, d.full_mask)
@@ -141,6 +144,13 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     through ``_dominate``, which finds its 2-serf by scanning the
     tournament's ranking (``_rank``, its positions by in-degree, highest
     first): built once, at the first such vertex, and only if there is one.
+    Each position's 2-serf is found first, and then the classes are ORed for
+    the distinct 2-serfs alone.  A steered vertex's own union enters only
+    its size inequality, so it is sized, not built: the classes are
+    disjoint, so the union of the classes of a position set S has
+    sum_b 2^b |S & plane_b| members, plane_b holding the positions whose
+    class size has bit b set.  The candidates, and so the choice among
+    them, are the ones a union per position gives.
     """
     d_in = d.in_masks
     indep = region & ~clique
@@ -158,27 +168,45 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     _require_semicomplete(d, clique & region)
     classes = _class_masks(d, order, indep, region)
     full = (1 << len(order)) - 1
-    # reached[i]: the classes of i's tournament out-neighbors, which are disjoint
-    reached = or_rows(classes, t_out)
     # reach[i]: the tournament vertices that reach i within two arcs
     reach = [
         row | second | 1 << i for i, (row, second) in enumerate(zip(t_in, or_rows(t_in, t_in)))
     ]
-    candidates: list[int] = []
+    # serf[i]: the 2-serf whose candidate stands for clique position i
+    serf = list(range(len(order)))
     ranking = None
-    for i, union in enumerate(reached):
-        src = i
-        if reach[i] != full:
+    for i, row in enumerate(reach):
+        if row != full:
             ranking = ranking or _rank(t_in, t_out, full)
-            src = _dominate(t_in, t_out, i, full, reach[i], ranking)
-            _require(reach[src] == full, f"candidate {src} is not a 2-serf of the tournament")
-        q = (reached[src] | 1 << order[src]) & ~d_in[order[src]]
-        _require(
-            q.bit_count() <= union.bit_count() + 1,
-            f"per-vertex size inequality violated at clique index {i}",
-        )
-        candidates.append(q)
-    q = min(candidates, key=int.bit_count)
+            u = serf[i] = _dominate(t_in, t_out, i, full, row, ranking)
+            if reach[u] != full:
+                raise VerificationError(f"candidate {u} is not a 2-serf of the tournament")
+    # the used 2-serfs in order of first use, each with the union of the
+    # classes of its tournament out-neighbors, which are disjoint
+    used = list(dict.fromkeys(serf))
+    unions = dict(zip(used, or_rows(classes, [t_out[u] for u in used])))
+    candidates = {u: (unions[u] | 1 << order[u]) & ~d_in[order[u]] for u in used}
+    sizes = {u: q.bit_count() for u, q in candidates.items()}
+    planes: list[int] = []
+    if ranking is not None:
+        # plane b, the positions whose class size has bit b set, from its
+        # binary digits, the last position's first
+        counts = [c.bit_count() for c in classes]
+        planes = [
+            int(bytes([48 | c >> b & 1 for c in reversed(counts)]), 2)
+            for b in range(max(counts).bit_length())
+        ]
+    for i, u in enumerate(serf):
+        if i == u:
+            union = unions[u].bit_count()
+        else:
+            row = t_out[i]
+            union = sum((row & plane).bit_count() << b for b, plane in enumerate(planes))
+        if sizes[u] > union + 1:
+            raise VerificationError(f"per-vertex size inequality violated at clique index {i}")
+    # used runs in order of first use, so this is the candidate that a min
+    # over the positions picks: the lowest position's of the fewest members
+    q = candidates[min(used, key=sizes.__getitem__)]
     n, size = region.bit_count(), q.bit_count()
     _require(size <= _one_way_size_cap(n), f"one-way bound violated: size {size} for n={n}")
     _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")

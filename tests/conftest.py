@@ -443,6 +443,42 @@ def first_cover_reference(
     return None, tested
 
 
+# QkCertificate.check stage by stage, from the arc set: the message of the
+# first stage that fails, or None if the certificate holds.  The stages, their
+# order and their messages are check's; the tests compare its verdicts with
+# this one's on tampered witness tables.
+def certificate_check_reference(cert, d: Digraph) -> str | None:
+    arcs = set(d.arcs)
+    for v in cert.vertices:
+        if type(v) is not int:
+            return f"certificate vertex {v!r} is not an int (bool is rejected)"
+        if not 0 <= v < d.n:
+            return f"certificate vertex {v} out of range"
+    for v in cert.vertices:
+        if any((v, u) in arcs for u in cert.vertices):
+            return f"certificate set not independent at vertex {v}"
+    table = cert.witnesses
+    for v, path in table.items():
+        if type(path) not in (tuple, list):
+            return f"witness for {v} is {path!r}, not an int tuple or list"
+    for entry in [*table, *(u for path in table.values() for u in path)]:
+        if type(entry) is not int:
+            return f"witness entry {entry!r} is not an int (bool is rejected)"
+    if set(table) != set(range(d.n)) - cert.vertices:
+        return "witness table does not cover exactly the outside vertices"
+    for v, path in table.items():
+        if len(path) not in (2, 3):
+            return f"witness for {v} has invalid length {len(path)}"
+        if path[0] != v or path[-1] not in cert.vertices:
+            return f"witness for {v} has wrong endpoints"
+        for a, b in [(path[i], path[i + 1]) for i in range(len(path) - 1)]:
+            if (a, b) not in arcs:
+                return f"witness arc ({a},{b}) for {v} not in the digraph"
+    if cert.bound is not None and len(cert.vertices) > cert.bound:
+        return f"certificate size {len(cert.vertices)} exceeds its bound {cert.bound}"
+    return None
+
+
 # one_way_qk and two_thirds_qk as they were before the tournament, the
 # induced digraphs and the reach masks were built from mask rows: the
 # tournament and the one-way classes through an arc list, the dominating

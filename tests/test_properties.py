@@ -1,5 +1,6 @@
 """Property tests for the structural invariants."""
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     arc_lists,
+    certificate_check_reference,
     digraphs,
     digraphs_with_subsets,
     dominating_by_scan,
@@ -30,6 +32,7 @@ from quasikernel import (
     Digraph,
     NotQuasiKernelError,
     PreconditionError,
+    QkCertificate,
     VerificationError,
     dominate_two_serf,
     fpt_by_independent,
@@ -96,6 +99,65 @@ def test_certify_iff_quasi_kernel(case):
             raise AssertionError("certify accepted a non-quasi-kernel")
         except NotQuasiKernelError as exc:
             assert 0 <= exc.vertex < d.n
+
+
+TAMPERS = (
+    "delete key", "key -1", "key n", "length 1", "length 4", "last vertex", "middle vertex",
+    "middle out of range", "bool entry", "set path", "list path", "extra vertex", "bound",
+)
+
+
+def tamper(cert: QkCertificate, d: Digraph, kind: str, pick: int) -> QkCertificate:
+    """cert with one change of the given kind; pick chooses where and what."""
+    table, vertices, bound = dict(cert.witnesses), cert.vertices, cert.bound
+    n, q = d.n, min(cert.vertices, default=0)
+    v = list(table)[pick % len(table)] if table else n
+    path = table.get(v)
+    if type(path) not in (tuple, list) or not path:
+        path = (v, q)
+    if kind == "delete key":
+        table.pop(v, None)
+    elif kind in ("key -1", "key n"):
+        w = -1 if kind == "key -1" else n
+        table[w] = (w, q)
+    elif kind == "length 1":
+        table[v] = (v,)
+    elif kind == "length 4":
+        table[v] = (*path, *path)[:4]
+    elif kind == "last vertex":
+        table[v] = (*path[:-1], pick % (n + 2) - 1)
+    elif kind == "middle vertex":
+        table[v] = (v, pick % max(n, 1), path[-1])
+    elif kind == "middle out of range":
+        table[v] = (v, (-1, n)[pick % 2], path[-1])
+    elif kind == "bool entry":
+        table[v] = tuple(bool(u) if i == pick % len(path) else u for i, u in enumerate(path))
+    elif kind == "set path":
+        table[v] = set(path)
+    elif kind == "list path":
+        table[v] = list(path)
+    elif kind == "extra vertex":
+        vertices = vertices | {pick % (n + 2) - 1}
+    else:
+        bound = Fraction(len(vertices) - 1)
+    return QkCertificate(vertices, table, cert.algorithm, bound)
+
+
+@given(digraphs(max_n=7), st.lists(st.tuples(st.sampled_from(TAMPERS), st.integers(0, 99)), max_size=3))
+def test_certificate_check_matches_its_stage_by_stage_reference(d, changes):
+    # a certificate of the rooted construction's set, tampered up to three
+    # times: check refuses it exactly when the reference does, at the same
+    # stage with the same message
+    cert = d.certify(quasi_kernel_cl(d), "prop")
+    for kind, pick in changes:
+        cert = tamper(cert, d, kind, pick)
+    expected = certificate_check_reference(cert, d)
+    if expected is None:
+        cert.check(d)
+    else:
+        with pytest.raises(VerificationError) as err:
+            cert.check(d)
+        assert str(err.value) == expected
 
 
 @given(digraphs(max_n=8), st.randoms(use_true_random=False))
@@ -264,6 +326,10 @@ def test_semicomplete_violation_is_the_first_open_pair(case):
 @example(([], [0]))
 @example(([0, 0, 5, 0, 0], [0, 31, 4]))
 @example(([1, 2, 4, 8, 16, 32, 64, 128, 256], [0, 511, 256, 1]))
+# the one-way construction's class call: up to 13 class masks, and as few
+# selectors as it uses 2-serfs, none at all included
+@example(([1 << 3 * j for j in range(13)], []))
+@example(([1 << 3 * j for j in range(13)], [1 << 12, 4095, 6]))
 def test_or_rows_matches_a_member_loop(case):
     rows, selectors = case
     expected = []

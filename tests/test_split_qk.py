@@ -29,6 +29,7 @@ from quasikernel import (
     two_thirds_qk,
 )
 from quasikernel import construct, digraph, split_qk
+from quasikernel.digraph import members
 
 
 def one_way_bound_holds(n: int, size: int) -> bool:
@@ -247,6 +248,123 @@ def test_one_way_campaign_bound():
         assert one_way_bound_holds(n, cert.size)
         if n >= 3:
             assert cert.size <= n // 2
+
+
+def steered_one_way_split(rng: random.Random) -> SplitDigraph:
+    """A sink-free one-way split digraph whose tournament is near-transitive,
+    so most clique vertices are steered to a 2-serf: the clique i -> j for
+    i < j but for a few reversed pairs among the top six, one of them into
+    the top vertex, and a few digons.  Each clique vertex gets 1-5
+    independent vertices with an arc into it, some with a second arc into
+    another clique vertex.  The vertices are relabelled at random, which
+    makes the clique no vertex prefix and mixes the class sizes."""
+    k = rng.randint(4, 24)
+    top = range(max(k - 6, 0), k - 1)
+    # k - 2 keeps its one arc, into k - 1
+    reversed_pairs = {(rng.choice(top[:-1]), k - 1)}
+    reversed_pairs |= {tuple(sorted(rng.sample(top, 2))) for _ in range(rng.randint(0, 2))}
+    arcs = []
+    for i, j in combinations(range(k), 2):
+        arcs.append((j, i) if (i, j) in reversed_pairs else (i, j))
+        if rng.random() < 0.05:
+            arcs.append(arcs[-1][::-1])
+    n = k
+    for c in range(k):
+        for _ in range(rng.randint(1, 5)):
+            arcs.append((n, c))
+            if rng.random() < 0.3:
+                arcs.append((n, rng.randrange(k)))
+            n += 1
+    perm = list(range(n))
+    while perm[:k] == list(range(k)):
+        rng.shuffle(perm)
+    sd = SplitDigraph(Digraph(n, arcs), range(k), range(k, n))
+    return relabel_split(sd, perm)
+
+
+def test_one_way_sizes_steered_vertices_by_their_class_planes(monkeypatch):
+    # where most clique vertices are steered, their unions are sized from
+    # bit planes of the class sizes, not built: the sets are the arc-list
+    # reference's, on classes of up to 5 and more members, so at least two
+    # planes, as the benchmark's ladders, whose classes are single, never are
+    steered = []
+
+    def dominate(*args, _original=split_qk._dominate):
+        steered.append(args[2])
+        return _original(*args)
+
+    monkeypatch.setattr(split_qk, "_dominate", dominate)
+    clique_vertices = largest_class = 0
+    for seed in range(60):
+        sd = steered_one_way_split(random.Random(seed))
+        assert sd.clique != (1 << sd.clique.bit_count()) - 1
+        order = tuple(members(sd.clique))
+        classes = split_qk._class_masks(sd.graph, order, sd.independent, sd.graph.full_mask)
+        largest_class = max(largest_class, *map(int.bit_count, classes))
+        clique_vertices += len(order)
+        assert one_way_qk(sd).vertices == one_way_reference(sd)
+    assert largest_class >= 5
+    assert len(steered) >= clique_vertices // 2
+
+
+def test_one_way_ors_the_classes_of_only_the_used_two_serfs(monkeypatch):
+    # on the ladder every clique vertex but the top three is steered to
+    # position 97; one row-OR builds the reach masks of all 100 vertices,
+    # the other the class unions of the three 2-serfs used, 97, 98 and 99
+    selectors_per_call = []
+
+    def count(rows, selectors, _original=split_qk.or_rows):
+        selectors = list(selectors)
+        selectors_per_call.append(len(selectors))
+        return _original(rows, selectors)
+
+    monkeypatch.setattr(split_qk, "or_rows", count)
+    sd = near_transitive_ladder(100)
+    assert one_way_qk(sd).vertices == one_way_reference(sd)
+    assert sorted(selectors_per_call) == [3, 100]
+
+
+def test_one_way_refuses_a_steer_to_a_non_two_serf(monkeypatch):
+    # position 0 of the ladder is no 2-serf; steered to itself, it is refused
+    monkeypatch.setattr(split_qk, "_dominate", lambda inn, out, v, *args: v)
+    with pytest.raises(VerificationError, match="^candidate 0 is not a 2-serf of the tournament$"):
+        one_way_qk(near_transitive_ladder(10))
+
+
+@pytest.mark.parametrize("extra, refused", [(2, False), (3, True)])
+def test_one_way_refuses_a_union_over_the_size_inequality(monkeypatch, extra, refused):
+    # A steered vertex i's 2-serf u dominates it, so u's out-neighbours are
+    # among i's and the planes' size of i's classes bounds u's union: no
+    # class mask, however inflated, breaks the inequality.  A union that the
+    # row-OR gets wrong can.  On ladder(10) positions 0-6 are steered to 7,
+    # whose candidate {7, 18} is within the inequality of position 6, whose
+    # classes are those of 7, 8 and 9, one member each: |{7, 18}| + extra <=
+    # 3 + 1 holds for 2 extra members and fails for 3.  With 2, position 7
+    # itself is sized by its union's mask, which holds them, and 8's
+    # candidate, of two members, wins.
+    sd = near_transitive_ladder(10)
+    assert one_way_qk(sd).sorted_vertices() == (7, 18)
+
+    def inflate(rows, selectors, _original=split_qk.or_rows):
+        unions = _original(rows, selectors)
+        if rows is not classes:
+            return unions
+        return [unions[0] | (1 << 10 + extra) - (1 << 10), *unions[1:]]
+
+    def record(*args, _original=split_qk._class_masks):
+        classes[:] = _original(*args)
+        return classes
+
+    classes: list[int] = []
+    monkeypatch.setattr(split_qk, "_class_masks", record)
+    monkeypatch.setattr(split_qk, "or_rows", inflate)
+    if refused:
+        with pytest.raises(
+            VerificationError, match="^per-vertex size inequality violated at clique index 6$"
+        ):
+            one_way_qk(sd)
+    else:
+        assert one_way_qk(sd).sorted_vertices() == (8, 19)
 
 
 # -- two_thirds_qk ------------------------------------------------------------
