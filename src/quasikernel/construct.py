@@ -48,30 +48,18 @@ def quasi_kernel_cl(d: Digraph) -> frozenset[int]:
     return quasi_kernel_rooted(d, 0)
 
 
-def _require_semicomplete(t: Digraph, within: int | None = None) -> None:
-    pair = t.semicomplete_violation(within)
-    if pair is not None:
-        raise PreconditionError(f"not semicomplete: vertices {pair[0]} and {pair[1]} are non-adjacent")
-
-
 class _Ranking(NamedTuple):
     """The vertices of a mask ``within`` by in-degree inside it, highest
-    first and lowest index on ties; those in-degrees; and whether the
-    digraph is semicomplete inside ``within``."""
+    first and lowest index on ties, and those in-degrees."""
 
     order: list[int]
     degree: dict[int, int]
-    semicomplete: bool
 
 
-def _rank(inn: Sequence[int], out: Sequence[int], within: int) -> _Ranking:
-    """The ranking of ``within``, read from the in- and out-rows in one pass."""
-    degree = {}
-    semicomplete = True
-    for w in members(within):
-        degree[w] = (inn[w] & within).bit_count()
-        semicomplete = semicomplete and not within & ~(inn[w] | out[w] | 1 << w)
-    return _Ranking(sorted(degree, key=degree.__getitem__, reverse=True), degree, semicomplete)
+def _rank(inn: Sequence[int], within: int) -> _Ranking:
+    """The ranking of ``within``, read from the in-rows."""
+    degree = {w: (inn[w] & within).bit_count() for w in members(within)}
+    return _Ranking(sorted(degree, key=degree.__getitem__, reverse=True), degree)
 
 
 def _max_in_degree(inn: Sequence[int], rest: int, ranking: _Ranking, floor: int) -> int:
@@ -100,14 +88,17 @@ def dominate_two_serf(t: Digraph, v: int) -> int:
 
     u is a 2-serf of the subdigraph induced by the rest, the vertices that
     cannot reach v within two arcs: its maximum in-degree vertex there,
-    smallest index on ties.  That it is a 2-serf of the rest, and both
+    smallest index on ties.  A t that is not semicomplete is refused with
+    PreconditionError.  That u is a 2-serf of the rest, and both
     postconditions, are re-verified.
     """
-    _require_semicomplete(t)
+    pair = t.semicomplete_violation()
+    if pair is not None:
+        raise PreconditionError(f"not semicomplete: vertices {pair[0]} and {pair[1]} are non-adjacent")
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range for n={t.n}")
     inn, out, full = t.in_masks, t.out_masks, t.full_mask
-    u = _dominate(inn, out, v, full, t.reach_in_two(v), _rank(inn, out, full))
+    u = _dominate(inn, out, v, full, t.reach_in_two(v), _rank(inn, full))
     if not t.is_two_serf(u):
         raise VerificationError(f"candidate {u} is not a 2-serf of the full digraph")
     return u
@@ -121,28 +112,25 @@ def _dominate(
     indices, building no digraph.
 
     ``reach_v`` must be ``reach_within(inn, v, within)`` and ``ranking``
-    must be ``_rank(inn, out, within)``, which a caller builds once for all
-    its calls.  The caller checks, once for all its calls, that the digraph
-    is semicomplete inside ``within``, and that u reaches all of ``within``
-    in two arcs.  That the rest is nonempty, that u is a 2-serf of the rest,
-    and that N-[v] within ``within`` lies in N-(u) are re-verified here.  u
-    is a 2-serf of the rest when every vertex of the rest outside N-[u] has
-    an out-arc into N-(u): that side is read, since u's in-row usually holds
-    nearly all of the rest.
+    must be ``_rank(inn, within)``, which a caller builds once for all its
+    calls.  The digraph must be semicomplete inside ``within``: the caller
+    knows it, and checks that u reaches all of ``within`` in two arcs.  That
+    the rest is nonempty, that u is a 2-serf of the rest, and that N-[v]
+    within ``within`` lies in N-(u) are re-verified here.  u is a 2-serf of
+    the rest when every vertex of the rest outside N-[u] has an out-arc into
+    N-(u): that side is read, since u's in-row usually holds nearly all of
+    the rest.
 
     u is found by ``_max_in_degree`` with the floor 1 + d(v), d the
-    in-degree inside ``within``, when the ranking proved ``within``
-    semicomplete, and 0 otherwise.  In a semicomplete ``within`` v and each
-    in-neighbour of v point at every w of the rest, or else w would reach v
-    within two arcs; none of them is in the rest, so w has at most
-    d(w) - 1 - d(v) in-neighbours there.  The floor only stops the scan
-    early, so u is the full scan's on any digraph.
+    in-degree inside ``within``.  v and each in-neighbour of v point at
+    every w of the rest, or else w would reach v within two arcs; none of
+    them is in the rest, so w has at most d(w) - 1 - d(v) in-neighbours
+    there.  The floor only stops the scan early, so u is the full scan's.
     """
     rest = within & ~reach_v
     if not rest:
         raise PreconditionError(f"vertex {v} is already a 2-serf")
-    floor = 1 + ranking.degree[v] if ranking.semicomplete else 0
-    u = _max_in_degree(inn, rest, ranking, floor)
+    u = _max_in_degree(inn, rest, ranking, 1 + ranking.degree[v])
     in_u = inn[u]
     near = in_u & rest
     if any(not out[w] & near for w in members(rest & ~(near | 1 << u))):

@@ -41,6 +41,10 @@ class VerificationError(RuntimeError):
     """A proof-carrying result failed its own re-verification."""
 
 
+def _immutable(self, name: str, *value: object) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class Induced(NamedTuple):
     """An induced subdigraph together with its index remap."""
 
@@ -216,6 +220,7 @@ class Digraph:
     """
 
     __slots__ = ("n", "_out", "_in")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
@@ -244,9 +249,12 @@ class Digraph:
         return graph
 
     def _store(self, n: int, out: list[int], inn: list[int]) -> None:
-        self.n = n
-        self._out = tuple(out)
-        self._in = tuple(inn)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_out", tuple(out))
+        object.__setattr__(self, "_in", tuple(inn))
+
+    def __reduce__(self):
+        return Digraph._from_masks, (self.n, self._out, self._in)
 
     # -- basic accessors ------------------------------------------------
 
@@ -423,6 +431,7 @@ class SplitDigraph:
     """
 
     __slots__ = ("graph", "clique")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, graph: Digraph, clique: Iterable[int], independent: Iterable[int]):
         k = frozenset(clique)
@@ -440,8 +449,11 @@ class SplitDigraph:
         for t in members(i_mask):
             if out[t] & i_mask:
                 raise SplitError(f"arc inside independent part ({t},{lowest(out[t] & i_mask)})")
-        self.graph = graph
-        self.clique = k_mask
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "clique", k_mask)
+
+    def __reduce__(self):
+        return SplitDigraph, (self.graph, members(self.clique), members(self.independent))
 
     @property
     def independent(self) -> int:

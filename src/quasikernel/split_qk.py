@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .construct import _dominate, _rank, _require_semicomplete
+from .construct import _dominate, _rank
 from .digraph import (
     Digraph,
     PreconditionError,
@@ -62,10 +62,7 @@ def _class_masks(d: Digraph, order: tuple[int, ...], indep: int, region: int) ->
         row = out[s] & region
         if not row:
             raise PreconditionError(f"independent vertex {s} is a sink")
-        y = lowest(row)
-        if y not in pos:
-            raise PreconditionError(f"independent vertex {s} has an out-arc outside the clique")
-        classes[pos[y]] |= 1 << s
+        classes[pos[lowest(row)]] |= 1 << s
     return classes
 
 
@@ -118,14 +115,19 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     candidate is built per clique vertex (its class plus the classes of its
     tournament out-neighbors, minus its in-neighborhood, steered through a
     dominating 2-serf when the vertex itself is not one) and the smallest
-    candidate wins.  The clique is checked for semicompleteness once, and
-    every vertex's reach-in-two mask comes from one bulk row-OR
-    (``or_rows``), not from a scan per vertex.  A second row-OR builds the
-    class unions of only the 2-serfs that the candidates use; a steered
-    vertex's union is needed only for its size, which is read from bit
-    planes of the class sizes.
+    candidate wins.  The input is tested here for one-wayness and sinks,
+    and ``SplitDigraph`` proved the clique semicomplete; every vertex's
+    reach-in-two mask comes from one bulk row-OR (``or_rows``).  A second
+    row-OR builds the class unions of only the 2-serfs that the candidates
+    use; a steered vertex's union is needed only for its size, which is
+    read from bit planes of the class sizes.
     """
     d = sd.graph
+    d_in = d.in_masks
+    if any(d_in[s] for s in members(sd.independent)):
+        raise PreconditionError("not one-way: an independent vertex has an in-arc")
+    if 0 in d.out_masks:
+        raise PreconditionError("has a sink: use two-thirds via sink peeling")
     q = _one_way(d, sd.clique, d.full_mask)
     return d.certify(members(q), "one-way", bound=Fraction(_one_way_size_cap(d.n) if d.n else 0))
 
@@ -136,9 +138,12 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
 
     The set is the one one_way_qk finds on the induced subdigraph: that
     numbers the region in ascending order, as d's indices do, so every
-    lowest-index choice and tie-break agrees.  The preconditions, the
-    per-vertex size inequality, the one-way bound and that the set is a
-    quasi-kernel of D[region] are checked on the region.
+    lowest-index choice and tie-break agrees.  The caller proves D[region]
+    one-way, and the clique semicomplete: one_way_qk, on a SplitDigraph, and
+    ``_two_thirds`` for its remainder.  A sink is the tournament's, which is
+    returned, or independent, which ``_class_masks`` refuses.  The per-vertex
+    size inequality, the one-way bound and that the set is a quasi-kernel
+    of D[region] are checked on the region.
 
     A clique vertex that is not a 2-serf of the tournament is steered
     through ``_dominate``, which finds its 2-serf by scanning the
@@ -152,12 +157,6 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     class size has bit b set.  The candidates, and so the choice among
     them, are the ones a union per position gives.
     """
-    d_in = d.in_masks
-    indep = region & ~clique
-    if any(d_in[s] & region for s in members(indep)):
-        raise PreconditionError("not one-way: an independent vertex has an in-arc")
-    if d.sinks(region):
-        raise PreconditionError("has a sink: use two-thirds via sink peeling")
     if not region:
         return 0
     order, t_out, t_in = _spanning_tournament(d, clique & region)
@@ -165,8 +164,7 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
         q = 1 << order[t_out.index(0)]
         _require(d._quasi_kernel_mask(q, region), "one-way set is not a quasi-kernel of its region")
         return q
-    _require_semicomplete(d, clique & region)
-    classes = _class_masks(d, order, indep, region)
+    classes = _class_masks(d, order, region & ~clique, region)
     full = (1 << len(order)) - 1
     # reach[i]: the tournament vertices that reach i within two arcs
     reach = [
@@ -177,7 +175,7 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     ranking = None
     for i, row in enumerate(reach):
         if row != full:
-            ranking = ranking or _rank(t_in, t_out, full)
+            ranking = ranking or _rank(t_in, full)
             u = serf[i] = _dominate(t_in, t_out, i, full, row, ranking)
             if reach[u] != full:
                 raise VerificationError(f"candidate {u} is not a 2-serf of the tournament")
@@ -185,7 +183,7 @@ def _one_way(d: Digraph, clique: int, region: int) -> int:
     # classes of its tournament out-neighbors, which are disjoint
     used = list(dict.fromkeys(serf))
     unions = dict(zip(used, or_rows(classes, [t_out[u] for u in used])))
-    candidates = {u: (unions[u] | 1 << order[u]) & ~d_in[order[u]] for u in used}
+    candidates = {u: (unions[u] | 1 << order[u]) & ~d.in_masks[order[u]] for u in used}
     sizes = {u: q.bit_count() for u, q in candidates.items()}
     planes: list[int] = []
     if ranking is not None:
@@ -224,6 +222,8 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     of the digraph's own masks: nothing is copied.
     """
     d = sd.graph
+    if 0 in d.out_masks:
+        raise PreconditionError("has a sink: use two-thirds via sink peeling")
     q = _two_thirds(d, sd.clique, d.full_mask)
     return d.certify(members(q), "two-thirds", bound=Fraction(2 * d.n, 3))
 
@@ -233,11 +233,10 @@ def _two_thirds(d: Digraph, clique: int, region: int) -> int:
     region, read from d's own rows and returned as a mask of d.
 
     As with ``_one_way``, the set is the one two_thirds_qk finds on the
-    induced subdigraph.  The sink-free precondition, the 2/3 bound and
-    that the set is a quasi-kernel of D[region] are checked on the region.
+    induced subdigraph.  D[region] has no sink: two_thirds_qk tests so, and
+    ``peel_sinks`` peels until none is left.  The 2/3 bound and that the
+    set is a quasi-kernel of D[region] are checked on the region.
     """
-    if d.sinks(region):
-        raise PreconditionError("has a sink: use two-thirds via sink peeling")
     n = region.bit_count()
     out, inn = d.out_masks, d.in_masks
     clique &= region
@@ -270,14 +269,9 @@ def _two_thirds(d: Digraph, clique: int, region: int) -> int:
         "arcs from the remainder clique side into the independent part",
     )
 
-    # candidate around B: a 2-serf of D[B] if its clique side has a sink
-    # there, else the one-way construction on D[B]
-    b_sinks = d.sinks(region_b)
-    if b_sinks:
-        _require(not b_sinks & ~bk, "remainder sink outside the clique side")
-        q1 = b_sinks & -b_sinks
-    else:
-        q1 = _one_way(d, clique, region_b)
+    # candidate around B: the one-way construction on D[B], whose only
+    # possible sink, of its tournament, is the singleton _one_way returns
+    q1 = _one_way(d, clique, region_b)
     cand_q = (q1 | i_m | nii) & ~d.in_set_mask(q1)
 
     # candidate around the matching
@@ -291,8 +285,7 @@ def _two_thirds(d: Digraph, clique: int, region: int) -> int:
         )
         reach_v = d.reach_in_two(v, clique)
         if reach_v != clique:
-            _require_semicomplete(d, clique)
-            v = _dominate(inn, out, v, clique, reach_v, _rank(inn, out, clique))
+            v = _dominate(inn, out, v, clique, reach_v, _rank(inn, clique))
             _require(d.reach_in_two(v, clique) == clique, f"{v} is not a 2-serf of the clique")
             _require(bk >> v & 1 == 1, "dominating 2-serf left the remainder clique side")
         cand_qp = 1 << v | (indep & ~(nii | inn[v]))

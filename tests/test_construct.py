@@ -46,7 +46,7 @@ def test_cl_empty_and_basic():
 
 
 def max_in_degree(t: Digraph) -> int:
-    return _max_in_degree(t.in_masks, t.full_mask, _rank(t.in_masks, t.out_masks, t.full_mask), 0)
+    return _max_in_degree(t.in_masks, t.full_mask, _rank(t.in_masks, t.full_mask), 0)
 
 
 def test_two_serf_transitive_tournament():
@@ -127,7 +127,7 @@ def test_dominate_reads_a_few_in_rows_per_vertex_on_a_near_transitive_tournament
     k = 200
     arcs = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (k - 3, k - 1)]
     t = Digraph(k, [*arcs, (k - 1, k - 3)])
-    ranking = _rank(t.in_masks, t.out_masks, t.full_mask)
+    ranking = _rank(t.in_masks, t.full_mask)
     inn = CountingRows(t.in_masks)
     picks = []
     for v in range(k):

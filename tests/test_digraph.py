@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -233,6 +235,29 @@ def test_check_split_errors():
         SplitDigraph(d2, [0], [0, 1])
     with pytest.raises(SplitError, match="out of range"):
         SplitDigraph(d2, [0, 5], [1])
+
+
+@pytest.mark.parametrize("attr", ["n", "_out", "graph", "clique"])
+def test_digraphs_refuse_assignment_and_deletion(attr):
+    # the split constructions trust what the constructors proved, so no
+    # field of either class can be rebound or deleted afterwards
+    sd = gen_dn(1)
+    target = sd if attr in ("graph", "clique") else sd.graph
+    name = type(target).__name__
+    before = (repr(sd), hash(sd))
+    for change in (lambda: setattr(target, attr, 3), lambda: delattr(target, attr)):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable: cannot set or delete '{attr}'$"):
+            change()
+    assert (repr(sd), hash(sd)) == before == ("SplitDigraph(n=6, |K|=3, |I|=3)", hash(gen_dn(1)))
+
+
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_digraphs_survive_a_pickle_and_a_deepcopy(round_trip):
+    for value in (gen_dpn(2), gen_dpn(2).graph, SplitDigraph(Digraph(0), [], [])):
+        copied = round_trip(value)
+        assert type(copied) is type(value) and copied is not value
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
 
 
 def test_classify_dn_and_dpn():

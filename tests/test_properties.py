@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +46,7 @@ from quasikernel import (
     quasi_kernel_cl,
     quasi_kernel_rooted,
 )
-from quasikernel import exact
+from quasikernel import construct, exact
 from quasikernel.construct import _dominate, _max_in_degree, _rank
 from quasikernel.digraph import members, or_rows, reach_within
 
@@ -173,7 +174,7 @@ def test_rooted_quasi_kernel_property(d, rnd):
 
 @given(semicomplete(min_n=1, max_n=8))
 def test_semicomplete_two_serf(t):
-    v = _max_in_degree(t.in_masks, t.full_mask, _rank(t.in_masks, t.out_masks, t.full_mask), 0)
+    v = _max_in_degree(t.in_masks, t.full_mask, _rank(t.in_masks, t.full_mask), 0)
     assert t.is_two_serf(v)
     # independence forces singleton quasi-kernels in semicomplete digraphs
     assert len(quasi_kernel_cl(t)) == 1
@@ -220,7 +221,7 @@ def test_dominate_two_serf_matches_scan_reference(case, data):
     within = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
     sub, old_of_new, new_of_old = t.induced(within)
     mask = t.mask_of(within)
-    ranking = _rank(t.in_masks, t.out_masks, mask)
+    ranking = _rank(t.in_masks, mask)
     for v in sorted(within):
         reach_v = t.reach_in_two(v, mask)
         if reach_v == mask:
@@ -231,16 +232,22 @@ def test_dominate_two_serf_matches_scan_reference(case, data):
         assert u == old_of_new[dominate_two_serf(sub, new_of_old[v])]
 
 
+def full_scan(inn, rest, ranking, floor, _original=_max_in_degree):
+    """_max_in_degree with the floor 0, which names the full scan's vertex
+    on any digraph: _dominate's floor holds only where within is semicomplete."""
+    return _original(inn, rest, ranking, 0)
+
+
 @given(digraphs_with_subsets(max_n=8))
 @settings(max_examples=200)
 def test_dominate_refuses_exactly_a_vertex_that_misses_the_rest(case):
-    # on any digraph, semicomplete or not, _dominate refuses its maximum
-    # in-degree vertex u as "not a 2-serf of the rest" exactly when the arc
-    # scan inside the rest finds a vertex of the rest that does not reach u
-    # within two arcs
+    # on any digraph, semicomplete or not, _dominate scanning with the floor
+    # 0 refuses its maximum in-degree vertex u as "not a 2-serf of the rest"
+    # exactly when the arc scan inside the rest finds a vertex of the rest
+    # that does not reach u within two arcs
     d, s = case
     within = d.mask_of(s)
-    ranking = _rank(d.in_masks, d.out_masks, within)
+    ranking = _rank(d.in_masks, within)
     arcs = d.arcs
     for v in s:
         reach_v = reach_within(d.in_masks, v, within)
@@ -251,15 +258,17 @@ def test_dominate_refuses_exactly_a_vertex_that_misses_the_rest(case):
         inside = [(t, h) for t, h in arcs if rest >> t & 1 and rest >> h & 1]
         misses = reaching_within_two(inside, u) != set(members(rest))
         try:
-            answer = str(_dominate(d.in_masks, d.out_masks, v, within, reach_v, ranking))
+            with mock.patch.object(construct, "_max_in_degree", full_scan):
+                answer = str(_dominate(d.in_masks, d.out_masks, v, within, reach_v, ranking))
         except VerificationError as exc:
             answer = str(exc)
         assert (answer == f"max in-degree vertex {u} is not a 2-serf of the rest") == misses
 
 
-def test_dominate_refuses_a_rest_with_no_arcs():
+def test_dominate_refuses_a_rest_with_no_arcs(monkeypatch):
     # the rest of 0 is {1, 2} with no arc: 1 wins the tie and misses 2
     d = Digraph(3)
+    monkeypatch.setattr(construct, "_max_in_degree", full_scan)
     with pytest.raises(VerificationError, match="max in-degree vertex 1 is not a 2-serf of the rest"):
         _dominate(
             d.in_masks,
@@ -267,24 +276,25 @@ def test_dominate_refuses_a_rest_with_no_arcs():
             0,
             d.full_mask,
             reach_within(d.in_masks, 0, d.full_mask),
-            _rank(d.in_masks, d.out_masks, d.full_mask),
+            _rank(d.in_masks, d.full_mask),
         )
 
 
 def assert_ranked_scan_matches_brute_force(d: Digraph, s) -> None:
-    # the floor is the one _dominate uses; every vertex of the rest has at
-    # most its ranked degree minus that floor in-neighbours there, and the
-    # scan names the arc scan's maximum in-degree vertex of the rest
+    # the floor is _dominate's, 1 + d(v), where within is semicomplete, as
+    # _dominate's callers prove, and 0 elsewhere; every vertex of the rest
+    # has at most its ranked degree minus that floor in-neighbours there,
+    # and the scan names the arc scan's maximum in-degree vertex of the rest
     within = d.mask_of(s)
-    ranking = _rank(d.in_masks, d.out_masks, within)
-    assert ranking.semicomplete == (d.semicomplete_violation(within) is None)
+    ranking = _rank(d.in_masks, within)
+    semicomplete = d.semicomplete_violation(within) is None
     assert ranking.order == sorted(s, key=lambda w: (-ranking.degree[w], w))
     arcs = d.arcs
     for v in s:
         rest = set(members(within & ~reach_within(d.in_masks, v, within)))
         if not rest:
             continue
-        floor = 1 + ranking.degree[v] if ranking.semicomplete else 0
+        floor = 1 + ranking.degree[v] if semicomplete else 0
         for w in rest:
             assert sum(1 for t, h in arcs if h == w and t in rest) <= ranking.degree[w] - floor
         expected = max_in_degree_by_scan(arcs, rest)

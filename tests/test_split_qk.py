@@ -58,10 +58,10 @@ def count_calls(monkeypatch, cls, *names) -> dict[str, list]:
 def test_one_way_builds_no_digraph(monkeypatch):
     # all clique vertices but the last three are no 2-serfs of the
     # tournament; it is kept as row lists, so no Digraph is built, the clique
-    # is checked once, and none of those vertices costs more than one
-    # reach_in_two scan.  Each of their dominations confirms its 2-serf from
-    # the few vertices of the rest that its in-row misses, so none runs a
-    # reach_within scan over the rest
+    # is not checked again after SplitDigraph, and none of those vertices
+    # costs more than one reach_in_two scan.  Each of their dominations
+    # confirms its 2-serf from the few vertices of the rest that its in-row
+    # misses, so none runs a reach_within scan over the rest
     sd = near_transitive_ladder(60)
     calls = count_calls(
         monkeypatch,
@@ -86,7 +86,7 @@ def test_one_way_builds_no_digraph(monkeypatch):
     assert not calls["induced"]
     assert not calls["__init__"]
     assert not calls["_from_masks"]
-    assert len(calls["semicomplete_violation"]) == 1
+    assert not calls["semicomplete_violation"]
     assert len(calls["reach_in_two"]) <= 60
     assert not scans
 
@@ -150,15 +150,23 @@ def test_two_thirds_copies_only_the_remainder(monkeypatch):
     expected = [two_thirds_reference(inst) for inst in (sd, matched)]
     expected_peel = peel_reference(sinks)
     calls = count_calls(
-        monkeypatch, Digraph, "__init__", "induced", "semicomplete_violation", "reach_in_two"
+        monkeypatch,
+        Digraph,
+        "__init__",
+        "induced",
+        "semicomplete_violation",
+        "reach_in_two",
+        "sinks",
     )
     splits = count_calls(monkeypatch, SplitDigraph, "__init__")
     cert = two_thirds_qk(sd)
     assert 3 * cert.size <= 2 * sd.graph.n
     assert cert.vertices == expected[0]
-    # once in the one-way construction on B, once within the clique before
-    # the domination
-    assert len(calls["semicomplete_violation"]) == 2
+    # SplitDigraph proved the clique semicomplete, and two_thirds_qk tests
+    # its input for sinks on the rows: neither the one-way construction on
+    # B nor the domination in the clique tests either again
+    assert not calls["semicomplete_violation"]
+    assert not calls["sinks"]
     assert len(calls["reach_in_two"]) <= 60 + 2
     assert two_thirds_qk(matched).vertices == expected[1]
     peeled = peel_split(sinks)
@@ -187,13 +195,45 @@ def test_one_way_tournament_sink_shortcut():
     sd = SplitDigraph(Digraph(3, [(0, 1), (1, 0), (2, 0)]), [0, 1], [2])
     cert = one_way_qk(sd)
     assert cert.sorted_vertices() == (1,)
+    # a region whose one sink is clique vertex 2, as a two-thirds remainder
+    # may have: its arc into 4 lies outside the region, and the shortcut
+    # returns it
+    sd = SplitDigraph(
+        Digraph(5, [(0, 1), (0, 2), (1, 2), (3, 0), (2, 4), (4, 0)]), [0, 1, 2], [3, 4]
+    )
+    region = 0b01111
+    assert sd.graph.sinks(region) == 1 << 2
+    assert split_qk._one_way(sd.graph, sd.clique, region) == 1 << 2
+
+
+def test_one_way_refuses_a_shortcut_set_that_is_no_quasi_kernel(monkeypatch):
+    # a tournament whose rows misread source 0 as its sink: the shortcut's
+    # singleton is checked against the region, and {0} is refused
+    def misread(d, clique, _original=split_qk._spanning_tournament):
+        order, t_out, t_in = _original(d, clique)
+        return order, [0, *t_out[1:]], t_in
+
+    monkeypatch.setattr(split_qk, "_spanning_tournament", misread)
+    with pytest.raises(VerificationError, match="^one-way set is not a quasi-kernel of its region$"):
+        one_way_qk(near_transitive_ladder(10))
+
+
+def test_one_way_refuses_a_region_with_an_independent_sink():
+    # the clique is a 3-cycle, so its tournament has no sink, and 3 has no
+    # out-arc: the class step refuses it, as it would a two-thirds remainder
+    # with an independent sink
+    sd = SplitDigraph(Digraph(4, [(0, 1), (1, 2), (2, 0)]), [0, 1, 2], [3])
+    with pytest.raises(PreconditionError, match="^independent vertex 3 is a sink$"):
+        split_qk._one_way(sd.graph, sd.clique, sd.graph.full_mask)
+    with pytest.raises(PreconditionError, match="^has a sink: use two-thirds via sink peeling$"):
+        one_way_qk(sd)
 
 
 def test_one_way_single_clique_vertex_instance_has_a_sink():
     # K={k}, I={s}, arc s->k: k is a sink of the digraph, so the one-way
     # precondition rejects it; sink peeling yields {k} instead
     sd = SplitDigraph(Digraph(2, [(1, 0)]), [0], [1])
-    with pytest.raises(PreconditionError, match="sink"):
+    with pytest.raises(PreconditionError, match="^has a sink: use two-thirds via sink peeling$"):
         one_way_qk(sd)
     assert peel_split(sd).sorted_vertices() == (0,)
 
@@ -203,11 +243,15 @@ def test_one_way_rejects_bad_inputs():
     not_one_way = SplitDigraph(
         Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)]), [0, 1], [2]
     )
-    with pytest.raises(PreconditionError, match="not one-way"):
+    with pytest.raises(PreconditionError, match="^not one-way: an independent vertex has an in-arc$"):
         one_way_qk(not_one_way)
     sink_sd = SplitDigraph(Digraph(2, [(0, 1)]), [0, 1], [])
-    with pytest.raises(PreconditionError, match="sink"):
+    with pytest.raises(PreconditionError, match="^has a sink: use two-thirds via sink peeling$"):
         one_way_qk(sink_sd)
+    # 1 is a sink and 2 has an in-arc: the one-way test comes first
+    both = SplitDigraph(Digraph(3, [(0, 1), (0, 2), (2, 0)]), [0, 1], [2])
+    with pytest.raises(PreconditionError, match="^not one-way: an independent vertex has an in-arc$"):
+        one_way_qk(both)
     one_way_qk(sd).check(sd.graph)
 
 
@@ -390,8 +434,22 @@ def test_two_thirds_dn2():
 
 
 def test_two_thirds_rejects_sinks():
-    with pytest.raises(PreconditionError, match="sink"):
+    with pytest.raises(PreconditionError, match="^has a sink: use two-thirds via sink peeling$"):
         two_thirds_qk(SplitDigraph(Digraph(2, [(0, 1)]), [0, 1], []))
+
+
+def test_two_thirds_refuses_a_remainder_clique_side_with_an_arc_into_i(monkeypatch):
+    # matched clique vertex 0 has the arc 0 -> 3; with in_set_mask blind, the
+    # matched in-neighbourhood is empty, so 0 stays in the remainder's clique
+    # side and the remainder would not be one-way
+    sd = SplitDigraph(
+        Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)]), [0, 1, 2], [3]
+    )
+    monkeypatch.setattr(Digraph, "in_set_mask", lambda self, s: 0)
+    with pytest.raises(
+        VerificationError, match="^arcs from the remainder clique side into the independent part$"
+    ):
+        two_thirds_qk(sd)
 
 
 def test_two_thirds_campaign():
