@@ -3,16 +3,15 @@
 Exit codes: 0 success, 1 semantic failure (not a quasi-kernel, no solution
 within the requested size, precondition, cap or MAX_SEARCH_STEPS refusal),
 2 input error (unreadable, unparsable or oversized file, bad parameters).
+``files._read_instance`` reads instance files and numbers their errors' lines.
 """
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import os
 import stat
 import sys
-from typing import BinaryIO, Iterator
 
 from .construct import quasi_kernel_cl
 from .digraph import (
@@ -25,10 +24,8 @@ from .digraph import (
 )
 from .exact import fpt_by_clique, fpt_by_independent, min_quasi_kernel
 from .files import (
-    _LINE_END,
-    MAX_INSTANCE_BYTES,
     InstanceParseError,
-    _parse_blocks,
+    _read_instance,
     certificate_document,
     format_bound,
     serialize_instance,
@@ -52,121 +49,6 @@ BUDGETED = ("exact", "fpt-k", "fpt-i")
 # the algorithms whose certificates are minima: a split digraph's quasi-kernels
 # are independent, so each lies in an fpt-i group, all refused every smaller size
 MINIMA = ("exact", "complete-split", "fpt-i")
-# the most bytes of an instance file read at once
-_READ_BLOCK = 1 << 14
-
-
-def _line_at(data: bytes, pos: int) -> int:
-    """1-based number of the line that holds byte pos of data: one more
-    than the str.splitlines line ends before it in the text decoded through
-    pos, where a replacement character never ends a line."""
-    # CRLF becomes LF, as in the read, so it ends one line, not two
-    text = data[:pos + 1].decode("utf-8", "replace").replace("\r\n", "\n")[:-1]
-    return 1 + sum(1 for _ in _LINE_END.finditer(text))
-
-
-def _file_text(f: BinaryIO, size: int, cap: int) -> Iterator[str]:
-    """The text of a file read unbuffered, a block at a time, to one byte
-    past ``cap``, decoded as UTF-8 and with CR and CRLF turned into LF, as
-    a text-mode read would: its blocks, in order.
-
-    ``size``, the file's stat size, sizes the reads: a read is at most
-    _READ_BLOCK bytes, and the reads take the file to one byte past its
-    size, so a file that holds its size takes reads that come to its size
-    and come short of the byte past it.  A file longer than its size (a
-    device or a FIFO reports size 0) goes on in whole blocks until a read
-    finds nothing.  The first byte that is not UTF-8 ends the text; the
-    file is read on, to its end or the cap, and the error of its line is
-    raised then, unless the file is over the cap: that error comes first.
-    Those line numbers come from the line ends counted as the blocks go
-    by.
-    """
-    got = lines = 0
-    cr = ended = False
-    errors = "strict"
-    bad = None
-    # the bytes of a character that the last block cut
-    pending = b""
-
-    def line_at(data: bytes, pos: int) -> int:
-        # the line of byte pos of data, which follows the line ends counted;
-        # a CR before data ends a line that an LF at its start goes with
-        prefix = b"\r" if cr else b""
-        return lines - len(prefix) + _line_at(prefix + data, pos + len(prefix))
-
-    while not ended:
-        # to one byte past the stat size, then, if the file goes on, past the cap
-        want = min((min(size, cap) if got <= size else cap) + 1 - got, _READ_BLOCK)
-        block = f.read(want)
-        got += len(block)
-        # a read that comes to the stat size and short of the byte past it
-        # found the end, as a read that finds nothing does
-        ended = len(block) < want and (got == size or not block)
-        data = pending + block
-        del block
-        if got > cap:
-            raise InstanceParseError(
-                f"file over the cap MAX_INSTANCE_BYTES={cap}", line_at(data, len(data) - (got - cap))
-            )
-        # the step of the UTF-8 incremental decoder, without its object: the
-        # bytes of a character that the block cuts stay undecoded, unless final
-        try:
-            text, used = codecs.utf_8_decode(data, errors, ended)
-        except UnicodeDecodeError as exc:
-            bad = InstanceParseError(
-                f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line_at(data, exc.start)
-            )
-            # the rest is decoded only to count its line ends
-            errors = "replace"
-            text, used = codecs.utf_8_decode(data, errors, ended)
-        pending = data[used:]
-        del data
-        if text:
-            lf = cr and text[0] == "\n"
-            cr = text[-1] == "\r"
-            if lf:
-                text = text[1:]
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        # no byte after the last block needs a line number
-        if not ended:
-            # the line ends other than LF are rare: five membership tests
-            # rule them out of ASCII text, where a scan takes ten times as long
-            if text.isascii() and not any(end in text for end in "\v\f\x1c\x1d\x1e"):
-                lines += text.count("\n")
-            else:
-                lines += len(_LINE_END.findall(text))
-        if text and bad is None:
-            yield text
-    if bad is not None:
-        raise bad
-
-
-def _read_instance(
-    path: str, *, digest: bool = False
-) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
-    """The instance in a file, as parse_instance reads its text, with or
-    without ``digest``.  The parser takes the text a block at a time
-    (``_file_text``), so the read holds a block of the file and the
-    parser the text it has not yet read: the partial line, which a long
-    line makes long, up to the byte cap.  The density test uses the
-    file's stat size: a FIFO's, 0, sends it to the line reader, which
-    gives the same instance.
-
-    A file over the cap, then a file that is not UTF-8, is refused before
-    a parse error: after a parse error, the file is read on to its end."""
-    # unbuffered, by position: a keyword argument would make the first call
-    # build, and keep, the argument parser's keyword table
-    with open(path, "rb", 0) as f:
-        size = os.fstat(f.fileno()).st_size
-        blocks = _file_text(f, size, MAX_INSTANCE_BYTES)
-        try:
-            return _parse_blocks(blocks, size, digest)
-        except InstanceParseError as exc:
-            error = exc
-        for _ in blocks:
-            pass
-    raise error
 
 
 def _write(path: str, text: str) -> None:

@@ -2,21 +2,23 @@
 
 Instance files ("qkdg 1"): a vertex-count line, an optional clique-part
 line turning the file into a split digraph, and one line per arc, in any
-order when read and ascending when written.  The text is read once,
-from blocks of any size, in chunks of whole lines: the arc lines of a
-dense file written so in bulk, any other text line by line.
-Certificate files ("qkcert 1") carry the algorithm label, the vertex
-set, per-vertex witness paths, the bound in force, and a digest of the
-instance they certify.  Both formats are
-line-based and human-diffable; they are written LF-terminated and read
-with any line ending.
+order when read and ascending when written.  A file is read a block at a
+time, its text once, in chunks of whole lines: the arc lines of a dense
+file written so in bulk, any other text line by line; the parser numbers
+the line of every error, the file's (byte cap, UTF-8) too.  Certificate
+files ("qkcert 1") carry the algorithm label, the vertex set, per-vertex
+witness paths, the bound in force, and a digest of the instance they
+certify.  Both formats are line-based and human-diffable; they are
+written LF-terminated and read with any line ending.
 """
 from __future__ import annotations
 
+import codecs
+import os
 import re
 from fractions import Fraction
 from itertools import chain, compress, groupby, repeat
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .digraph import (
     _BIT_BYTES,
@@ -36,8 +38,10 @@ CERTIFICATE_MAGIC = "qkcert 1"
 MAX_VERTICES = 20_000
 MAX_ARCS = 2_000_000
 # room for MAX_ARCS arc lines of at most 14 bytes ("a 19999 19999\n") and a
-# label comment per vertex; a file over it is refused before it is decoded
+# label comment per vertex; a read of a file over it stops at the byte past it
 MAX_INSTANCE_BYTES = 16 * (MAX_ARCS + MAX_VERTICES)
+# the most bytes of an instance file read at once
+_READ_BLOCK = 1 << 14
 # the most characters of whole lines that parse_instance reads at once, unless
 # one line is longer: it bounds the line and token lists, about 30 times that
 BULK_CHUNK = 8192
@@ -57,6 +61,10 @@ class InstanceParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class _Fault(Exception):
+    """A read error among the blocks of ``_file_text``: the parser numbers it."""
 
 
 class CertificateParseError(ValueError):
@@ -145,15 +153,15 @@ def parse_instance(
     ``serialize_instance``'s, and the hash is the digest; a chunk read
     line by line or not canonical drops the hash, and the digest is None.
 
-    The text is the one block of ``_parse_blocks``, which the file reader
-    of the command line feeds a block at a time, so this call copies
-    nothing of it.
+    The text is the one block of ``_parse_blocks``, which
+    ``_read_instance`` feeds from a file a block at a time, so this call
+    copies nothing of it.
     """
     return _parse_blocks([text], len(text), digest)
 
 
 def _parse_blocks(
-    blocks: Iterable[str], size: int, digest: bool
+    blocks: Iterable[str | _Fault], size: int, digest: bool
 ) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
     """``parse_instance`` of the text that is the concatenation of blocks,
     read as they come.  Only the text not yet cut into chunks is held
@@ -167,6 +175,14 @@ def _parse_blocks(
     passes the file's size, 0 when it has none, and is then read line by
     line.  Either reader gives the same digraph, and the digest a
     certificate names is the same.
+
+    A block may be a read error of ``_file_text`` (a ``_Fault``).  A
+    fault, or a parse error, stops the parse, and the blocks are read on
+    to their end, each counted for its line ends and then dropped: a
+    fault comes before a parse error, a later fault before an earlier
+    one.  A fault's line is one more than the line ends before it, those
+    of the lines read (``reading.lines``), of the text held and of the
+    blocks read on; only this path counts them.
     """
     reading = _Reading()
     dense = transposed = False
@@ -184,64 +200,82 @@ def _parse_blocks(
     read = 0
     final = ""
     held: list[str] = []
-    for block in chain(blocks, [None]):
-        done = block is None
-        if not done:
-            if not block:
-                continue
-            if arcs < 0:
-                found = (tail + block[:2]).find("\na ") if tail else -1
-                if found >= 0:
-                    arcs = read - len(tail) + found + 1
-                elif (found := block.find("\na ")) >= 0:
-                    arcs = read + found + 1
+    blocks = iter(blocks)
+    try:
+        for block in chain(blocks, [None]):
+            done = block is None
+            if not done:
+                if not block:
+                    continue
+                if isinstance(block, _Fault):
+                    raise block
+                if arcs < 0:
+                    found = (tail + block[:2]).find("\na ") if tail else -1
+                    if found >= 0:
+                        arcs = read - len(tail) + found + 1
+                    elif (found := block.find("\na ")) >= 0:
+                        arcs = read + found + 1
+                    else:
+                        tail = (tail + block[-2:])[-2:]
+                read += len(block)
+                final = block[-1]
+                held.append(block)
+                # a block without a line end is held until one with a line end
+                # comes, so that a long line is joined once, not once a block
+                if not _LINE_END.search(block):
+                    continue
+            if held:
+                # one block alone is taken as it is, not copied
+                text = "".join([text[pos:], *held] if pos < len(text) else held)
+                start += pos
+                pos = 0
+                held = []
+            while pos < len(text):
+                # the chunk's limit and end must not depend on text not yet read
+                if pos < arcs - start:
+                    limit = min(arcs - start, pos + BULK_CHUNK)
+                elif done:
+                    limit = min(len(text), pos + BULK_CHUNK)
+                elif pos + BULK_CHUNK < len(text):
+                    limit = pos + BULK_CHUNK
                 else:
-                    tail = (tail + block[-2:])[-2:]
-            read += len(block)
-            final = block[-1]
-            held.append(block)
-            # a block without a line end is held until one with a line end
-            # comes, so that a long line is joined once, not once a block
-            if not _LINE_END.search(block):
-                continue
-        if held:
-            # one block alone is taken as it is, not copied
-            text = "".join([text[pos:], *held] if pos < len(text) else held)
-            start += pos
-            pos = 0
-            held = []
-        while pos < len(text):
-            # the chunk's limit and end must not depend on text not yet read
-            if pos < arcs - start:
-                limit = min(arcs - start, pos + BULK_CHUNK)
-            elif done:
-                limit = min(len(text), pos + BULK_CHUNK)
-            elif pos + BULK_CHUNK < len(text):
-                limit = pos + BULK_CHUNK
-            else:
-                break
-            end = _chunk_end(text, pos, limit)
-            if end == len(text) and not done:
-                break
-            if start + pos == arcs:
-                n = reading.n
-                # the rest holds up to len / 6 arc lines; at n**2 <= 16 * that,
-                # one transpose costs less than setting in-mask bits arc by arc
-                dense = (n is not None and n >= 64 and not reading.arc_count
-                         and n * n * 6 <= 16 * (size - arcs))
-                if dense:
-                    bits = {str(v).encode(): 1 << v for v in range(n)}
-                    if digest:
-                        clique = reading.clique
-                        head = [INSTANCE_MAGIC, *_size_lines(n, None if clique is None else sorted(clique))]
-                        reading.sha = _sha256("\n".join(head).encode() + b"\n")
-            if dense and _read_dense(text[pos:end], reading, bits):
-                transposed = True
-            else:
-                dense = False
-                reading.sha = None
-                _read_lines(reading, text[pos:end].splitlines())
-            pos = end
+                    break
+                end = _chunk_end(text, pos, limit)
+                if end == len(text) and not done:
+                    break
+                if start + pos == arcs:
+                    n = reading.n
+                    # the rest holds up to len / 6 arc lines; at n**2 <= 16 * that,
+                    # one transpose costs less than setting in-mask bits arc by arc
+                    dense = (n is not None and n >= 64 and not reading.arc_count
+                             and n * n * 6 <= 16 * (size - arcs))
+                    if dense:
+                        bits = {str(v).encode(): 1 << v for v in range(n)}
+                        if digest:
+                            clique = reading.clique
+                            head = _size_lines(n, None if clique is None else sorted(clique))
+                            reading.sha = _sha256("\n".join([INSTANCE_MAGIC, *head]).encode() + b"\n")
+                if dense and _read_dense(text[pos:end], reading, bits):
+                    transposed = True
+                else:
+                    dense = False
+                    reading.sha = None
+                    _read_lines(reading, text[pos:end].splitlines())
+                pos = end
+    except (InstanceParseError, _Fault) as exc:
+        # read on to the end, the last fault before the first and a parse
+        # error, counting the line ends of the lines read, of the text held
+        # (a held block has none) and of the blocks read on
+        error = exc
+        lines = reading.lines + sum(1 for _ in _LINE_END.finditer(text, pos))
+        for block in chain([exc], blocks):
+            if isinstance(block, str):
+                # a count reads ASCII text without the rarer line ends 30 times as fast
+                rare = not block.isascii() or any(end in block for end in "\v\f\x1c\x1d\x1e")
+                lines += sum(1 for _ in _LINE_END.finditer(block)) if rare else block.count("\n")
+            elif isinstance(block, _Fault):
+                error = InstanceParseError(str(block), lines + 1)
+        raise error from None
     # the text and the bit table go first: on a large dense file the
     # transpose peaks above the read
     del text, bits
@@ -268,6 +302,86 @@ def _parse_blocks(
         return instance
     sha = reading.sha
     return instance, None if sha is None else "sha256:" + sha.hexdigest()
+
+
+def _read_instance(
+    path: str, *, digest: bool = False
+) -> Digraph | SplitDigraph | tuple[Digraph | SplitDigraph, str | None]:
+    """The instance in a file, as parse_instance reads its text, with or
+    without ``digest``.  The parser takes the text a block at a time
+    (``_file_text``), so the read holds a block of the file and the
+    parser the text it has not yet read: the partial line, which a long
+    line makes long, up to the byte cap.  The density test uses the
+    file's stat size: a FIFO's, 0, sends it to the line reader, which
+    gives the same instance.
+
+    A file over the cap, then a file that is not UTF-8, is refused before
+    a parse error: after a parse error, the file is read on to its end."""
+    # unbuffered, by position: a keyword argument would make the first call
+    # build, and keep, the argument parser's keyword table
+    with open(path, "rb", 0) as f:
+        size = os.fstat(f.fileno()).st_size
+        return _parse_blocks(_file_text(f, size, MAX_INSTANCE_BYTES), size, digest)
+
+
+def _file_text(f: BinaryIO, size: int, cap: int) -> Iterator[str | _Fault]:
+    """The text of a file read unbuffered, a block at a time, to one byte
+    past ``cap``, decoded as UTF-8 and with CR and CRLF turned into LF, as
+    a text-mode read would: its blocks, in order, and its read errors.
+
+    ``size``, the file's stat size, sizes the reads: a read is at most
+    _READ_BLOCK bytes, and the reads take the file to one byte past its
+    size, so a file that holds its size takes reads that come to its size
+    and come short of the byte past it.  A file longer than its size (a
+    device or a FIFO reports size 0) goes on in whole blocks until a read
+    finds nothing.  A read error is a ``_Fault`` in place of the faulty
+    byte's character, after the text before it: the first byte that is
+    not UTF-8, after which the text goes on with replacement characters,
+    which end no line, and, last, the byte past the cap, where the text
+    ends.  Nothing here counts lines: the parser numbers the faults.
+    """
+    got = 0
+    ended = False
+    errors = "strict"
+    # the bytes of a character that the last block cut, or the CR that
+    # ended it, which an LF at the start of the next block goes with
+    pending = b""
+    while not ended:
+        # to one byte past the stat size, then, if the file goes on, past the cap
+        want = min((min(size, cap) if got <= size else cap) + 1 - got, _READ_BLOCK)
+        block = f.read(want)
+        got += len(block)
+        # a read that comes to the stat size and short of the byte past it
+        # found the end, as a read that finds nothing does
+        ended = len(block) < want and (got == size or not block)
+        data = pending + block
+        del block
+        over = got > cap
+        if over:
+            # the text ends before the byte past the cap; an LF there
+            # takes the CR before it along, onto the CR's line
+            data = data[:-2 if data.endswith(b"\r\n") else -1]
+        # the step of the UTF-8 incremental decoder, without its object: the
+        # bytes of a character that the block cuts stay undecoded, unless final
+        try:
+            text, used = codecs.utf_8_decode(data, errors, ended)
+        except UnicodeDecodeError as exc:
+            yield data[:exc.start].decode().replace("\r\n", "\n").replace("\r", "\n")
+            yield _Fault(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})")
+            errors = "replace"
+            data = data[exc.start:]
+            text, used = codecs.utf_8_decode(data, errors, ended)
+        pending = data[used:]
+        del data
+        if not (pending or ended or over) and text.endswith("\r"):
+            text = text[:-1]
+            pending = b"\r"
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        yield text
+        if over:
+            yield _Fault(f"file over the cap MAX_INSTANCE_BYTES={cap}")
+            return
 
 
 def _chunk_end(text: str, pos: int, limit: int) -> int:

@@ -399,9 +399,9 @@ def test_instance_files_over_the_byte_cap_exit_2(tmp_path, monkeypatch, capsys):
     path = tmp_path / "comments.qkdg"
     text = "qkdg 1\n" + "# c\n" * 10 + "n 1\n"
     path.write_text(text)
-    monkeypatch.setattr(quasikernel.cli, "MAX_INSTANCE_BYTES", len(text))
+    monkeypatch.setattr(files, "MAX_INSTANCE_BYTES", len(text))
     assert main(["solve", str(path)]) == 0
-    monkeypatch.setattr(quasikernel.cli, "MAX_INSTANCE_BYTES", len(text) - 1)
+    monkeypatch.setattr(files, "MAX_INSTANCE_BYTES", len(text) - 1)
     assert main(["solve", str(path)]) == 2
     assert main(["verify", str(path), "0"]) == 2
     err = capsys.readouterr().err
@@ -422,7 +422,7 @@ def test_read_errors_count_lines_as_the_parser_does(tmp_path, monkeypatch, capsy
     path.write_text(text, encoding="utf-8", newline="")
     # the cap falls on the last byte of line 3, then on its line end
     for cap in (len(text.encode()) - len(end.encode()) - 1, len(text.encode()) - 1):
-        monkeypatch.setattr(quasikernel.cli, "MAX_INSTANCE_BYTES", cap)
+        monkeypatch.setattr(files, "MAX_INSTANCE_BYTES", cap)
         assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4
@@ -442,7 +442,7 @@ def test_line_at_numbers_lines_as_splitlines_does(data):
     # decoded through pos
     for pos in range(len(data)):
         expected = len(data[:pos + 1].decode("utf-8", "replace").splitlines())
-        assert quasikernel.cli._line_at(data, pos) == expected
+        assert _line_at(data, pos) == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,16 +501,25 @@ def _outcome(read, *args, **kwargs):
         return ("error", str(exc))
 
 
+def _line_at(data: bytes, pos: int) -> int:
+    """1-based number of the line that holds byte pos of data: one more
+    than the str.splitlines line ends before it in the text decoded through
+    pos, where a replacement character never ends a line."""
+    # CRLF becomes LF, as in the read, so it ends one line, not two
+    text = data[:pos + 1].decode("utf-8", "replace").replace("\r\n", "\n")[:-1]
+    return 1 + sum(1 for _ in files._LINE_END.finditer(text))
+
+
 def _whole_file_outcome(data: bytes, cap: int = files.MAX_INSTANCE_BYTES):
     """What a read of the whole file at once gives: the cap error, then
     the UTF-8 error, then parse_instance's outcome on the text with CR and
     CRLF turned into LF."""
     if len(data) > cap:
-        return ("error", f"line {quasikernel.cli._line_at(data, cap)}: file over the cap MAX_INSTANCE_BYTES={cap}")
+        return ("error", f"line {_line_at(data, cap)}: file over the cap MAX_INSTANCE_BYTES={cap}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = quasikernel.cli._line_at(data, exc.start)
+        line = _line_at(data, exc.start)
         return ("error", f"line {line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})")
     return _outcome(parse_instance, text.replace("\r\n", "\n").replace("\r", "\n"), digest=True)
 
@@ -518,18 +527,18 @@ def _whole_file_outcome(data: bytes, cap: int = files.MAX_INSTANCE_BYTES):
 def _block_outcome(path: Path, data: bytes, block: int, cap: int = files.MAX_INSTANCE_BYTES, fifo=False):
     """The outcome of reading data from a regular file at path, or from a
     FIFO next to it, which reports size 0 and may return short reads."""
-    with patch.object(quasikernel.cli, "_READ_BLOCK", block), \
-            patch.object(quasikernel.cli, "MAX_INSTANCE_BYTES", cap):
+    with patch.object(files, "_READ_BLOCK", block), \
+            patch.object(files, "MAX_INSTANCE_BYTES", cap):
         if not fifo:
             path.write_bytes(data)
-            return _outcome(quasikernel.cli._read_instance, str(path), digest=True)
+            return _outcome(files._read_instance, str(path), digest=True)
         path = path.with_suffix(".fifo")
         if not path.exists():
             os.mkfifo(path)
         writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
         writer.start()
         try:
-            return _outcome(quasikernel.cli._read_instance, str(path), digest=True)
+            return _outcome(files._read_instance, str(path), digest=True)
         finally:
             writer.join(timeout=10)
             assert not writer.is_alive()
@@ -668,8 +677,8 @@ def test_a_file_is_read_to_its_size_whatever_size_it_reports(block):
     data = serialize_instance(gen_dn(3)).encode()
     for size in (len(data), 0, len(data) // 2, len(data) + 5):
         f = _CountedReads(data)
-        with patch.object(quasikernel.cli, "_READ_BLOCK", block):
-            text = "".join(quasikernel.cli._file_text(f, size, files.MAX_INSTANCE_BYTES))
+        with patch.object(files, "_READ_BLOCK", block):
+            text = "".join(files._file_text(f, size, files.MAX_INSTANCE_BYTES))
         assert text == data.decode()
         assert sum(f.reads) == len(data)
         assert (f.reads[-1] == 0) == (size != len(data))
@@ -685,14 +694,33 @@ def test_a_read_peaks_below_the_file_size(tmp_path):
         path = tmp_path / f"{name}.qkdg"
         path.write_bytes(form.encode())
         # the lazy imports are made outside the traced read
-        quasikernel.cli._read_instance(str(path), digest=True)
+        files._read_instance(str(path), digest=True)
         tracemalloc.start()
         try:
-            quasikernel.cli._read_instance(str(path), digest=True)
+            files._read_instance(str(path), digest=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+
+
+def test_a_read_on_after_a_parse_error_peaks_below_the_file_size(tmp_path):
+    # the parse stops at line 3; the file is read on to the byte that is
+    # not UTF-8 on its last line, each block dropped once its line ends
+    # are counted
+    path = tmp_path / "bad.qkdg"
+    path.write_bytes(b"qkdg 1\nn 2\nbogus\n" + b"# pad pad pad\n" * 60_000 + b"# \xff\n")
+    expected = ("error", "line 60004: not UTF-8: byte 0xff (invalid start byte)")
+    # the lazy imports are made outside the traced read
+    assert _outcome(files._read_instance, str(path)) == expected
+    tracemalloc.start()
+    try:
+        outcome = _outcome(files._read_instance, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == expected
+    assert peak < path.stat().st_size
 
 
 def test_reduce_counts_and_labels(tmp_path, capsys):

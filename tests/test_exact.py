@@ -9,6 +9,7 @@ from conftest import (
     gnp,
     qk_by_bfs,
     random_digraph,
+    relabel,
     relabel_split,
 )
 from quasikernel import exact
@@ -109,6 +110,26 @@ def test_min_qk_on_45_vertices():
         rep = min_quasi_kernel(inst)
         assert rep.certificate is not None
         assert rep.certificate.size == 17
+
+
+def test_a_relabelled_union_is_solved_as_its_parts():
+    # independence and reach within two arcs both follow arcs, so the least
+    # minimum of a disjoint union is the union of its parts' least minima,
+    # each part numbered in the order of its labels in the union
+    parts = [gnp(40, 0.08, s) for s in range(3)]
+    labels = list(range(sum(part.n for part in parts)))
+    random.Random(5).shuffle(labels)
+    arcs, expected, total = [], set(), 0
+    for k, part in enumerate(parts):
+        own = labels[40 * k:40 * (k + 1)]
+        arcs += [(own[t], own[h]) for t, h in part.arcs]
+        ascending = sorted(own)
+        least = min_quasi_kernel(relabel(part, [ascending.index(v) for v in own])).certificate
+        expected |= {ascending[v] for v in least.vertices}
+        total += least.size
+    cert = min_quasi_kernel(Digraph(len(labels), arcs)).certificate
+    assert cert.size == total == 14
+    assert cert.vertices == expected
 
 
 def test_search_steps_are_shared_by_the_scans_of_one_call(monkeypatch):

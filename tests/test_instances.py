@@ -50,8 +50,10 @@ def test_dn_rejects_zero():
 
 
 def test_dn_minimum_sizes():
+    # the docstring's n^2+1, up to 2n^2+3n+1 = 325 vertices, far past brute force
     assert min_quasi_kernel(gen_dn(1)).certificate.size == 2
-    assert min_quasi_kernel(gen_dn(2)).certificate.size == 5
+    for n in range(2, 13):
+        assert min_quasi_kernel(gen_dn(n)).certificate.size == n * n + 1, n
 
 
 def test_dpn1_adds_two_arcs():
@@ -76,11 +78,10 @@ def test_dpn_connectivity_structure():
 
 
 def test_dpn_minimums():
+    # the minimum measured is the low end of n(n-1)+1 <= size <= n^2+1
     assert min_quasi_kernel(gen_dpn(1)).certificate.size == 2
-    n = 2
-    size = min_quasi_kernel(gen_dpn(n)).certificate.size
-    assert n * (n - 1) + 1 <= size <= n * n + 1
-    assert size == 3
+    for n in range(2, 13):
+        assert min_quasi_kernel(gen_dpn(n)).certificate.size == n * (n - 1) + 1, n
 
 
 def test_family_labels():
