@@ -12,9 +12,11 @@ import functools
 import os
 import stat
 import sys
+from collections import Counter
 
 from .construct import quasi_kernel_cl
 from .digraph import (
+    LABELS,
     Digraph,
     NotQuasiKernelError,
     PreconditionError,
@@ -175,6 +177,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: set literal must be comma-separated integers: '{args.set}'", file=sys.stderr)
         return 2
+    repeated = [v for v, count in Counter(vertices).items() if count > 1]
+    if repeated:
+        print(f"error: set literal repeats vertex {repeated[0]}: '{args.set}'", file=sys.stderr)
+        return 2
     inst, digest = _read_instance(args.instance, digest=True)
     graph = inst.graph if isinstance(inst, SplitDigraph) else inst
     try:
@@ -251,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument(
         "--algo",
-        choices=[
-            "auto", "cl", "one-way", "two-thirds", "peel", "complete-split", "fpt-k", "fpt-i", "exact",
-        ],
+        choices=["auto", *(label for label in LABELS if label != "verify")],
         default="auto",
     )
     solve.add_argument(

@@ -7,6 +7,7 @@ shared use across threads is safe.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -65,7 +66,7 @@ class QkCertificate(NamedTuple):
 
     ``witnesses`` maps each vertex v outside ``vertices`` to a tuple or list
     (v, q) or (v, w, q) of arcs ending inside ``vertices``.  ``bound`` is
-    the size bound the producing algorithm guarantees, when one applies.
+    the size bound that the ``algorithm`` label records (``label_bound``).
     """
 
     vertices: frozenset[int]
@@ -128,6 +129,38 @@ class QkCertificate(NamedTuple):
                 raise VerificationError(f"witness arc ({a},{q}) for {v} not in the digraph")
         if self.bound is not None and self.size > self.bound:
             raise VerificationError(f"certificate size {self.size} exceeds its bound {self.bound}")
+        if self.algorithm not in LABELS or self.bound != label_bound(self.algorithm, d):
+            raise VerificationError(f"bound {self.bound} is not the one label {self.algorithm!r} records")
+
+
+# every certificate label: qkdg solve's --algo choices in order, then verify
+LABELS = ("cl", "one-way", "two-thirds", "peel", "complete-split", "fpt-k", "fpt-i", "exact", "verify")
+
+
+def _one_way_size_cap(n: int) -> int:
+    """Largest integer size with size <= (n+3)/2 - sqrt(n), exactly."""
+    s = math.isqrt(4 * n)
+    if s * s < 4 * n:
+        s += 1
+    return (n + 3 - s) // 2
+
+
+def label_bound(label: str, d: "Digraph") -> Fraction | None:
+    """The size bound a certificate labelled ``label`` records for d, or None
+    for the searches and verify; ValueError for an unknown label."""
+    if label == "one-way":
+        return Fraction(_one_way_size_cap(d.n) if d.n else 0)
+    if label == "two-thirds":
+        return Fraction(2 * d.n, 3)
+    if label == "peel":
+        sinks = d.sinks()
+        return Fraction(2, 3) * (d.n + sinks.bit_count() - d.in_set_mask(sinks).bit_count())
+    if label == "complete-split":
+        # the sink set, or with no sink 2: one vertex alone is a sink
+        return Fraction(d.sinks().bit_count() or min(d.n, 2))
+    if label not in LABELS:
+        raise ValueError(f"unknown certificate label {label!r}")
+    return None
 
 
 def members(mask: int) -> list[int]:
@@ -381,18 +414,15 @@ class Digraph:
         arcs = [(i, new_of_old[h]) for i, t in enumerate(old_of_new) for h in members(out[t] & keep)]
         return Induced(Digraph(len(old_of_new), arcs), old_of_new, new_of_old)
 
-    def certify(
-        self,
-        s: Iterable[int],
-        algorithm: str,
-        bound: Fraction | None = None,
-    ) -> QkCertificate:
+    def certify(self, s: Iterable[int], algorithm: str) -> QkCertificate:
         """Build a witness-carrying certificate, or raise NotQuasiKernelError.
 
         The failure report names the first offending vertex in ascending
         order.  Witness choice is deterministic (smallest usable indices).
-        A quasi-kernel over its recorded ``bound`` then raises VerificationError.
+        An unknown label raises ValueError first; a quasi-kernel over the
+        bound its label records (``label_bound``) raises VerificationError.
         """
+        bound = label_bound(algorithm, self)
         fs = frozenset(s)
         mask = self.mask_of(fs)
         first = self.in_set_mask(mask)

@@ -22,6 +22,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .digraph import (
     _BIT_BYTES,
+    LABELS,
     Digraph,
     QkCertificate,
     SplitDigraph,
@@ -680,6 +681,9 @@ def parse_certificate(text: str) -> tuple[QkCertificate, str]:
     for required in ("algorithm", "instance", "set", "bound", "verified"):
         if required not in fields:
             raise CertificateParseError(f"missing {required} line", len(text.splitlines()))
+    label = fields["algorithm"]
+    if label not in LABELS:
+        raise CertificateParseError(f"unknown algorithm '{label}'", field_lines["algorithm"])
     try:
         vertices = tuple(int(f) for f in fields["set"].split())
     except ValueError:
@@ -697,7 +701,7 @@ def parse_certificate(text: str) -> tuple[QkCertificate, str]:
             raise CertificateParseError("bound must be 'p/q' or 'null'", field_lines["bound"]) from None
     if fields["verified"] != "true":
         raise CertificateParseError("verified line must be 'verified true'", field_lines["verified"])
-    cert = QkCertificate(frozenset(vertices), witnesses, fields["algorithm"], bound)
+    cert = QkCertificate(frozenset(vertices), witnesses, label, bound)
     return cert, fields["instance"]
 
 

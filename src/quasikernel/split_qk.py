@@ -9,10 +9,10 @@ Four guarantees, each carried by a verified certificate:
                         (all sinks if any, otherwise size <= 2; proved
                         for orientations, checked exhaustively for
                         biorientations up to n = 5);
-* ``peel_sinks``      — digraphs with sinks, reduced to a sink-free oracle,
-                        size <= alpha * (n + |S| - |N-(S)|) for the sink set S;
-                        the oracle takes the host digraph and a region mask
-                        and returns a mask of the host inside that region.
+* ``peel_sinks``      — digraphs with sinks, reduced to a sink-free oracle of
+                        the 2n/3 bound, size <= 2/3 (n + |S| - |N-(S)|) for
+                        the sink set S; the oracle takes the host digraph and
+                        a region mask and returns a mask of the host inside it.
 
 The one-way and two-thirds constructions run on regions of the host
 digraph: a vertex mask, read through the host's own mask rows, stands for
@@ -24,8 +24,6 @@ original digraph, never against a reduced or induced copy.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
@@ -36,6 +34,7 @@ from .digraph import (
     QkCertificate,
     SplitDigraph,
     VerificationError,
+    _one_way_size_cap,
     lowest,
     members,
     or_rows,
@@ -64,14 +63,6 @@ def _class_masks(d: Digraph, order: tuple[int, ...], indep: int, region: int) ->
             raise PreconditionError(f"independent vertex {s} is a sink")
         classes[pos[lowest(row)]] |= 1 << s
     return classes
-
-
-def _one_way_size_cap(n: int) -> int:
-    """Largest integer size with size <= (n+3)/2 - sqrt(n), exactly."""
-    s = math.isqrt(4 * n)
-    if s * s < 4 * n:
-        s += 1
-    return (n + 3 - s) // 2
 
 
 def _spanning_tournament(d: Digraph, clique: int) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -129,7 +120,7 @@ def one_way_qk(sd: SplitDigraph) -> QkCertificate:
     if 0 in d.out_masks:
         raise PreconditionError("has a sink: use two-thirds via sink peeling")
     q = _one_way(d, sd.clique, d.full_mask)
-    return d.certify(members(q), "one-way", bound=Fraction(_one_way_size_cap(d.n) if d.n else 0))
+    return d.certify(members(q), "one-way")
 
 
 def _one_way(d: Digraph, clique: int, region: int) -> int:
@@ -225,7 +216,7 @@ def two_thirds_qk(sd: SplitDigraph) -> QkCertificate:
     if 0 in d.out_masks:
         raise PreconditionError("has a sink: use two-thirds via sink peeling")
     q = _two_thirds(d, sd.clique, d.full_mask)
-    return d.certify(members(q), "two-thirds", bound=Fraction(2 * d.n, 3))
+    return d.certify(members(q), "two-thirds")
 
 
 def _two_thirds(d: Digraph, clique: int, region: int) -> int:
@@ -311,39 +302,34 @@ def complete_split_min_qk(sd: SplitDigraph) -> QkCertificate:
     if not sd.classify().complete_split:
         raise PreconditionError("not a complete split biorientation")
     d = sd.graph
-    n = d.n
-    if n == 0:
-        return d.certify((), "complete-split", bound=Fraction(0))
     sinks = d.sinks()
-    if sinks:
-        return d.certify(members(sinks), "complete-split", bound=Fraction(sinks.bit_count()))
-    for v in range(n):
+    if sinks or not d.n:
+        return d.certify(members(sinks), "complete-split")
+    for v in range(d.n):
         if d.is_two_serf(v):
-            return d.certify((v,), "complete-split", bound=Fraction(2))
+            return d.certify((v,), "complete-split")
 
     out, inn = d.out_masks, d.in_masks
     clique = sd.clique
-    x = max(range(n), key=lambda v: (inn[v] & clique).bit_count())
+    x = max(range(d.n), key=lambda v: (inn[v] & clique).bit_count())
     _require(sd.independent >> x & 1 == 1, "maximum clique in-degree vertex not independent")
     for t in members(sd.independent & ~(1 << x)):
         if out[x] & inn[t] & ~inn[x]:
-            return d.certify((x, t), "complete-split", bound=Fraction(2))
+            return d.certify((x, t), "complete-split")
     raise VerificationError("no partner t for the maximum clique in-degree vertex")
 
 
-def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertificate:
-    """Quasi-kernel of size <= alpha*(n + |S| - |N-(S)|), S the sink set of d.
+def peel_sinks(d: Digraph, oracle: SinkFreeOracle) -> QkCertificate:
+    """Quasi-kernel of size <= 2/3 (n + |S| - |N-(S)|), S the sink set of d.
 
     Repeatedly keeps the current sink layer and removes it from the
     residue together with its in-neighbors.  A new layer that outnumbers
     its in-neighbors in the residue is removed without being kept.  The
     kept layers join the oracle's set for the final, sink-free residue,
     which the oracle gets as a region mask of d and answers with a mask
-    of d inside it.  The final set is certified against d itself.
+    of d inside it.  The final set is certified against d itself, under
+    the ``peel`` bound, which an oracle over 2n/3 can break.
     """
-    alpha = Fraction(alpha)
-    if alpha < Fraction(1, 2):
-        raise PreconditionError("alpha must be at least 1/2")
     residue = d.full_mask
     sinks = layer = d.sinks()
     acc = 0
@@ -358,17 +344,13 @@ def peel_sinks(d: Digraph, oracle: SinkFreeOracle, alpha: Fraction) -> QkCertifi
         q = oracle(d, residue)
         _require(not q & ~residue, "oracle returned vertices outside its region")
         acc |= q
-    into = d.in_set_mask(sinks)
-    bound = alpha * (d.n + sinks.bit_count() - into.bit_count())
-    cert = d.certify(members(acc), "peel", bound=bound)
+    cert = d.certify(members(acc), "peel")
     _require(not sinks & ~acc, "sink set not contained in the result")
-    _require(not acc & into, "result contains an in-neighbor of the sink set")
+    _require(not acc & d.in_set_mask(sinks), "result contains an in-neighbor of the sink set")
     return cert
 
 
 def peel_split(sd: SplitDigraph) -> QkCertificate:
-    """peel_sinks over two_thirds_qk, so alpha = 2/3: each sink-free residue
-    is solved as a region of the host's rows, with sd's clique mask."""
-    return peel_sinks(
-        sd.graph, lambda host, region: _two_thirds(host, sd.clique, region), Fraction(2, 3)
-    )
+    """peel_sinks over two_thirds_qk: each sink-free residue is solved as
+    a region of the host's rows, with sd's clique mask."""
+    return peel_sinks(sd.graph, lambda host, region: _two_thirds(host, sd.clique, region))

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -476,7 +477,27 @@ def certificate_check_reference(cert, d: Digraph) -> str | None:
                 return f"witness arc ({a},{b}) for {v} not in the digraph"
     if cert.bound is not None and len(cert.vertices) > cert.bound:
         return f"certificate size {len(cert.vertices)} exceeds its bound {cert.bound}"
+    if cert.bound != label_bound_reference(cert.algorithm, d):
+        return f"bound {cert.bound} is not the one label {cert.algorithm!r} records"
     return None
+
+
+# the size bound each certificate label records, from the arc set: a label
+# that is not one of these records nothing and matches no bound
+def label_bound_reference(label: str, d: Digraph) -> Fraction | None | str:
+    n, arcs = d.n, d.arcs
+    sinks = set(range(n)) - {t for t, _ in arcs}
+    into = {t for t, h in arcs if h in sinks}
+    bounds = {
+        # the largest size s with s <= (n+3)/2 - sqrt(n), in integers
+        "one-way": max(s for s in range(n + 1) if n + 3 - 2 * s >= 0 and (n + 3 - 2 * s) ** 2 >= 4 * n),
+        "two-thirds": Fraction(2 * n, 3),
+        "peel": Fraction(2, 3) * (n + len(sinks) - len(into)),
+        "complete-split": len(sinks) if sinks or n == 0 else 2,
+    }
+    if label in bounds:
+        return Fraction(bounds[label])
+    return None if label in ("cl", "exact", "fpt-k", "fpt-i", "verify") else "no bound"
 
 
 # one_way_qk and two_thirds_qk as they were before the tournament, the

@@ -359,9 +359,15 @@ def test_verify_good_and_bad_sets(tmp_path, capsys):
     assert "first offending vertex 4" in out
 
 
-def test_verify_bad_literal(tmp_path):
+def test_verify_bad_literal(tmp_path, capsys):
     path = write_dn1(tmp_path)
     assert main(["verify", str(path), "0,x"]) == 2
+    # a certificate's set lists each vertex once, so the literal must too,
+    # and it is refused before the instance is read
+    for literal, vertex in (("0,0", 0), ("4,0,4", 4), ("0, 4,0,4", 0)):
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "missing.qkdg"), literal]) == 2
+        assert capsys.readouterr().err == f"error: set literal repeats vertex {vertex}: '{literal}'\n"
 
 
 def test_exit_code_2_on_malformed_inputs(tmp_path, capsys):

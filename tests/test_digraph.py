@@ -19,7 +19,7 @@ from quasikernel import (
     gen_dn,
     gen_dpn,
 )
-from quasikernel.digraph import members
+from quasikernel.digraph import LABELS, members
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -182,7 +182,7 @@ def test_is_two_serf():
 
 def test_certify_builds_valid_witnesses():
     d = gen_dn(1).graph
-    cert = d.certify({0, 4}, "test")
+    cert = d.certify({0, 4}, "verify")
     cert.check(d)
     assert cert.sorted_vertices() == (0, 4)
     assert set(cert.witnesses) == {1, 2, 3, 5}
@@ -192,27 +192,50 @@ def test_certify_builds_valid_witnesses():
 def test_certify_reports_first_offender():
     d = gen_dn(1).graph
     with pytest.raises(NotQuasiKernelError) as exc:
-        d.certify({0}, "test")
+        d.certify({0}, "verify")
     assert exc.value.vertex == 4
     with pytest.raises(NotQuasiKernelError) as exc:
-        Digraph(2, [(0, 1)]).certify({0, 1}, "test")
+        Digraph(2, [(0, 1)]).certify({0, 1}, "verify")
     assert exc.value.vertex == 0
 
 
 def test_certify_refuses_a_set_over_its_bound():
-    d = gen_dn(1).graph
-    assert d.certify({0, 4}, "test", bound=Fraction(2)).bound == 2
-    with pytest.raises(VerificationError, match="size 2 exceeds its bound 3/2"):
-        d.certify({0, 4}, "test", bound=Fraction(3, 2))
+    # the digons 0-3, 1-3 and 2-3: sink-free, so the 2/3 labels bound 8/3
+    d = Digraph(4, [(0, 3), (3, 0), (1, 3), (3, 1), (2, 3), (3, 2)])
+    assert d.certify({3}, "two-thirds").bound == Fraction(8, 3)
+    for label in ("two-thirds", "peel"):
+        with pytest.raises(VerificationError, match="^certificate size 3 exceeds its bound 8/3$"):
+            d.certify({0, 1, 2}, label)
+    assert d.certify({0, 1, 2}, "verify").bound is None
     # a set that is no quasi-kernel is refused as one, whatever its bound
     with pytest.raises(NotQuasiKernelError):
-        d.certify({0}, "test", bound=Fraction(0))
+        d.certify({0, 3}, "two-thirds")
+
+
+def test_certify_records_each_label_its_bound():
+    # the digon 0-1 and the arc 2 -> 0: no sink, so complete-split bounds 2
+    d = Digraph(3, [(0, 1), (1, 0), (2, 0)])
+    expected = {
+        "one-way": Fraction(1), "two-thirds": Fraction(2), "peel": Fraction(2),
+        "complete-split": Fraction(2),
+    }
+    for label in LABELS:
+        assert d.certify({0}, label).bound == expected.get(label)
+    # with the sink 2 and its in-neighbour 0: 2/3 (3 + 1 - 1) and |S|
+    d = Digraph(3, [(0, 1), (1, 0), (0, 2)])
+    assert d.certify({2}, "peel").bound == 2
+    assert d.certify({2}, "complete-split").bound == 1
+    empty = Digraph(0)
+    assert [empty.certify((), label).bound for label in ("one-way", "complete-split")] == [0, 0]
+    # an unknown label is refused before the set is looked at
+    with pytest.raises(ValueError, match="^unknown certificate label 'test'$"):
+        d.certify({0, 1}, "test")
 
 
 def test_certificate_check_rejects_tampering():
     d = gen_dn(1).graph
-    cert = d.certify({0, 4}, "test")
-    bad = type(cert)(cert.vertices, {**cert.witnesses, 5: (5, 1, 0)}, "test", None)
+    cert = d.certify({0, 4}, "verify")
+    bad = type(cert)(cert.vertices, {**cert.witnesses, 5: (5, 1, 0)}, "verify", None)
     with pytest.raises(VerificationError):
         bad.check(d)
 

@@ -5,6 +5,9 @@ constructive solvers to the exact oracle on every instance that exists at
 these sizes, digons included.
 """
 import itertools
+from collections import Counter
+
+from split_sweep import sweep
 
 from quasikernel import Digraph, SplitDigraph, complete_split_min_qk, min_quasi_kernel, one_way_qk
 
@@ -72,3 +75,15 @@ def test_every_small_sink_free_one_way_split_digraph_meets_bound():
                     assert cert.size >= min_quasi_kernel(sd).certificate.size
                     checked += 1
     assert checked == 1039
+
+
+def test_every_split_digraph_up_to_four_vertices_through_every_label():
+    # split_sweep's checks for n = 0-4, clique first: each certificate is
+    # written and checked again, its label's bound included, each minimum
+    # label has the exact minimum's size, and fpt-k and fpt-i find nothing
+    # one below it.  CI runs n = 5 as a script (368,810 instances).
+    counts = sum((sweep(n) for n in range(5)), Counter())
+    assert counts == Counter({
+        "instances": 3393, "cl": 3393, "exact": 3393, "fpt-k": 3393, "fpt-i": 3393,
+        "two-thirds": 2296, "complete-split": 1803, "peel": 1097, "one-way": 779,
+    })

@@ -1,7 +1,7 @@
 import functools
+import inspect
 import random
 import tracemalloc
-from fractions import Fraction
 from unittest.mock import patch
 
 import conftest
@@ -29,6 +29,7 @@ from quasikernel import (
     one_way_qk,
     parse_certificate,
     parse_instance,
+    peel_sinks,
     peel_split,
     quasi_kernel_cl,
     serialize_certificate,
@@ -178,11 +179,49 @@ def test_certificate_digest_mismatch_detected():
         check_certificate(text, gen_dpn(1))
 
 
-def test_certificate_bound_formats():
-    sd = gen_dn(1)
-    text = certificate_document(sd.graph.certify({0, 4}, "one-way", bound=Fraction(2)), sd)
-    assert "bound 2/1" in text
-    assert parse_certificate(text)[0].bound == 2
+@pytest.mark.parametrize(
+    "old,new,error,message",
+    [
+        (None, None, None, None),
+        ("algorithm two-thirds", "algorithm nonsense", CertificateParseError,
+         "line 2: unknown algorithm 'nonsense'"),
+        ("algorithm two-thirds", "algorithm owo-thirds", CertificateParseError,
+         "line 2: unknown algorithm 'owo-thirds'"),
+        ("algorithm two-thirds", "algorithm exact", VerificationError,
+         "bound 10 is not the one label 'exact' records"),
+        ("bound 10/1", "bound 1000/1", VerificationError,
+         "bound 1000 is not the one label 'two-thirds' records"),
+        ("bound 10/1", "bound 5/1", VerificationError,
+         "bound 5 is not the one label 'two-thirds' records"),
+        ("bound 10/1", "bound null", VerificationError,
+         "bound None is not the one label 'two-thirds' records"),
+    ],
+)
+def test_certificate_label_and_bound_edits_are_refused(old, new, error, message):
+    # gen_dn(2)'s two-thirds certificate: n = 15, 5 vertices, bound 10/1;
+    # each edit leaves a readable file, and the label or the bound no
+    # longer the one the construction records
+    sd = gen_dn(2)
+    text = certificate_document(two_thirds_qk(sd), sd)
+    assert two_thirds_qk(sd).size == 5 and "\nbound 10/1\n" in text
+    if old is None:
+        assert check_certificate(text, sd) == two_thirds_qk(sd)
+        return
+    assert text.count(old) == 1
+    with pytest.raises(error) as exc:
+        check_certificate(text.replace(old, new), sd)
+    assert str(exc.value) == message
+    if error is CertificateParseError:
+        assert exc.value.line == 2
+
+
+def test_certify_and_peel_sinks_take_no_bound():
+    # each label records its own bound: neither a caller's bound nor a
+    # label outside LABELS is taken
+    assert "bound" not in inspect.signature(Digraph.certify).parameters
+    assert "alpha" not in inspect.signature(peel_sinks).parameters
+    with pytest.raises(ValueError, match="^unknown certificate label 'test'$"):
+        gen_dn(1).graph.certify({0, 4}, "test")
 
 
 @pytest.mark.parametrize(

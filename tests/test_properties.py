@@ -48,7 +48,7 @@ from quasikernel import (
 )
 from quasikernel import construct, exact
 from quasikernel.construct import _dominate, _max_in_degree, _rank
-from quasikernel.digraph import members, or_rows, reach_within
+from quasikernel.digraph import LABELS, members, or_rows, reach_within
 
 
 @given(digraphs_with_subsets())
@@ -91,12 +91,12 @@ def test_second_in_set_disjointness(case):
 def test_certify_iff_quasi_kernel(case):
     d, s = case
     if d.is_quasi_kernel(s):
-        cert = d.certify(s, "prop")
+        cert = d.certify(s, "verify")
         cert.check(d)
         assert cert.vertices == frozenset(s)
     else:
         try:
-            d.certify(s, "prop")
+            d.certify(s, "verify")
             raise AssertionError("certify accepted a non-quasi-kernel")
         except NotQuasiKernelError as exc:
             assert 0 <= exc.vertex < d.n
@@ -104,13 +104,13 @@ def test_certify_iff_quasi_kernel(case):
 
 TAMPERS = (
     "delete key", "key -1", "key n", "length 1", "length 4", "last vertex", "middle vertex",
-    "middle out of range", "bool entry", "set path", "list path", "extra vertex", "bound",
+    "middle out of range", "bool entry", "set path", "list path", "extra vertex", "bound", "label",
 )
 
 
 def tamper(cert: QkCertificate, d: Digraph, kind: str, pick: int) -> QkCertificate:
     """cert with one change of the given kind; pick chooses where and what."""
-    table, vertices, bound = dict(cert.witnesses), cert.vertices, cert.bound
+    table, vertices, bound, label = dict(cert.witnesses), cert.vertices, cert.bound, cert.algorithm
     n, q = d.n, min(cert.vertices, default=0)
     v = list(table)[pick % len(table)] if table else n
     path = table.get(v)
@@ -139,9 +139,11 @@ def tamper(cert: QkCertificate, d: Digraph, kind: str, pick: int) -> QkCertifica
         table[v] = list(path)
     elif kind == "extra vertex":
         vertices = vertices | {pick % (n + 2) - 1}
-    else:
+    elif kind == "bound":
         bound = Fraction(len(vertices) - 1)
-    return QkCertificate(vertices, table, cert.algorithm, bound)
+    else:
+        label = (*LABELS, "nonsense")[pick % (len(LABELS) + 1)]
+    return QkCertificate(vertices, table, label, bound)
 
 
 @given(digraphs(max_n=7), st.lists(st.tuples(st.sampled_from(TAMPERS), st.integers(0, 99)), max_size=3))
@@ -149,7 +151,7 @@ def test_certificate_check_matches_its_stage_by_stage_reference(d, changes):
     # a certificate of the rooted construction's set, tampered up to three
     # times: check refuses it exactly when the reference does, at the same
     # stage with the same message
-    cert = d.certify(quasi_kernel_cl(d), "prop")
+    cert = d.certify(quasi_kernel_cl(d), "cl")
     for kind, pick in changes:
         cert = tamper(cert, d, kind, pick)
     expected = certificate_check_reference(cert, d)

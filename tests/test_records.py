@@ -26,7 +26,7 @@ from quasikernel import (
 
 def _records():
     sd = gen_dn(1)
-    cert = sd.graph.certify({0, 4}, "test")
+    cert = sd.graph.certify({0, 4}, "verify")
     return {
         "SplitFlags": (sd.classify(), ("one_way", "complete_split", "orientation", "sink_free")),
         "QkCertificate": (cert, ("vertices", "witnesses", "algorithm", "bound")),
@@ -54,7 +54,7 @@ def test_record_contract(name):
 
 
 def test_certificate_bound_defaults_to_none():
-    cert = QkCertificate(frozenset({0}), {}, "test")
+    cert = QkCertificate(frozenset({0}), {}, "cl")
     assert cert.bound is None
     assert cert.size == 1 and len(cert) == 4
 

@@ -584,12 +584,6 @@ def test_peel_two_layer_example():
     assert cert.bound == Fraction(8, 3)
 
 
-def test_peel_rejects_small_alpha():
-    sd = SplitDigraph(Digraph(2, [(0, 1)]), [0, 1], [])
-    with pytest.raises(PreconditionError, match="alpha"):
-        peel_sinks(sd.graph, lambda host, region: 0, Fraction(1, 3))
-
-
 def test_peel_structural_properties_campaign():
     for seed in range(200):
         rng = random.Random(seed * 23 + 9)
@@ -646,12 +640,12 @@ def test_peel_sinks_on_sink_free_input_delegates(monkeypatch):
     # digraph, and peel_split certifies what two_thirds_qk does
     calls = []
 
-    def counting(d, oracle, alpha):
+    def counting(d, oracle):
         def wrapped(host, region):
             calls.append(region)
             return oracle(host, region)
 
-        return peel_sinks(d, wrapped, alpha)
+        return peel_sinks(d, wrapped)
 
     monkeypatch.setattr(split_qk, "peel_sinks", counting)
     inputs = [gen_dn(n) for n in (1, 2, 3)] + [gen_dpn(n) for n in (1, 2)]
@@ -670,18 +664,19 @@ def test_peel_sinks_on_sink_free_input_delegates(monkeypatch):
 
 
 def test_peel_sinks_refuses_an_oracle_set_over_its_bound():
-    # sink-free, so the bound is alpha * n = 3/2, and the digons 0-2 and
-    # 1-2 have the quasi-kernel {0, 1}
-    d = Digraph(3, [(0, 2), (2, 0), (1, 2), (2, 1)])
-    with pytest.raises(VerificationError, match="size 2 exceeds its bound 3/2"):
-        peel_sinks(d, lambda host, region: 0b011, Fraction(1, 2))
+    # sink-free, so the bound is 2/3 * n = 8/3, and the digons 0-3, 1-3
+    # and 2-3 have the quasi-kernel {0, 1, 2}
+    d = Digraph(4, [(0, 3), (3, 0), (1, 3), (3, 1), (2, 3), (3, 2)])
+    with pytest.raises(VerificationError, match="size 3 exceeds its bound 8/3"):
+        peel_sinks(d, lambda host, region: 0b0111)
+    assert peel_sinks(d, lambda host, region: 0b1000).bound == Fraction(8, 3)
 
 
 def test_peel_sinks_guards_the_oracle_set():
     # 3 is the sink and 2 its in-neighbor, so the oracle gets the digon {0, 1}
     d = Digraph(4, [(0, 1), (1, 0), (2, 3)])
     with pytest.raises(VerificationError, match="outside its region"):
-        peel_sinks(d, lambda host, region: 1 << 2, Fraction(2, 3))
+        peel_sinks(d, lambda host, region: 1 << 2)
     # the whole digon is no independent set
     with pytest.raises(NotQuasiKernelError):
-        peel_sinks(d, lambda host, region: region, Fraction(2, 3))
+        peel_sinks(d, lambda host, region: region)
